@@ -225,6 +225,8 @@ def cmd_search(args) -> int:
 
 
 def _verify_reports(args, ctx: FreeGroupCtx, target: str) -> list:
+    if target in ("thm3", "all") and args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     fam = _family(args, ctx)
     threads = args.threads
     reports = []

@@ -284,18 +284,57 @@ def _radial_product(f: RadialFunction, E: ElementSet) -> RadialFunction:
 
 
 def _union_mask_products(f: RadialFunction, radius: int):
-    """Per-sphere products f * chi_r, padded to a common length.
+    """Per-sphere products f * chi_r over one common denominator D.
 
-    A sphere-union indicator is a sum of chi_r, so the product for any
-    union is the columnwise sum of these; precomputing them turns a
-    2^{radius+1} family sweep into cheap coefficient additions.
+    Returns (columns, D): column r holds the coefficients of f * chi_r
+    times D, as integers, padded to a common length.  A float f keeps
+    float columns with D = 1.  A sphere-union indicator is a sum of
+    chi_r, so the product for any union is the columnwise sum of these;
+    precomputing them turns a 2^{radius+1} family sweep into integer
+    additions.
     """
     ctx = f.ctx
     cols = [convolve_radial(f, chi(ctx, r)).coeffs for r in range(radius + 1)]
     top = max((len(c) for c in cols), default=0)
-    padded = [list(c) + [Fraction(0)] * (top - len(c)) for c in cols]
-    sizes = [sphere_size(ctx, r) for r in range(radius + 1)]
-    return padded, sizes
+    if f.is_exact():
+        D = math.lcm(*(c.denominator for col in cols for c in col))
+        cols = [[c.numerator * (D // c.denominator) for c in col] for col in cols]
+    else:
+        D = 1
+        cols = [[float(c) for c in col] for col in cols]
+    return [col + [0] * (top - len(col)) for col in cols], D
+
+
+def _sphere_union_sweep(f: RadialFunction, fam: SetFamily, score):
+    """Best score(coeffs, mult, D, |E|) over the sphere-union family.
+
+    coeffs[n] / D is the coefficient of chi_n in f * chi_E and mult[n]
+    is |S_n|.  Masks run in increasing order and each union's
+    coefficients are its parent's (the mask without its highest bit)
+    plus one column, so radii are summed in ascending order.  score
+    returns (value, extra...); the first maximum wins ties.
+    """
+    cols, D = _union_mask_products(f, fam.radius)
+    top = len(cols[0])
+    mult = [sphere_size(f.ctx, n) for n in range(max(top, fam.radius + 1))]
+    # sums[mask] = (coeffs, |E|); mask 0 is the empty union, and masks
+    # holding the top radius are never parents, so they are not kept
+    sums = [([0] * top, 0)]
+    best = None
+    best_mask = 0
+    for mask in range(1, min(2 ** (fam.radius + 1), fam.budget + 1)):
+        r = mask.bit_length() - 1
+        parent, parent_size = sums[mask ^ (1 << r)]
+        coeffs = [a + b for a, b in zip(parent, cols[r])]
+        size = parent_size + mult[r]
+        if r < fam.radius:
+            sums.append((coeffs, size))
+        res = score(coeffs, mult, D, size)
+        if best is None or res[0] > best[0]:
+            best = res
+            best_mask = mask
+    label = "U" + ",".join(str(r) for r in range(fam.radius + 1) if best_mask >> r & 1)
+    return (best[0], label, *best[1:])
 
 
 def pairing(f: RadialFunction, E: ElementSet, F: ElementSet) -> Fraction:
@@ -403,45 +442,34 @@ def _l2_norm_squared_product(f: RadialFunction, E: ElementSet) -> Fraction:
     return sum((v * v for v in vals), Fraction(0))
 
 
-def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, threads=None):
+def _estimate_over_family(
+    f: RadialFunction, fam: SetFamily, reduce_set, score_union, threads=None
+):
     """Max of reduce_set(product, |E|, label) over the family.
 
     reduce_set receives either a RadialFunction (radial candidates) or a
     sparse value map (explicit candidates) for f * chi_E and returns a
-    (value, label, extra...) tuple; the first maximum wins ties.
+    (value, label, extra...) tuple; the first maximum wins ties.  The
+    sphere-union family is swept on scaled coefficients instead, scored
+    by score_union (see _sphere_union_sweep).
     """
     ctx = f.ctx
     if fam.kind == "sphere-unions":
-        padded, sizes = _union_mask_products(f, fam.radius)
-        top = len(padded[0]) if padded else 0
-        masks = range(1, min(2 ** (fam.radius + 1), fam.budget + 1))
-
-        def worker(mask):
-            radii = [r for r in range(fam.radius + 1) if mask >> r & 1]
-            coeffs = [
-                sum((padded[r][i] for r in radii), Fraction(0)) for i in range(top)
-            ]
-            h = RadialFunction(ctx, tuple(coeffs))
-            size = sum(sizes[r] for r in radii)
-            label = "U" + ",".join(str(r) for r in radii)
-            return reduce_set(h, size, label)
-
-        results = parallel_map(worker, masks, threads=threads)
-    elif fam.kind == "greedy":
+        return _sphere_union_sweep(f, fam, score_union)
+    if fam.kind == "greedy":
 
         def objective(E: ElementSet):
             return reduce_set(_convolve_value_counts(f, ctx, E.keys()), E.size, E.label)
 
         return _greedy_search(objective, ctx, fam)
-    else:
 
-        def worker(E: ElementSet):
-            if E.is_radial:
-                return reduce_set(_radial_product(f, E), E.size, E.label)
-            return reduce_set(_convolve_value_counts(f, ctx, E.keys()), E.size, E.label)
+    def worker(E: ElementSet):
+        if E.is_radial:
+            return reduce_set(_radial_product(f, E), E.size, E.label)
+        return reduce_set(_convolve_value_counts(f, ctx, E.keys()), E.size, E.label)
 
-        candidates = [E for E in candidate_sets(ctx, fam) if E.size > 0]
-        results = parallel_map(worker, candidates, threads=threads)
+    candidates = [E for E in candidate_sets(ctx, fam) if E.size > 0]
+    results = parallel_map(worker, candidates, threads=threads)
     best = None
     for res in results:
         if best is None or res[0] > best[0]:
@@ -467,15 +495,26 @@ def best_F_ratio(g, p: float):
         r = rearrange_radial(g)
     else:
         r = rearrange(g)
-    e = 1.0 - 1.0 / p  # 1/p'
+    # unscaled runs: s / 1.0 is float(s) for int, Fraction and float s
+    return _best_prefix(r.pairs, 1.0 - 1.0 / p, 1.0)
+
+
+def _best_prefix(runs, e: float, D):
+    """max_j (a_1 + ... + a_j) / j^e over the runs and the maximizing j.
+
+    runs are decreasing (value * D, multiplicity) pairs.  Prefix sums
+    stay in the values' own arithmetic and each candidate divides by D
+    once: for integer sums over an integer D, int / int true division
+    rounds correctly, so the candidate equals float(Fraction(prefix, D))
+    / j^e.
+    """
     best = 0.0
     best_j = 0
-    prefix = Fraction(0)
+    prefix = 0
     cum = 0
-    for v, m in r.pairs:
+    for v, m in runs:
         for j in (cum + 1, cum + m):
-            s = prefix + v * (j - cum)
-            cand = float(s) / float(j) ** e
+            cand = (prefix + v * (j - cum)) / D / float(j) ** e
             if cand > best:
                 best = cand
                 best_j = j
@@ -539,7 +578,19 @@ def restricted_weak_estimate(
         value, j = best_F_ratio(r, 2.0)
         return value / math.sqrt(size), label, j
 
-    value, label, j = _estimate_over_family(f, fam, reduce_set, threads=threads)
+    def score_union(coeffs, mult, D, size):
+        # the decreasing rearrangement of f * chi_E, as scaled values
+        counts: dict = {}
+        for c, m in zip(coeffs, mult):
+            if c:
+                a = abs(c)
+                counts[a] = counts.get(a, 0) + m
+        value, j = _best_prefix(sorted(counts.items(), reverse=True), 0.5, D)
+        return value / math.sqrt(size), j
+
+    value, label, j = _estimate_over_family(
+        f, fam, reduce_set, score_union, threads=threads
+    )
     return _family_report(fam, value, label, {"j": j})
 
 
@@ -563,7 +614,13 @@ def weak_estimate_21_to_2(f: RadialFunction, fam: SetFamily, threads=None) -> di
             sq = sum((v * v for v in product.values()), Fraction(0))
         return math.sqrt(float(sq) / size), label
 
-    value, label = _estimate_over_family(f, fam, reduce_set, threads=threads)
+    def score_union(coeffs, mult, D, size):
+        sq = sum(c * c * m for c, m in zip(coeffs, mult) if c)
+        return (math.sqrt(sq / (D * D) / size),)
+
+    value, label = _estimate_over_family(
+        f, fam, reduce_set, score_union, threads=threads
+    )
     return _family_report(fam, value, label, {})
 
 

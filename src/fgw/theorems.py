@@ -42,6 +42,7 @@ from .radial import (
     paper_display_coefficient,
     structure_constant,
 )
+from .reportio import render_number
 from .words import FreeGroupCtx, sphere_size
 
 
@@ -148,7 +149,7 @@ class VerificationReport:
         return objs
 
     def csv_rows(self) -> list:
-        params_text = " ".join(f"{k}={v}" for k, v in self.params.items())
+        params_text = " ".join(f"{k}={_param_text(v)}" for k, v in self.params.items())
         rows = []
         for c in self.checks:
             rows.append(
@@ -162,6 +163,15 @@ class VerificationReport:
                 )
             )
         return rows
+
+
+def _param_text(v) -> str:
+    """Canonical CSV text of a parameter: numbers as reportio renders them."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(_param_text(x) for x in v) + "]"
+    return render_number(v)
 
 
 def _fmt(x) -> str:
@@ -334,6 +344,8 @@ def thm3_equivalence_report(
     reaches a constant times the larger parity-split sum.  The empirical
     ratio band over the samples is the report's headline numbers.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     if fam is None:
         fam = SetFamily("sphere-unions", default_radius(ctx), seed=seed)
     q = ctx.q
@@ -471,7 +483,14 @@ def thm5_exponent_fit(
     expected = 1.0 - 1.0 / s + (0.0 if math.isinf(t) else 1.0 / t)
     report = VerificationReport(
         "thm5",
-        {"k": ctx.k, "s": s, "t": t, "n_min": min(ns), "n_max": max(ns), "expected_slope": expected},
+        {
+            "k": ctx.k,
+            "s": s,
+            "t": t if math.isfinite(t) else "inf",
+            "n_min": min(ns),
+            "n_max": max(ns),
+            "expected_slope": expected,
+        },
     )
     xs = []
     ys = []

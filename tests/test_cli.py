@@ -6,14 +6,19 @@ Core claims:
     - search reports the estimator record with the witness set label
     - verify emits CSV with the fixed header and JSON row objects
     - a violated inequality is printed to stderr and exits 1
-    - usage errors, malformed literals, and degenerate fits exit 2
+    - usage errors, malformed literals, degenerate fits, and --samples 0 exit 2
+    - thm5 with an infinite target index reports it as "inf"
+    - CSV params render numbers canonically, at most 12 significant digits
     - --output writes the same bytes that would go to stdout
     - reports are byte-identical across FGW_THREADS settings
 """
 
+import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -192,6 +197,59 @@ def test_verify_thm5_degenerate_window_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "degenerate fit" in err
+
+
+def test_verify_thm5_infinite_target_index(capsys):
+    code = main(["verify", "thm5", "--s", "2", "--t", "inf"])
+    out = capsys.readouterr().out
+    assert code == 0
+    (summary,) = [r for r in json.loads(out) if r.get("kind") == "summary"]
+    assert summary["params"]["t"] == "inf"
+    assert summary["status"] == "pass"
+
+
+def test_verify_zero_samples_is_a_usage_error(capsys, monkeypatch):
+    import fgw.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a verifier ran before the usage check")
+
+    # `all` runs lemma1 first, so the check must fire before any verifier
+    monkeypatch.setattr(fgw.cli, "verify_lemma1", no_work)
+    for target in ("thm3", "all"):
+        code = main(["verify", target, "--samples", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "--samples" in err
+
+
+def _significant_digits(token: str) -> int:
+    mantissa = token.lstrip("+-").split("e")[0].split("E")[0]
+    return len(mantissa.replace(".", "").lstrip("0"))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "thm5", "--s", "2", "--t", "2"],
+        ["verify", "thm3", "--samples", "4", "--radius", "3"],
+        ["conjecture", "--s-grid", "1,1.5,2", "--radius", "3"],
+    ],
+)
+def test_csv_params_are_canonical(capsys, args):
+    code = main(args + ["--format", "csv"])
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["id", "params", "lhs", "rhs", "margin", "status"]
+    numbers = [
+        tok
+        for row in rows[1:]
+        for tok in re.findall(r"[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?", row[1])
+    ]
+    assert numbers
+    assert max(_significant_digits(tok) for tok in numbers) <= 12
 
 
 # -- conjecture ---------------------------------------------------------------

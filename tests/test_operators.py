@@ -7,6 +7,8 @@ Core claims:
     - left_convolve agrees with the pointwise convolution sum and conserves mass
     - best_F_ratio equals the exhaustive prefix search and dominates subsets
     - the sphere-union fast path reproduces the generic per-set estimates
+    - the integer sweep reproduces per-mask Fraction sums float for float,
+      for exact and float f, under any budget, first maximum winning ties
     - estimates grow with the candidate budget under a fixed seed
     - the ball-subsets family enumerates every subset and stays within budget
     - truncated columns contain exactly the words passing the length test
@@ -21,10 +23,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fgw.operators as ops
 from fgw.errors import BudgetExceededError
-from fgw.lorentz import rearrange
+from fgw.lorentz import rearrange, rearrange_radial
 from fgw.operators import (
     ElementSet,
     FunctionOnGroup,
@@ -44,7 +48,8 @@ from fgw.operators import (
     truncated_column,
     weak_estimate_21_to_2,
 )
-from fgw.radial import RadialFunction, chi
+from fgw.radial import RadialFunction, chi, convolve_radial
+from fgw.reportio import json_dumps
 from fgw.words import (
     FreeGroupCtx,
     ball_stream,
@@ -332,6 +337,97 @@ def test_sphere_union_fast_path_matches_generic():
     want2 = max(weak, key=lambda t: t[0])
     assert got2["estimate"] == want2[0]
     assert got2["E"] == want2[1]
+
+
+def _reference_union_rows(f, fam):
+    # the sweep without integer scaling: per-mask Fraction sums of the
+    # columns f * chi_r, rearrange_radial, then best_F_ratio
+    cols = [convolve_radial(f, chi(CTX, r)).coeffs for r in range(fam.radius + 1)]
+    top = max(len(c) for c in cols)
+    restricted = []
+    weak = []
+    for mask in range(1, min(2 ** (fam.radius + 1), fam.budget + 1)):
+        radii = [r for r in range(fam.radius + 1) if mask >> r & 1]
+        coeffs = [
+            sum((cols[r][i] for r in radii if i < len(cols[r])), Fraction(0))
+            for i in range(top)
+        ]
+        h = RadialFunction(CTX, tuple(coeffs))
+        size = sum(sphere_size(CTX, r) for r in radii)
+        label = "U" + ",".join(str(r) for r in radii)
+        value, j = best_F_ratio(rearrange_radial(h), 2.0)
+        restricted.append((value / math.sqrt(size), label, j))
+        sq = sum((c * c * sphere_size(CTX, n) for n, c in h.nonzero_items()), Fraction(0))
+        weak.append((math.sqrt(float(sq) / size), label))
+    return restricted, weak
+
+
+def _reference_union_reports(f, fam):
+    restricted, weak = _reference_union_rows(f, fam)
+    tail = {"family": fam.kind, "radius": fam.radius, "seed": fam.seed, "budget": fam.budget}
+    # max keeps the first of equal maxima, as the estimators do
+    value, label, j = max(restricted, key=lambda row: row[0])
+    want_r = {"estimate": value, "E": label, "j": j, **tail}
+    value, label = max(weak, key=lambda row: row[0])
+    want_w = {"estimate": value, "E": label, **tail}
+    return want_r, want_w
+
+
+@st.composite
+def _union_cases(draw):
+    coeffs = draw(
+        st.one_of(
+            st.lists(
+                st.fractions(min_value=0, max_value=20, max_denominator=10**6),
+                min_size=1,
+                max_size=4,
+            ),
+            st.lists(
+                st.floats(min_value=0, max_value=1e3, allow_nan=False),
+                min_size=1,
+                max_size=4,
+            ),
+        )
+    )
+    radius = draw(st.integers(0, 4))
+    masks = 2 ** (radius + 1)
+    budget = draw(st.one_of(st.integers(1, masks - 1), st.integers(masks, masks + 40)))
+    return RadialFunction(CTX, tuple(coeffs)), SetFamily("sphere-unions", radius, budget)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_union_cases())
+# coprime denominators push the scaled prefix sums past 2^53, where
+# float(s) / D would round twice
+@example(
+    (
+        RadialFunction(CTX, (Fraction(15, 953948), Fraction(9, 691237), Fraction(18, 638525))),
+        SetFamily("sphere-unions", 3, 16),
+    )
+)
+def test_sphere_union_sweep_matches_fraction_reference(case):
+    f, fam = case
+    want_r, want_w = _reference_union_reports(f, fam)
+    got_r = restricted_weak_estimate(f, fam)
+    got_w = weak_estimate_21_to_2(f, fam)
+    # the rendered reports, and the floats behind them exactly
+    assert json_dumps(got_r) == json_dumps(want_r)
+    assert json_dumps(got_w) == json_dumps(want_w)
+    assert got_r == want_r
+    assert got_w == want_w
+
+
+def test_sphere_union_ties_keep_first_union():
+    # chi_0 * chi_E = chi_E: the weak estimate is exactly 1 on every union
+    # and the restricted one peaks on several unions, U2 first
+    f = chi(CTX, 0)
+    fam = SetFamily("sphere-unions", radius=3, budget=16)
+    restricted, weak = _reference_union_rows(f, fam)
+    top = max(row[0] for row in restricted)
+    assert [row[1] for row in restricted if row[0] == top][:2] == ["U2", "U0,2"]
+    assert all(row[0] == 1.0 for row in weak)
+    assert restricted_weak_estimate(f, fam)["E"] == "U2"
+    assert weak_estimate_21_to_2(f, fam)["E"] == "U0"
 
 
 def test_estimate_report_shape():

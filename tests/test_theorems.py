@@ -168,6 +168,11 @@ def test_thm3_equivalence_bands():
     assert llo >= 0.5
 
 
+def test_thm3_rejects_zero_samples():
+    with pytest.raises(ValueError, match="samples"):
+        thm3_equivalence_report(CTX, samples=0)
+
+
 def test_thm4_lower_chain_hand_case():
     # f = chi_1, p = 1.5, p' = 3: chi_1*chi_1 = 4 chi_0 + chi_2 at k=2,
     # so the n=1 row reads (4^3 + 12)/3 >= (2/3)^3 * 9
