@@ -280,11 +280,11 @@ def _verify_reports(args, ctx: FreeGroupCtx, target: str) -> list:
     if target in ("pk", "all"):
         k_max = args.k_max if args.k_max is not None else 6
         radius = args.radius if args.radius is not None else default_radius(ctx)
-        reports.append(verify_p_columns(ctx, k_max, radius, threads=threads))
+        reports.append(verify_p_columns(ctx, k_max, radius))
     if target in ("qn", "all"):
         n_max = args.n_max if args.n_max is not None else 6
         radius = args.radius if args.radius is not None else default_radius(ctx)
-        reports.append(verify_q_columns(ctx, n_max, radius, threads=threads))
+        reports.append(verify_q_columns(ctx, n_max, radius))
     if target in ("display", "all"):
         reports.append(verify_display_majorization(ctx))
     return reports

@@ -26,7 +26,7 @@ from . import _kernels
 from .errors import BudgetExceededError
 from .lorentz import Rearrangement, rearrange, rearrange_radial
 from .parallel import parallel_map
-from .radial import RadialFunction, chi, convolve_radial
+from .radial import RadialFunction, chi, convolve_radial, structure_constant
 from .words import (
     PAIR_BUDGET,
     SPHERE_CAP,
@@ -37,9 +37,6 @@ from .words import (
     sphere_size,
     sphere_stream,
 )
-
-#: Guard on sphere x ball scans in column studies (product count).
-COLUMN_BUDGET = 10**8
 
 FAMILY_KINDS = (
     "spheres",
@@ -679,18 +676,32 @@ def truncated_column(kind: str, params: dict, x: ReducedWord) -> FunctionOnGroup
     return FunctionOnGroup(ctx, entries)
 
 
-def column_l1_sup(
-    kind: str,
-    params: dict,
-    radius: int,
-    ctx: FreeGroupCtx,
-    budget: int = COLUMN_BUDGET,
-    threads=None,
-) -> dict:
-    """Max column l1 mass over x in the ball of the given radius.
+def _column_rows(ctx: FreeGroupCtx, n: int, radius: int) -> list:
+    """Row m: histogram of |wx| over w in S_n, for any x with |x| = m <= radius.
 
-    Reports the witness x and the comparison against the claimed bound:
-    q^{[k/2]} for P columns, q^{3/2 - alpha + n/2} for Q columns.
+    Counting pairs (w, x) in S_n x S_m by the length of wx gives
+    c(n, m, l) |S_l|, and by symmetry each x in S_m takes an equal
+    share, so the row is c(n, m, l) |S_l| / |S_m| (an exact division).
+    """
+    if n < 0:
+        raise ValueError("sphere radius must be >= 0")
+    rows = []
+    for m in range(radius + 1):
+        hist = [0] * (n + m + 1)
+        for l in range(abs(n - m), n + m + 1, 2):
+            hist[l] = (
+                structure_constant(ctx, n, m, l) * sphere_size(ctx, l) // sphere_size(ctx, m)
+            )
+        rows.append(hist)
+    return rows
+
+
+def _column_sup(kind: str, params: dict, radius: int, ctx: FreeGroupCtx, rows) -> dict:
+    """Column sup report from the rows of _column_rows.
+
+    Every x of length m has the same column mass, so the first strict
+    maximum over increasing m is attained first, in (length, lex) order,
+    by a^m.
     """
     q = ctx.q
     if kind == "P":
@@ -703,7 +714,7 @@ def column_l1_sup(
         def exact_ok(sup):
             return sup <= q ** (n // 2)
 
-    elif kind == "Q":
+    else:
         n = int(params["n"])
         alpha = float(params["alpha"])
 
@@ -727,30 +738,11 @@ def column_l1_sup(
             def exact_ok(sup):
                 return float(sup) <= bound_value
 
-    else:
-        raise ValueError("kind must be 'P' or 'Q'")
-    work = sphere_size(ctx, n) * ball_size(ctx, radius)
-    if work > budget:
-        raise BudgetExceededError("column scan", work, budget)
-    tk = ctx.alphabet
-    xs = list(ball_stream(ctx, radius))
-    xkeys = [_kernels.encode_word(tk, w.letters) for w in xs]
-    chunks = [range(i, min(i + 2048, len(xs))) for i in range(0, len(xs), 2048)]
-
-    def scan(idx_range):
-        hists = _kernels.sphere_len_hists(tk, n, [xkeys[i] for i in idx_range])
-        best = (-1, None)
-        for i, hist in zip(idx_range, hists):
-            m = mass(hist, len(xs[i]))
-            if m > best[0]:
-                best = (m, xs[i])
-        return best
-
-    best = (-1, None)
-    for part in parallel_map(scan, chunks, threads=threads):
-        if part[0] > best[0]:
-            best = part
-    sup, witness = best
+    sup, witness = -1, None
+    for m, hist in enumerate(rows):
+        s = mass(hist, m)
+        if s > sup:
+            sup, witness = s, ReducedWord(ctx, (0,) * m)
     return {
         "kind": kind,
         "params": {k: (float(v) if k == "alpha" else int(v)) for k, v in params.items()},
@@ -762,67 +754,27 @@ def column_l1_sup(
     }
 
 
-def q_alpha_sweep(
-    ctx: FreeGroupCtx,
-    n: int,
-    alphas,
-    radius: int,
-    budget: int = COLUMN_BUDGET,
-    threads=None,
-) -> list:
-    """column_l1_sup for many alpha at fixed n, one histogram pass.
+def column_l1_sup(kind: str, params: dict, radius: int, ctx: FreeGroupCtx) -> dict:
+    """Max column l1 mass over x in the ball of the given radius.
 
-    The per-x length histograms of w -> wx over |w| = n determine every
-    alpha cutoff, so the sphere x ball scan is shared across the grid.
+    Reports the witness x and the comparison against the claimed bound:
+    q^{[k/2]} for P columns, q^{3/2 - alpha + n/2} for Q columns.  The
+    masses come in closed form from the structure constants, one row
+    per length, so no ball is enumerated.
     """
-    alphas = [float(a) for a in alphas]
-    q = ctx.q
-    work = sphere_size(ctx, n) * ball_size(ctx, radius)
-    if work > budget:
-        raise BudgetExceededError("column scan", work, budget)
-    tk = ctx.alphabet
-    xs = list(ball_stream(ctx, radius))
-    xkeys = [_kernels.encode_word(tk, w.letters) for w in xs]
-    chunks = [range(i, min(i + 2048, len(xs))) for i in range(0, len(xs), 2048)]
+    if kind not in ("P", "Q"):
+        raise ValueError("kind must be 'P' or 'Q'")
+    n = int(params["k"] if kind == "P" else params["n"])
+    return _column_sup(kind, params, radius, ctx, _column_rows(ctx, n, radius))
 
-    def scan(idx_range):
-        hists = _kernels.sphere_len_hists(tk, n, [xkeys[i] for i in idx_range])
-        best = [(-1, None)] * len(alphas)
-        for i, hist in zip(idx_range, hists):
-            lx = len(xs[i])
-            for a_idx, alpha in enumerate(alphas):
-                m = sum(
-                    t
-                    for d, t in enumerate(hist)
-                    if t and _alpha_condition(q, alpha, d, lx)
-                )
-                if m > best[a_idx][0]:
-                    best[a_idx] = (m, xs[i])
-        return best
 
-    best = [(-1, None)] * len(alphas)
-    for part in parallel_map(scan, chunks, threads=threads):
-        for a_idx, cand in enumerate(part):
-            if cand[0] > best[a_idx][0]:
-                best[a_idx] = cand
-    out = []
-    for alpha, (sup, witness) in zip(alphas, best):
-        bound_value = float(q) ** (1.5 - alpha + 0.5 * n)
-        twice = 2.0 * alpha
-        if twice == int(twice):
-            e = 3 + n - int(twice)
-            ok = sup * sup <= q**e if e >= 0 else sup * sup * q**-e <= 1
-        else:
-            ok = float(sup) <= bound_value
-        out.append(
-            {
-                "kind": "Q",
-                "params": {"n": n, "alpha": alpha},
-                "radius": radius,
-                "sup": sup,
-                "witness": str(witness),
-                "bound": bound_value,
-                "ok": ok,
-            }
-        )
-    return out
+def q_alpha_sweep(ctx: FreeGroupCtx, n: int, alphas, radius: int) -> list:
+    """column_l1_sup for many alpha at fixed n, one set of rows.
+
+    The length histograms of w -> wx over |w| = n determine every alpha
+    cutoff, so the rows are built once and shared across the grid.
+    """
+    rows = _column_rows(ctx, n, radius)
+    return [
+        _column_sup("Q", {"n": n, "alpha": float(a)}, radius, ctx, rows) for a in alphas
+    ]

@@ -513,15 +513,13 @@ def thm5_exponent_fit(
     return report
 
 
-def verify_p_columns(
-    ctx: FreeGroupCtx, k_max: int, radius: int, threads=None
-) -> VerificationReport:
+def verify_p_columns(ctx: FreeGroupCtx, k_max: int, radius: int) -> VerificationReport:
     """sup_x ||P_k delta_x||_1 <= q^{[k/2]} over the ball, with equality
     witnesses at even k."""
     q = ctx.q
     report = VerificationReport("pk", {"k": ctx.k, "k_max": k_max, "radius": radius})
     for k in range(k_max + 1):
-        rep = column_l1_sup("P", {"k": k}, radius, ctx, threads=threads)
+        rep = column_l1_sup("P", {"k": k}, radius, ctx)
         bound = q ** (k // 2)
         report.check_le(
             f"pk:k={k}", rep["sup"], bound, note=f"witness x={rep['witness']!r}"
@@ -536,9 +534,7 @@ def verify_p_columns(
     return report
 
 
-def verify_q_columns(
-    ctx: FreeGroupCtx, n_max: int, radius: int, threads=None
-) -> VerificationReport:
+def verify_q_columns(ctx: FreeGroupCtx, n_max: int, radius: int) -> VerificationReport:
     """Column bound q^{3/2 - alpha + n/2} on the half grid |alpha| <= n/2.
 
     The alpha = n column is reported as well: full cancellation gives a
@@ -550,7 +546,7 @@ def verify_q_columns(
     for n in range(n_max + 1):
         alphas = [tw / 2.0 for tw in range(-n, n + 1)]
         extra = [float(n)] if n >= 1 else []
-        sweep = q_alpha_sweep(ctx, n, alphas + extra, radius, threads=threads)
+        sweep = q_alpha_sweep(ctx, n, alphas + extra, radius)
         for rep in sweep[: len(alphas)]:
             alpha = rep["params"]["alpha"]
             report.check_le(

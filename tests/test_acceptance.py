@@ -5,17 +5,24 @@ Core claims:
       golden/thm3_band.json, float for float
     - restricted_weak_estimate(chi_n) / q^{n/2} for n = 1..8 reproduces
       golden/r22_chi_ratios.json, float for float
+    - the Q-column claim fails at exactly six grid points with n <= 6,
+      the same six at radius 9 and radius 60, with pinned masses and
+      witnesses
 
 Each check reads its parameters from the golden file, so the file is
-the single record of the scale it was frozen at.
+the single record of the scale it was frozen at.  The Q-column table
+is pinned here because the column masses come in closed form at any
+radius.
 """
 
 import json
 from pathlib import Path
 
+import pytest
+
 from fgw.operators import SetFamily, restricted_weak_estimate
 from fgw.radial import chi
-from fgw.theorems import thm3_equivalence_report
+from fgw.theorems import thm3_equivalence_report, verify_q_columns
 from fgw.words import FreeGroupCtx
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -55,3 +62,26 @@ def test_r22_chi_ratios_match_golden():
         n = int(key)
         est = restricted_weak_estimate(chi(ctx, n), fam)["estimate"]
         assert est / ctx.q ** (n / 2) == want, n
+
+
+# id -> (column mass, witness): every failing point of q^(3/2 - alpha + n/2)
+# on the half grid |alpha| <= n/2, n <= 6.  The last lies outside the
+# radius-8 ball, so `fgw verify qn` at its default radius reports five.
+Q_COLUMN_FAILURES = {
+    "qn:n=4:alpha=-0.5": (108, "aaaaaa"),
+    "qn:n=5:alpha=-1": (324, "aaa"),
+    "qn:n=5:alpha=-0.5": (324, "aaaaaaa"),
+    "qn:n=6:alpha=-1.5": (972, "aa"),
+    "qn:n=6:alpha=-1": (972, "aaa"),
+    "qn:n=6:alpha=-0.5": (972, "aaaaaaaaa"),
+}
+
+
+@pytest.mark.parametrize("radius", [9, 60])
+def test_q_column_failure_table(radius):
+    rep = verify_q_columns(FreeGroupCtx(2), 6, radius)
+    got = {c["id"]: (c["lhs"], c["note"]) for c in rep.failures()}
+    assert got == {
+        check_id: (mass, f"witness x={witness!r}")
+        for check_id, (mass, witness) in Q_COLUMN_FAILURES.items()
+    }

@@ -6,6 +6,8 @@ Core claims:
     - search reports the estimator record with the witness set label
     - verify emits CSV with the fixed header and JSON row objects
     - a violated inequality is printed to stderr and exits 1
+    - verify all exits 1 at the documented qn violation, and qn runs past
+      the radius the old column scan was capped at
     - usage errors, malformed literals, degenerate fits, and --samples 0 exit 2
     - thm5 with an infinite target index reports it as "inf"
     - CSV params render numbers canonically, at most 12 significant digits
@@ -168,6 +170,37 @@ def test_verify_violation_exits_1_with_witness(capsys):
     assert [r["id"] for r in failing] == ["qn:n=5:alpha=-1"]
     (summary,) = [r for r in rows if r.get("kind") == "summary"]
     assert summary["status"] == "fail"
+
+
+def _failing_ids(out):
+    return [r["id"] for r in json.loads(out) if "id" in r and r["status"] == "fail"]
+
+
+QN_DEFAULT_FAILURES = [
+    "qn:n=4:alpha=-0.5",
+    "qn:n=5:alpha=-1",
+    "qn:n=5:alpha=-0.5",
+    "qn:n=6:alpha=-1.5",
+    "qn:n=6:alpha=-1",
+]
+
+
+def test_verify_all_exits_1_at_the_qn_violation(capsys):
+    code = main(["verify", "all"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "violated: qn:n=4:alpha=-0.5: 108 <= 81" in captured.err
+    assert _failing_ids(captured.out) == QN_DEFAULT_FAILURES
+
+
+def test_verify_qn_has_no_radius_cap(capsys):
+    # Radius 20 would take 7e9 products to scan; the closed-form columns
+    # also find the sixth failing point, which needs radius >= 9.
+    code = main(["verify", "qn", "--n-max", "6", "--radius", "20"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "violated: qn:n=4:alpha=-0.5: 108 <= 81" in captured.err
+    assert _failing_ids(captured.out) == QN_DEFAULT_FAILURES + ["qn:n=6:alpha=-0.5"]
 
 
 def test_verify_qn_clean_grid_exits_0(capsys):

@@ -14,6 +14,8 @@ Core claims:
     - truncated columns contain exactly the words passing the length test
     - column_l1_sup returns the brute-force sup with an attaining witness
     - q_alpha_sweep equals per-alpha column scans
+    - the closed-form column rows equal the enumerated length histograms
+    - column sups run far past any enumerable ball, P_k reaching q^[k/2]
     - the full-cancellation witness breaks the Q bound at alpha = n >= 4
     - budgets abort oversized enumerations
 """
@@ -27,6 +29,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fgw.operators as ops
+from fgw import _kernels
 from fgw.errors import BudgetExceededError
 from fgw.lorentz import rearrange, rearrange_radial
 from fgw.operators import (
@@ -52,6 +55,7 @@ from fgw.radial import RadialFunction, chi, convolve_radial
 from fgw.reportio import json_dumps
 from fgw.words import (
     FreeGroupCtx,
+    ReducedWord,
     ball_stream,
     identity,
     inverse,
@@ -540,6 +544,40 @@ def test_q_alpha_sweep_matches_single_scans():
         assert row == single
 
 
+@st.composite
+def _reduced_words(draw):
+    ctx = FreeGroupCtx(draw(st.sampled_from((2, 3, 4))))
+    letters = []
+    for _ in range(draw(st.integers(0, 5))):
+        banned = letters[-1] ^ 1 if letters else None
+        letters.append(
+            draw(st.sampled_from([a for a in range(ctx.alphabet) if a != banned]))
+        )
+    return ReducedWord(ctx, tuple(letters))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_reduced_words(), st.integers(0, 5))
+def test_column_rows_match_enumerated_histograms(x, n):
+    tk = x.ctx.alphabet
+    row = ops._column_rows(x.ctx, n, len(x))[len(x)]
+    assert row == _kernels.sphere_len_hists(tk, n, [_kernels.encode_word(tk, x.letters)])[0]
+
+
+def test_column_sup_has_no_radius_cap():
+    # Radius 40 is far past any enumerable ball.  For |x| = m, a word w in
+    # S_k with |wx| <= m cancels j >= k/2 letters: (q-1) q^(k-j-1) words
+    # for each j < min(k, m), and 1 (j = k <= m) or q^(k-m) (j = m < k)
+    # more, so the mass is q^[k/2] once m >= k/2 and 0 before.
+    q = CTX.q
+    rep = column_l1_sup("P", {"k": 4}, 40, CTX)
+    assert (rep["sup"], rep["witness"], rep["ok"]) == (q**2, "aa", True)
+    rows = ops._column_rows(CTX, 4, 40)
+    for m, row in enumerate(rows):
+        assert sum(row) == sphere_size(CTX, 4)
+        assert sum(row[: m + 1]) == (q**2 if m >= 2 else 0)
+
+
 # -- Budgets -----------------------------------------------------------------
 
 
@@ -549,8 +587,3 @@ def test_pair_budget_enforced(monkeypatch):
     E = explicit_set(CTX, _rand_words(rng, 4))
     with pytest.raises(BudgetExceededError):
         pairing(chi(CTX, 1), E, E)
-
-
-def test_column_budget_enforced():
-    with pytest.raises(BudgetExceededError):
-        column_l1_sup("P", {"k": 2}, 3, CTX, budget=10)
