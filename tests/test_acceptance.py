@@ -8,18 +8,22 @@ Core claims:
     - the Q-column claim fails at exactly six grid points with n <= 6,
       the same six at radius 9 and radius 60, with pinned masses and
       witnesses
+    - every invocation in golden/report_digests.json prints stdout with
+      the recorded sha256 and exits with the recorded code
 
 Each check reads its parameters from the golden file, so the file is
 the single record of the scale it was frozen at.  The Q-column table
 is pinned here because the column masses come in closed form at any
-radius.
+radius.  A report digest changes only in a change that says why.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from fgw.cli import main
 from fgw.operators import SetFamily, restricted_weak_estimate
 from fgw.radial import chi
 from fgw.theorems import thm3_equivalence_report, verify_q_columns
@@ -85,3 +89,18 @@ def test_q_column_failure_table(radius):
         check_id: (mass, f"witness x={witness!r}")
         for check_id, (mass, witness) in Q_COLUMN_FAILURES.items()
     }
+
+
+REPORT_DIGESTS = _golden("report_digests.json")
+
+
+@pytest.mark.parametrize(
+    "golden", REPORT_DIGESTS, ids=[" ".join(g["args"]) for g in REPORT_DIGESTS]
+)
+def test_report_bytes_match_digest(capsys, golden):
+    code = main(golden["args"])
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest(), code) == (
+        golden["sha256"],
+        golden["exit"],
+    )
