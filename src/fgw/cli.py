@@ -2,9 +2,8 @@
 
 Subcommands: convolve, norms, search, verify, conjecture.  Exit codes:
 0 all checks passed, 1 a verified inequality was violated (the witness
-instance is printed), 2 usage or budget error.  FGW_THREADS caps
-worker threads; --threads overrides it.  Reports are byte-identical
-for identical (argv, seed) regardless of thread count.
+instance is printed), 2 usage or budget error.  Reports are
+byte-identical for identical (argv, seed).
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ THM5_PAIRS = ((1.0, math.inf), (2.0, 2.0), (2.0, math.inf), (1.0, 2.0), (1.5, 3.
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, default=2, help="number of generators (>= 2)")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (overrides FGW_THREADS)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--output", default=None, help="write reports here instead of stdout")
 
@@ -209,9 +207,9 @@ def cmd_search(args) -> int:
     fam = _family(args, ctx)
     f = parse_radial_literal(ctx, args.f)
     if args.estimator == "restricted":
-        report = restricted_weak_estimate(f, fam, threads=args.threads)
+        report = restricted_weak_estimate(f, fam)
     else:
-        report = weak_estimate_21_to_2(f, fam, threads=args.threads)
+        report = weak_estimate_21_to_2(f, fam)
     report = {"kind": "search", "estimator": args.estimator, "f": format_radial_literal(f), **report}
     if args.format == "csv":
         _emit(
@@ -227,24 +225,25 @@ def cmd_search(args) -> int:
 def _verify_reports(args, ctx: FreeGroupCtx, target: str) -> list:
     if target in ("thm3", "all") and args.samples < 1:
         raise ValueError("--samples must be at least 1")
+    if target in ("thm3", "all") and args.max_degree < 0:
+        raise ValueError("--max-degree must be nonnegative")
     fam = _family(args, ctx)
-    threads = args.threads
     reports = []
     if target in ("lemma1", "all"):
         k_max = args.k_max if args.k_max is not None else 8
-        reports.append(verify_lemma1(ctx, fam, k_max, threads=threads))
+        reports.append(verify_lemma1(ctx, fam, k_max))
     if target in ("thm1", "all"):
         if args.f is not None:
             suite = [("f", parse_radial_literal(ctx, args.f))]
         else:
             suite = build_thm1_suite(ctx, seed=args.seed)
         for label, f in suite:
-            rep = verify_thm1(f, fam, threads=threads)
+            rep = verify_thm1(f, fam)
             rep.params["label"] = label
             reports.append(rep)
     if target in ("r22", "all"):
         n_max = args.n_max if args.n_max is not None else 8
-        reports.append(verify_r22(ctx, fam, n_max, threads=threads))
+        reports.append(verify_r22(ctx, fam, n_max))
     if target in ("thm3", "all"):
         reports.append(
             thm3_equivalence_report(
@@ -253,7 +252,6 @@ def _verify_reports(args, ctx: FreeGroupCtx, target: str) -> list:
                 seed=args.seed,
                 max_degree=args.max_degree,
                 fam=fam,
-                threads=threads,
             )
         )
     if target in ("thm4", "all"):
@@ -303,7 +301,7 @@ def cmd_conjecture(args) -> int:
         s_grid = [float(tok) for tok in args.s_grid.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"malformed s grid {args.s_grid!r}: {exc}") from None
-    report = conjecture_scan(ctx, s_grid=s_grid, fam=fam, threads=args.threads)
+    report = conjecture_scan(ctx, s_grid=s_grid, fam=fam)
     return _finish(args, [report])
 
 

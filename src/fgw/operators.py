@@ -2,14 +2,16 @@
 
 The left convolution by a radial function f acts on finitely supported
 functions; its weak-type operator norms are probed from below by
-searching over families of finite sets E (and implicitly F).  Two
-support representations coexist:
+searching over families of finite sets E (and implicitly F).  Sets
+come in two kinds:
 
 * explicit sets carry their words and go through the enumeration
   kernels (cost |E| x sphere sizes);
-* radial sets (unions of spheres) stay inside the radial algebra, where
-  products and pairings are exact closed forms, so radii far beyond any
-  enumerable ball remain cheap.
+* radial sets (unions of spheres) stay inside the radial algebra.  The
+  radial families are masks over the spheres S_0 .. S_radius, and one
+  integer sweep (_sphere_union_sweep) builds f * chi_E for every mask
+  from the columns f * chi_r, so radii far beyond any enumerable ball
+  remain cheap.
 
 Pairings between the two kinds reduce to the radial side because
 convolution by a real radial function is self-adjoint.
@@ -25,7 +27,6 @@ from fractions import Fraction
 from . import _kernels
 from .errors import BudgetExceededError
 from .lorentz import Rearrangement, rearrange, rearrange_radial
-from .parallel import parallel_map
 from .radial import RadialFunction, chi, convolve_radial, structure_constant
 from .words import (
     PAIR_BUDGET,
@@ -38,14 +39,8 @@ from .words import (
     sphere_stream,
 )
 
-FAMILY_KINDS = (
-    "spheres",
-    "balls",
-    "sphere-unions",
-    "ball-subsets",
-    "random-subsets",
-    "greedy",
-)
+RADIAL_KINDS = ("spheres", "balls", "sphere-unions")
+FAMILY_KINDS = RADIAL_KINDS + ("ball-subsets", "random-subsets", "greedy")
 
 
 def default_radius(ctx: FreeGroupCtx) -> int:
@@ -179,22 +174,36 @@ class SetFamily:
             raise ValueError("budget must be positive")
 
 
+def _mask_radii(mask: int) -> list:
+    return [r for r in range(mask.bit_length()) if mask >> r & 1]
+
+
+def _union_label(mask: int) -> str:
+    return "U" + ",".join(str(r) for r in _mask_radii(mask))
+
+
+def _radial_candidates(fam: SetFamily):
+    """Masks of a radial family in candidate order, and their label function.
+
+    Bit r of a mask marks the sphere S_r: spheres are 1 << n, balls
+    (2 << n) - 1, and sphere unions every nonempty mask, all capped by
+    the budget.  Labels are made on demand, since a sweep needs only
+    the winner's.
+    """
+    count = min(fam.radius + 1, fam.budget)
+    if fam.kind == "spheres":
+        return [1 << n for n in range(count)], lambda mask: f"S{mask.bit_length() - 1}"
+    if fam.kind == "balls":
+        return [(2 << n) - 1 for n in range(count)], lambda mask: f"B{mask.bit_length() - 1}"
+    return range(1, min(2 << fam.radius, fam.budget + 1)), _union_label
+
+
 def candidate_sets(ctx: FreeGroupCtx, fam: SetFamily):
     """Deterministic candidate stream for the non-adaptive families."""
-    if fam.kind == "spheres":
-        for n in range(min(fam.radius + 1, fam.budget)):
-            yield sphere_set(ctx, n)
-    elif fam.kind == "balls":
-        for n in range(min(fam.radius + 1, fam.budget)):
-            yield ball_set(ctx, n)
-    elif fam.kind == "sphere-unions":
-        count = 0
-        for mask in range(1, 2 ** (fam.radius + 1)):
-            if count >= fam.budget:
-                return
-            radii = frozenset(r for r in range(fam.radius + 1) if mask >> r & 1)
-            yield ElementSet(ctx, radii=radii)
-            count += 1
+    if fam.kind in RADIAL_KINDS:
+        masks, label = _radial_candidates(fam)
+        for mask in masks:
+            yield ElementSet(ctx, radii=frozenset(_mask_radii(mask)), label=label(mask))
     elif fam.kind == "ball-subsets":
         count = 1 << ball_size(ctx, fam.radius)
         if count > fam.budget:
@@ -276,62 +285,53 @@ def embed(f: RadialFunction) -> FunctionOnGroup:
     return FunctionOnGroup(ctx, entries)
 
 
-def _radial_product(f: RadialFunction, E: ElementSet) -> RadialFunction:
-    return convolve_radial(f, E.indicator_radial())
+def _denominator(f: RadialFunction) -> int:
+    """Common denominator D of an exact f, so D f is integral; 1 for a float f."""
+    return math.lcm(*(c.denominator for c in f.coeffs)) if f.is_exact() else 1
 
 
-def _union_mask_products(f: RadialFunction, radius: int):
-    """Per-sphere products f * chi_r over one common denominator D.
+def _sphere_union_sweep(f: RadialFunction, fam: SetFamily):
+    """Yield (mask, coeffs, |E|) for each candidate of a radial family.
 
-    Returns (columns, D): column r holds the coefficients of f * chi_r
-    times D, as integers, padded to a common length.  A float f keeps
-    float columns with D = 1.  A sphere-union indicator is a sum of
-    chi_r, so the product for any union is the columnwise sum of these;
-    precomputing them turns a 2^{radius+1} family sweep into integer
-    additions.
+    coeffs[n] / D, with D = _denominator(f), is the coefficient of
+    chi_n in f * chi_E: integers for an exact f, floats (D = 1) for a
+    float f.  A radial indicator is a sum of chi_r, so the columns
+    f * chi_r are computed once and each candidate's coefficients are
+    its parent's (the mask without its highest bit) plus one column;
+    radii are summed in ascending order.  All coeffs lists share one
+    length, at most deg f + radius + 1.
     """
     ctx = f.ctx
-    cols = [convolve_radial(f, chi(ctx, r)).coeffs for r in range(radius + 1)]
-    top = max((len(c) for c in cols), default=0)
+    D = _denominator(f)
+    cols = [convolve_radial(f, chi(ctx, r)).coeffs for r in range(fam.radius + 1)]
     if f.is_exact():
-        D = math.lcm(*(c.denominator for col in cols for c in col))
         cols = [[c.numerator * (D // c.denominator) for c in col] for col in cols]
     else:
-        D = 1
         cols = [[float(c) for c in col] for col in cols]
-    return [col + [0] * (top - len(col)) for col in cols], D
-
-
-def _sphere_union_sweep(f: RadialFunction, fam: SetFamily, score):
-    """Best score(coeffs, mult, D, |E|) over the sphere-union family.
-
-    coeffs[n] / D is the coefficient of chi_n in f * chi_E and mult[n]
-    is |S_n|.  Masks run in increasing order and each union's
-    coefficients are its parent's (the mask without its highest bit)
-    plus one column, so radii are summed in ascending order.  score
-    returns (value, extra...); the first maximum wins ties.
-    """
-    cols, D = _union_mask_products(f, fam.radius)
-    top = len(cols[0])
-    mult = [sphere_size(f.ctx, n) for n in range(max(top, fam.radius + 1))]
-    # sums[mask] = (coeffs, |E|); mask 0 is the empty union, and masks
+    top = len(cols[-1])
+    cols = [col + [0] * (top - len(col)) for col in cols]
+    # sums[mask] = (coeffs, |E|); mask 0 is the empty set, and masks
     # holding the top radius are never parents, so they are not kept
-    sums = [([0] * top, 0)]
-    best = None
-    best_mask = 0
-    for mask in range(1, min(2 ** (fam.radius + 1), fam.budget + 1)):
+    sums = {0: ([0] * top, 0)}
+    sizes = [sphere_size(ctx, r) for r in range(fam.radius + 1)]
+    for mask in _radial_candidates(fam)[0]:
         r = mask.bit_length() - 1
         parent, parent_size = sums[mask ^ (1 << r)]
         coeffs = [a + b for a, b in zip(parent, cols[r])]
-        size = parent_size + mult[r]
+        size = parent_size + sizes[r]
         if r < fam.radius:
-            sums.append((coeffs, size))
-        res = score(coeffs, mult, D, size)
-        if best is None or res[0] > best[0]:
-            best = res
-            best_mask = mask
-    label = "U" + ",".join(str(r) for r in range(fam.radius + 1) if best_mask >> r & 1)
-    return (best[0], label, *best[1:])
+            sums[mask] = (coeffs, size)
+        yield mask, coeffs, size
+
+
+def _scaled_runs(coeffs, mult) -> list:
+    """Decreasing (|value|, multiplicity) runs of a radial function's scaled coefficients."""
+    counts: dict = {}
+    for c, m in zip(coeffs, mult):
+        if c:
+            a = abs(c)
+            counts[a] = counts.get(a, 0) + m
+    return sorted(counts.items(), reverse=True)
 
 
 def pairing(f: RadialFunction, E: ElementSet, F: ElementSet) -> Fraction:
@@ -347,13 +347,13 @@ def pairing(f: RadialFunction, E: ElementSet, F: ElementSet) -> Fraction:
         raise ValueError("pairing requires exact rational coefficients")
     ctx = f.ctx
     if E.is_radial:
-        h = _radial_product(f, E)
+        h = convolve_radial(f, E.indicator_radial())
         return sum(
             (h.coefficient(d) * count for d, count in F.length_histogram().items()),
             Fraction(0),
         )
     if F.is_radial:
-        h = _radial_product(f, F)
+        h = convolve_radial(f, F.indicator_radial())
         return sum(
             (h.coefficient(d) * count for d, count in E.length_histogram().items()),
             Fraction(0),
@@ -368,32 +368,20 @@ def pairing(f: RadialFunction, E: ElementSet, F: ElementSet) -> Fraction:
 
 
 def chi_pairing_profile(E: ElementSet, F: ElementSet) -> list:
-    """All pairings <chi_l * chi_E, chi_F>, indexed by l, in one pass.
+    """All pairings <chi_l * chi_E, chi_F> for explicit E and F, indexed by l.
 
-    One length histogram serves every sphere index, so sweeping l costs
-    no more than a single pairing; entries are exact.
+    One length histogram of the products serves every sphere index, so
+    sweeping l costs no more than a single pairing; entries are exact.
+    Radial sets go through _sphere_union_sweep instead.
     """
     if E.ctx != F.ctx:
         raise ValueError("mismatched group contexts")
-    ctx = E.ctx
-    if not E.is_radial and not F.is_radial:
-        pairs = E.size * F.size
-        if pairs > PAIR_BUDGET:
-            raise BudgetExceededError("pair enumeration", pairs, PAIR_BUDGET)
-        tk = ctx.alphabet
-        ekeys_inv = [_kernels.inv_key(tk, key) for key in E.keys()]
-        return [Fraction(t) for t in _kernels.prod_len_hist(tk, F.keys(), ekeys_inv)]
-    # put the radial set in the convolution slot; self-adjointness of
-    # radial convolution makes the two orientations equal
-    R, X = (E, F) if E.is_radial else (F, E)
-    ind = R.indicator_radial()
-    hx = X.length_histogram()
-    top = max(hx) + ind.degree
-    out = []
-    for l in range(top + 1):
-        h = convolve_radial(chi(ctx, l), ind)
-        out.append(sum((h.coefficient(d) * c for d, c in hx.items()), Fraction(0)))
-    return out
+    pairs = E.size * F.size
+    if pairs > PAIR_BUDGET:
+        raise BudgetExceededError("pair enumeration", pairs, PAIR_BUDGET)
+    tk = E.ctx.alphabet
+    ekeys_inv = [_kernels.inv_key(tk, key) for key in E.keys()]
+    return [Fraction(t) for t in _kernels.prod_len_hist(tk, F.keys(), ekeys_inv)]
 
 
 def _single_sphere_histogram(f: RadialFunction, E: ElementSet):
@@ -417,8 +405,7 @@ def _single_sphere_histogram(f: RadialFunction, E: ElementSet):
 
 
 def _rearranged_product(f: RadialFunction, E: ElementSet) -> Rearrangement:
-    if E.is_radial:
-        return rearrange_radial(_radial_product(f, E))
+    """Decreasing rearrangement of f * chi_E for an explicit set E."""
     histo = _single_sphere_histogram(f, E)
     if histo is not None:
         pairs = tuple(sorted(histo.items(), key=lambda kv: kv[0], reverse=True))
@@ -426,51 +413,38 @@ def _rearranged_product(f: RadialFunction, E: ElementSet) -> Rearrangement:
     return rearrange(_convolve_value_counts(f, f.ctx, E.keys()))
 
 
-def _l2_norm_squared_product(f: RadialFunction, E: ElementSet) -> Fraction:
-    if E.is_radial:
-        h = _radial_product(f, E)
-        return sum(
-            (c * c * sphere_size(f.ctx, n) for n, c in h.nonzero_items()), Fraction(0)
-        )
-    histo = _single_sphere_histogram(f, E)
-    if histo is not None:
-        return sum((v * v * t for v, t in histo.items()), Fraction(0))
-    vals = _convolve_value_counts(f, f.ctx, E.keys()).values()
-    return sum((v * v for v in vals), Fraction(0))
+def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_radial):
+    """Max over the family as a (value, label, extra...) tuple.
 
-
-def _estimate_over_family(
-    f: RadialFunction, fam: SetFamily, reduce_set, score_union, threads=None
-):
-    """Max of reduce_set(product, |E|, label) over the family.
-
-    reduce_set receives either a RadialFunction (radial candidates) or a
-    sparse value map (explicit candidates) for f * chi_E and returns a
-    (value, label, extra...) tuple; the first maximum wins ties.  The
-    sphere-union family is swept on scaled coefficients instead, scored
-    by score_union (see _sphere_union_sweep).
+    Radial families go through _sphere_union_sweep, each candidate
+    scored by score_radial(coeffs, mult, D, |E|), where mult[n] = |S_n|
+    (see there for coeffs and D).  Explicit candidates are scored by reduce_set(values, |E|, label) on
+    the sparse value map of f * chi_E.  The first maximum wins ties.
     """
     ctx = f.ctx
-    if fam.kind == "sphere-unions":
-        return _sphere_union_sweep(f, fam, score_union)
-    if fam.kind == "greedy":
+    if fam.kind in RADIAL_KINDS:
+        D = _denominator(f)
+        mult = [sphere_size(ctx, n) for n in range(f.degree + fam.radius + 1)]
+        best = None
+        best_mask = 0
+        for mask, coeffs, size in _sphere_union_sweep(f, fam):
+            res = score_radial(coeffs, mult, D, size)
+            if best is None or res[0] > best[0]:
+                best = res
+                best_mask = mask
+        return (best[0], _radial_candidates(fam)[1](best_mask), *best[1:])
 
-        def objective(E: ElementSet):
-            return reduce_set(_convolve_value_counts(f, ctx, E.keys()), E.size, E.label)
-
-        return _greedy_search(objective, ctx, fam)
-
-    def worker(E: ElementSet):
-        if E.is_radial:
-            return reduce_set(_radial_product(f, E), E.size, E.label)
+    def objective(E: ElementSet):
         return reduce_set(_convolve_value_counts(f, ctx, E.keys()), E.size, E.label)
 
-    candidates = [E for E in candidate_sets(ctx, fam) if E.size > 0]
-    results = parallel_map(worker, candidates, threads=threads)
+    if fam.kind == "greedy":
+        return _greedy_search(objective, ctx, fam)
     best = None
-    for res in results:
-        if best is None or res[0] > best[0]:
-            best = res
+    for E in candidate_sets(ctx, fam):
+        if E.size > 0:
+            res = objective(E)
+            if best is None or res[0] > best[0]:
+                best = res
     if best is None:
         raise ValueError("empty candidate family")
     return best
@@ -558,9 +532,7 @@ def _greedy_search(objective, ctx: FreeGroupCtx, fam: SetFamily):
     return best
 
 
-def restricted_weak_estimate(
-    f: RadialFunction, fam: SetFamily, threads=None
-) -> dict:
+def restricted_weak_estimate(f: RadialFunction, fam: SetFamily) -> dict:
     """Certified lower bound on the restricted weak (2,2) operator norm.
 
     For each candidate E the inner sup over F is solved exactly on the
@@ -570,28 +542,19 @@ def restricted_weak_estimate(
     if not f.is_nonnegative():
         raise ValueError("requires nonnegative coefficients")
 
-    def reduce_set(product, size, label):
-        r = rearrange_radial(product) if isinstance(product, RadialFunction) else rearrange(product)
-        value, j = best_F_ratio(r, 2.0)
+    def reduce_set(values, size, label):
+        value, j = best_F_ratio(values, 2.0)
         return value / math.sqrt(size), label, j
 
-    def score_union(coeffs, mult, D, size):
-        # the decreasing rearrangement of f * chi_E, as scaled values
-        counts: dict = {}
-        for c, m in zip(coeffs, mult):
-            if c:
-                a = abs(c)
-                counts[a] = counts.get(a, 0) + m
-        value, j = _best_prefix(sorted(counts.items(), reverse=True), 0.5, D)
+    def score_radial(coeffs, mult, D, size):
+        value, j = _best_prefix(_scaled_runs(coeffs, mult), 0.5, D)
         return value / math.sqrt(size), j
 
-    value, label, j = _estimate_over_family(
-        f, fam, reduce_set, score_union, threads=threads
-    )
+    value, label, j = _estimate_over_family(f, fam, reduce_set, score_radial)
     return _family_report(fam, value, label, {"j": j})
 
 
-def weak_estimate_21_to_2(f: RadialFunction, fam: SetFamily, threads=None) -> dict:
+def weak_estimate_21_to_2(f: RadialFunction, fam: SetFamily) -> dict:
     """Certified lower bound on ||lambda(f)|| from L^{2,1} to l^2.
 
     max over E of ||f * chi_E||_2 / |E|^{1/2}; by duality this also
@@ -599,25 +562,17 @@ def weak_estimate_21_to_2(f: RadialFunction, fam: SetFamily, threads=None) -> di
     """
     if not f.is_nonnegative():
         raise ValueError("requires nonnegative coefficients")
-    ctx = f.ctx
 
-    def reduce_set(product, size, label):
-        if isinstance(product, RadialFunction):
-            sq = sum(
-                (c * c * sphere_size(ctx, n) for n, c in product.nonzero_items()),
-                Fraction(0),
-            )
-        else:
-            sq = sum((v * v for v in product.values()), Fraction(0))
+    def reduce_set(values, size, label):
+        sq = sum((v * v for v in values.values()), Fraction(0))
         return math.sqrt(float(sq) / size), label
 
-    def score_union(coeffs, mult, D, size):
+    def score_radial(coeffs, mult, D, size):
+        # int / int true division rounds as float(Fraction) does
         sq = sum(c * c * m for c, m in zip(coeffs, mult) if c)
         return (math.sqrt(sq / (D * D) / size),)
 
-    value, label = _estimate_over_family(
-        f, fam, reduce_set, score_union, threads=threads
-    )
+    value, label = _estimate_over_family(f, fam, reduce_set, score_radial)
     return _family_report(fam, value, label, {})
 
 

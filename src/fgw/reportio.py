@@ -2,8 +2,8 @@
 
 Floats are printed with 12 significant digits, exact rationals as
 "p/q" strings (plain "n" when integral), so identical runs emit
-byte-identical JSON and CSV no matter the thread count.  Non-finite
-floats are rejected: a report with an infinity in it is a bug upstream.
+byte-identical JSON and CSV.  Non-finite floats are rejected: a report
+with an infinity in it is a bug upstream.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 
 def render_number(x) -> str:
@@ -28,29 +29,14 @@ def render_number(x) -> str:
     raise TypeError(f"not a report number: {x!r}")
 
 
-def _escape(text: str) -> str:
-    out = ['"']
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
 def json_dumps(obj, indent: int = 0) -> str:
-    """Serialize a report object tree; key order is insertion order."""
+    """Serialize a report object tree; key order is insertion order.
+
+    Strings are quoted by the stdlib's encode_basestring: '"', backslash,
+    \\n, \\r and \\t as two-character escapes, other control characters
+    as \\u00xx, everything else, non-ASCII included, verbatim.  (It also
+    writes \\b and \\f as short escapes; no report string holds either.)
+    """
     pad = " " * indent
     inner = " " * (indent + 2)
     if obj is None:
@@ -58,13 +44,13 @@ def json_dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, Fraction):
-        return _escape(str(obj))
+        return encode_basestring(str(obj))
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return render_number(obj)
     if isinstance(obj, str):
-        return _escape(obj)
+        return encode_basestring(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -74,7 +60,7 @@ def json_dumps(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         items = [
-            inner + _escape(str(k)) + ": " + json_dumps(v, indent + 2)
+            inner + encode_basestring(str(k)) + ": " + json_dumps(v, indent + 2)
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"

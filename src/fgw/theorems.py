@@ -19,8 +19,14 @@ from fractions import Fraction
 
 from .lorentz import lorentz_norm, rearrange_radial, radial_weighted_sum
 from .operators import (
+    RADIAL_KINDS,
     SetFamily,
+    _best_prefix,
+    _mask_radii,
+    _radial_candidates,
     _rearranged_product,
+    _scaled_runs,
+    _sphere_union_sweep,
     best_F_ratio,
     candidate_sets,
     chi_pairing_profile,
@@ -32,7 +38,6 @@ from .operators import (
     sphere_set,
     weak_estimate_21_to_2,
 )
-from .parallel import parallel_map
 from .radial import (
     RadialFunction,
     a_functional,
@@ -182,7 +187,7 @@ def _fmt(x) -> str:
     return "%.12g" % float(x)
 
 
-def verify_thm1(f: RadialFunction, fam: SetFamily, threads=None) -> VerificationReport:
+def verify_thm1(f: RadialFunction, fam: SetFamily) -> VerificationReport:
     """Two-sided weak-type (2,2) certificate against A(f).
 
     Upper: the squared set estimate never exceeds 4 A(f) (a necessary
@@ -208,7 +213,7 @@ def verify_thm1(f: RadialFunction, fam: SetFamily, threads=None) -> Verification
         report.info("thm1:zero", note="zero function; nothing to check")
         return report
     a_val = a_functional(f)
-    est = weak_estimate_21_to_2(f, fam, threads=threads)
+    est = weak_estimate_21_to_2(f, fam)
     report.check_le(
         f"thm1:upper:E={est['E']}",
         est["estimate"] ** 2,
@@ -238,9 +243,20 @@ def verify_thm1(f: RadialFunction, fam: SetFamily, threads=None) -> Verification
     return report
 
 
-def verify_lemma1(
-    ctx: FreeGroupCtx, fam: SetFamily, k_max: int, threads=None
-) -> VerificationReport:
+def _chi_sweeps(ctx: FreeGroupCtx, fam: SetFamily, top: int):
+    """Per radial candidate E: label, |E|, radii and chi_i * chi_E for i <= top.
+
+    One _sphere_union_sweep per sphere index i, run in lockstep.  The
+    coefficient lists of chi_i * chi_E are integers (D = 1), since the
+    structure constants are.
+    """
+    label = _radial_candidates(fam)[1]
+    for row in zip(*(_sphere_union_sweep(chi(ctx, i), fam) for i in range(top + 1))):
+        mask, _, size = row[0]
+        yield label(mask), size, _mask_radii(mask), [coeffs for _, coeffs, _ in row]
+
+
+def verify_lemma1(ctx: FreeGroupCtx, fam: SetFamily, k_max: int) -> VerificationReport:
     """<chi_k * chi_E, chi_E> <= 2 q^{[k/2]} |E| over the family, k <= k_max."""
     q = ctx.q
     report = VerificationReport(
@@ -254,25 +270,24 @@ def verify_lemma1(
             "budget": fam.budget,
         },
     )
-
-    def run(E):
-        profile = chi_pairing_profile(E, E)
-        rows = []
+    if fam.kind in RADIAL_KINDS:
+        # <chi_k * chi_E, chi_E> = sum over r in E of (chi_k * chi_E)_r |S_r|
+        candidates = (
+            (label, size, [Fraction(sum(h[r] * sphere_size(ctx, r) for r in radii)) for h in hs])
+            for label, size, radii, hs in _chi_sweeps(ctx, fam, k_max)
+        )
+    else:
+        candidates = (
+            (E.label, E.size, chi_pairing_profile(E, E)) for E in candidate_sets(ctx, fam)
+        )
+    for label, size, profile in candidates:
         for k in range(k_max + 1):
             lhs = profile[k] if k < len(profile) else Fraction(0)
-            rhs = 2 * q ** (k // 2) * E.size
-            rows.append((f"lemma1:k={k}:E={E.label}", lhs, rhs))
-        return rows
-
-    for rows in parallel_map(run, candidate_sets(ctx, fam), threads=threads):
-        for check_id, lhs, rhs in rows:
-            report.check_le(check_id, lhs, rhs)
+            report.check_le(f"lemma1:k={k}:E={label}", lhs, 2 * q ** (k // 2) * size)
     return report
 
 
-def verify_r22(
-    ctx: FreeGroupCtx, fam: SetFamily, n_max: int, threads=None
-) -> VerificationReport:
+def verify_r22(ctx: FreeGroupCtx, fam: SetFamily, n_max: int) -> VerificationReport:
     """<chi_n * chi_E, chi_F> <= 2 q^{3/2} q^{n/2} |E|^{1/2} |F|^{1/2}.
 
     The sup over F is solved exactly by the prefix ratio, so a pass
@@ -290,23 +305,29 @@ def verify_r22(
             "budget": fam.budget,
         },
     )
-
-    def run(E):
-        rows = []
-        for n in range(n_max + 1):
-            sup_f, _ = best_F_ratio(_rearranged_product(chi(ctx, n), E), 2.0)
-            rhs = 2.0 * float(q) ** (1.5 + 0.5 * n) * math.sqrt(E.size)
-            rows.append((f"r22:n={n}:E={E.label}", sup_f, rhs))
-        return rows
-
-    for rows in parallel_map(run, candidate_sets(ctx, fam), threads=threads):
-        for check_id, lhs, rhs in rows:
-            report.check_le(check_id, lhs, rhs, note="sup over F solved exactly")
+    if fam.kind in RADIAL_KINDS:
+        mult = [sphere_size(ctx, l) for l in range(n_max + fam.radius + 1)]
+        candidates = (
+            (label, size, [_best_prefix(_scaled_runs(h, mult), 0.5, 1)[0] for h in hs])
+            for label, size, _, hs in _chi_sweeps(ctx, fam, n_max)
+        )
+    else:
+        chis = [chi(ctx, n) for n in range(n_max + 1)]
+        candidates = (
+            (E.label, E.size, [best_F_ratio(_rearranged_product(c, E), 2.0)[0] for c in chis])
+            for E in candidate_sets(ctx, fam)
+        )
+    for label, size, sups in candidates:
+        for n, sup_f in enumerate(sups):
+            rhs = 2.0 * float(q) ** (1.5 + 0.5 * n) * math.sqrt(size)
+            report.check_le(f"r22:n={n}:E={label}", sup_f, rhs, note="sup over F solved exactly")
     return report
 
 
 def sample_radial(ctx: FreeGroupCtx, rng: random.Random, max_degree: int) -> RadialFunction:
     """Random nonnegative rational radial function of degree <= max_degree."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     while True:
         coeffs = [
             Fraction(rng.randint(1, 12), rng.randint(1, 6)) if rng.random() < 0.5 else Fraction(0)
@@ -335,7 +356,6 @@ def thm3_equivalence_report(
     seed: int = 0,
     max_degree: int = 6,
     fam: SetFamily = None,
-    threads=None,
 ) -> VerificationReport:
     """Two-sided equivalence of the restricted estimate and sum f_n q^{n/2}.
 
@@ -365,10 +385,11 @@ def thm3_equivalence_report(
     fns = [(f"sample-{i}", sample_radial(ctx, rng, max_degree)) for i in range(samples)]
     upper_c = 2.0 * float(q) ** 1.5
 
-    def run(item):
-        label, f = item
+    ratios = []
+    lower_ratios = []
+    for label, f in fns:
         weighted = radial_weighted_sum(f, 2.0)
-        est = restricted_weak_estimate(f, fam, threads=1)["estimate"]
+        est = restricted_weak_estimate(f, fam)["estimate"]
         d = f.degree
         pair_best = 0.0
         for n in range(d + 3):
@@ -382,14 +403,9 @@ def thm3_equivalence_report(
         odd = math.fsum(
             float(c) * float(q) ** (0.5 * n) for n, c in f.nonzero_items() if n % 2 == 1
         )
-        return label, f, weighted, est, pair_best, max(even, odd)
-
-    ratios = []
-    lower_ratios = []
-    for label, f, weighted, est, pair_best, split in parallel_map(run, fns, threads=threads):
         ratio = est / weighted
         ratios.append(ratio)
-        lower = pair_best / split
+        lower = pair_best / max(even, odd)
         lower_ratios.append(lower)
         report.check_le(
             f"thm3:upper:{label}",
@@ -566,9 +582,7 @@ def verify_q_columns(ctx: FreeGroupCtx, n_max: int, radius: int) -> Verification
     return report
 
 
-def conjecture_scan(
-    ctx: FreeGroupCtx, s_grid=None, fam: SetFamily = None, threads=None
-) -> VerificationReport:
+def conjecture_scan(ctx: FreeGroupCtx, s_grid=None, fam: SetFamily = None) -> VerificationReport:
     """Exploratory table: conjecture functional vs squared set estimate.
 
     Under the indicator-exact norm convention the restricted (2,s)
@@ -602,29 +616,15 @@ def conjecture_scan(
         informational=True,
     )
 
-    def run(item):
-        label, f = item
-        est = restricted_weak_estimate(f, fam, threads=1)["estimate"]
-        rows = []
+    for label, f in fns:
+        est_sq = restricted_weak_estimate(f, fam)["estimate"] ** 2
         for s in s_grid:
-            rows.append(
-                (
-                    label,
-                    s,
-                    est**2,
-                    conjecture_functional(f, s, exponent_sign=1),
-                    conjecture_functional(f, s, exponent_sign=-1),
-                )
-            )
-        return rows
-
-    for rows in parallel_map(run, fns, threads=threads):
-        for label, s, est_sq, pos, neg in rows:
+            pos = conjecture_functional(f, s, exponent_sign=1)
             report.info(
                 f"conjecture:{label}:s={_fmt(s)}",
                 estimate_sq=est_sq,
                 functional=pos,
-                functional_negative_sign=neg,
+                functional_negative_sign=conjecture_functional(f, s, exponent_sign=-1),
                 margin=_margin(est_sq, pos),
             )
     return report

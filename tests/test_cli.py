@@ -8,18 +8,19 @@ Core claims:
     - a violated inequality is printed to stderr and exits 1
     - verify all exits 1 at the documented qn violation, and qn runs past
       the radius the old column scan was capped at
-    - usage errors, malformed literals, degenerate fits, and --samples 0 exit 2
+    - usage errors, malformed literals, degenerate fits, --samples 0,
+      --max-degree -1 and the removed --threads option exit 2
     - thm5 with an infinite target index reports it as "inf"
     - CSV params render numbers canonically, at most 12 significant digits
+    - JSON strings escape '"', backslash, \n, \t, \r and other control
+      characters, and pass non-ASCII through
     - --output writes the same bytes that would go to stdout
-    - reports are byte-identical across FGW_THREADS settings
 """
 
 import csv
 import io
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -27,17 +28,16 @@ import sys
 import pytest
 
 from fgw.cli import main
+from fgw.reportio import json_dumps
 
 RUNNER = "import sys; from fgw.cli import main; sys.exit(main())"
 
 
-def run_cli(args, **env_overrides):
-    env = dict(os.environ, **{k: str(v) for k, v in env_overrides.items()})
+def run_cli(args):
     return subprocess.run(
         [sys.executable, "-c", RUNNER, *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -130,6 +130,13 @@ def test_search_invalid_family_exits_2():
     proc = run_cli(["search", "--f", "0,1", "--family", "bogus"])
     assert proc.returncode == 2
     assert "invalid choice" in proc.stderr
+
+
+def test_verify_threads_option_is_gone():
+    proc = run_cli(["verify", "lemma1", "--threads", "2"])
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --threads 2" in proc.stderr
+    assert proc.stdout == ""
 
 
 # -- verify: formats and exit codes ------------------------------------------
@@ -250,11 +257,12 @@ def test_verify_zero_samples_is_a_usage_error(capsys, monkeypatch):
     # `all` runs lemma1 first, so the check must fire before any verifier
     monkeypatch.setattr(fgw.cli, "verify_lemma1", no_work)
     for target in ("thm3", "all"):
-        code = main(["verify", target, "--samples", "0"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error:")
-        assert "--samples" in err
+        for option, value in (("--samples", "0"), ("--max-degree", "-1")):
+            code = main(["verify", target, option, value])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("error:")
+            assert option in err
 
 
 def _significant_digits(token: str) -> int:
@@ -283,6 +291,16 @@ def test_csv_params_are_canonical(capsys, args):
     ]
     assert numbers
     assert max(_significant_digits(tok) for tok in numbers) <= 12
+
+
+def test_json_string_escapes():
+    text = 'q"b\\s\nn\tt\rr\x01 \u00e9\u221e'
+    assert json_dumps(text) == '"q\\"b\\\\s\\nn\\tt\\rr\\u0001 \u00e9\u221e"'
+    assert json_dumps({text: [text]}) == (
+        '{\n  "q\\"b\\\\s\\nn\\tt\\rr\\u0001 \u00e9\u221e": [\n'
+        '    "q\\"b\\\\s\\nn\\tt\\rr\\u0001 \u00e9\u221e"\n  ]\n}'
+    )
+    assert json.loads(json_dumps(text)) == text
 
 
 # -- conjecture ---------------------------------------------------------------
@@ -324,21 +342,3 @@ def test_output_flag_matches_stdout(tmp_path, capsys):
     assert code == 0
     assert silent.out == ""
     assert path.read_text(encoding="utf-8") == captured.out
-
-
-# -- determinism across thread counts -----------------------------------------
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["verify", "lemma1", "--k-max", "4", "--family", "random-subsets", "--radius", "4", "--seed", "7"],
-        ["verify", "qn", "--n-max", "5", "--radius", "5"],
-        ["conjecture", "--s-grid", "1,1.5,2", "--family", "spheres", "--radius", "4"],
-    ],
-)
-def test_reports_byte_identical_across_threads(args):
-    one = run_cli(args, FGW_THREADS=1)
-    four = run_cli(args, FGW_THREADS=4)
-    assert one.stdout == four.stdout
-    assert one.returncode == four.returncode

@@ -3,12 +3,16 @@
 Core claims:
     - pairing matches the brute-force double sum on every dispatch path
     - pairing is symmetric in (E, F) because radial convolution is self-adjoint
-    - chi_pairing_profile packs every sphere pairing into one pass
+    - chi_pairing_profile packs every sphere pairing of explicit sets into
+      one pass
     - left_convolve agrees with the pointwise convolution sum and conserves mass
     - best_F_ratio equals the exhaustive prefix search and dominates subsets
     - the sphere-union fast path reproduces the generic per-set estimates
-    - the integer sweep reproduces per-mask Fraction sums float for float,
-      for exact and float f, under any budget, first maximum winning ties
+    - the integer sweep reproduces per-set Fraction sums float for float
+      on spheres, balls and sphere unions, for exact and float f, under
+      any budget, first maximum winning ties
+    - radial families convolve once per sphere, never once per candidate,
+      in both estimators, lemma1 and r22
     - estimates grow with the candidate budget under a fixed seed
     - the ball-subsets family enumerates every subset and stays within budget
     - truncated columns contain exactly the words passing the length test
@@ -53,6 +57,7 @@ from fgw.operators import (
 )
 from fgw.radial import RadialFunction, chi, convolve_radial
 from fgw.reportio import json_dumps
+from fgw.theorems import verify_lemma1, verify_r22
 from fgw.words import (
     FreeGroupCtx,
     ReducedWord,
@@ -129,7 +134,7 @@ def test_pairing_requires_exact_coefficients():
 
 def test_chi_pairing_profile_matches_pairing():
     rng = random.Random(3)
-    sets = [sphere_set(CTX, 2), explicit_set(CTX, _rand_words(rng, 10))]
+    sets = [explicit_set(CTX, sphere_stream(CTX, 2)), explicit_set(CTX, _rand_words(rng, 10))]
     for E in sets:
         for F in sets:
             prof = chi_pairing_profile(E, F)
@@ -344,21 +349,21 @@ def test_sphere_union_fast_path_matches_generic():
 
 
 def _reference_union_rows(f, fam):
-    # the sweep without integer scaling: per-mask Fraction sums of the
-    # columns f * chi_r, rearrange_radial, then best_F_ratio
+    # the sweep without integer scaling: over candidate_sets, Fraction
+    # sums of the columns f * chi_r in ascending r, rearrange_radial,
+    # then best_F_ratio
     cols = [convolve_radial(f, chi(CTX, r)).coeffs for r in range(fam.radius + 1)]
     top = max(len(c) for c in cols)
     restricted = []
     weak = []
-    for mask in range(1, min(2 ** (fam.radius + 1), fam.budget + 1)):
-        radii = [r for r in range(fam.radius + 1) if mask >> r & 1]
+    for E in candidate_sets(CTX, fam):
+        radii = sorted(E.radii)
         coeffs = [
             sum((cols[r][i] for r in radii if i < len(cols[r])), Fraction(0))
             for i in range(top)
         ]
         h = RadialFunction(CTX, tuple(coeffs))
-        size = sum(sphere_size(CTX, r) for r in radii)
-        label = "U" + ",".join(str(r) for r in radii)
+        size, label = E.size, E.label
         value, j = best_F_ratio(rearrange_radial(h), 2.0)
         restricted.append((value / math.sqrt(size), label, j))
         sq = sum((c * c * sphere_size(CTX, n) for n, c in h.nonzero_items()), Fraction(0))
@@ -393,10 +398,16 @@ def _union_cases(draw):
             ),
         )
     )
+    kind = draw(st.sampled_from(["spheres", "balls", "sphere-unions"]))
     radius = draw(st.integers(0, 4))
-    masks = 2 ** (radius + 1)
-    budget = draw(st.one_of(st.integers(1, masks - 1), st.integers(masks, masks + 40)))
-    return RadialFunction(CTX, tuple(coeffs)), SetFamily("sphere-unions", radius, budget)
+    return RadialFunction(CTX, tuple(coeffs)), _radial_family(draw, kind, radius)
+
+
+def _radial_family(draw, kind, radius):
+    # budgets on both sides of the candidate count
+    count = 2 ** (radius + 1) - 1 if kind == "sphere-unions" else radius + 1
+    budget = draw(st.one_of(st.integers(1, count), st.integers(count + 1, count + 40)))
+    return SetFamily(kind, radius, budget)
 
 
 @settings(max_examples=80, deadline=None)
@@ -419,6 +430,26 @@ def test_sphere_union_sweep_matches_fraction_reference(case):
     assert json_dumps(got_w) == json_dumps(want_w)
     assert got_r == want_r
     assert got_w == want_w
+
+
+@pytest.mark.parametrize("kind", ["spheres", "balls", "sphere-unions"])
+def test_radial_families_convolve_once_per_sphere(monkeypatch, kind):
+    spheres = []
+    real = ops.convolve_radial
+
+    def counting(f, g):
+        spheres.append(g.degree)
+        return real(f, g)
+
+    monkeypatch.setattr(ops, "convolve_radial", counting)
+    fam = SetFamily(kind, radius=4)
+    f = RadialFunction(CTX, (Fraction(1), Fraction(1, 2)))
+    restricted_weak_estimate(f, fam)
+    weak_estimate_21_to_2(f, fam)
+    verify_lemma1(CTX, fam, 3)
+    verify_r22(CTX, fam, 2)
+    # one column per sphere S_0 .. S_4: two estimators, chi_0..chi_3, chi_0..chi_2
+    assert spheres == list(range(5)) * (2 + 4 + 3)
 
 
 def test_sphere_union_ties_keep_first_union():
@@ -469,15 +500,6 @@ def test_greedy_family_improves_on_singletons():
         restricted_weak_estimate(f, SetFamily("spheres", radius=0))["estimate"],
     ]
     assert rep["estimate"] >= max(singles)
-
-
-def test_threads_do_not_change_estimates():
-    rng = random.Random(53)
-    f = _rand_radial(rng, deg=2)
-    fam = SetFamily("random-subsets", radius=3, budget=60, seed=11)
-    a = restricted_weak_estimate(f, fam, threads=1)
-    b = restricted_weak_estimate(f, fam, threads=4)
-    assert a == b
 
 
 # -- Truncated columns -------------------------------------------------------

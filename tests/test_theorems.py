@@ -7,6 +7,8 @@ Core claims:
     - a vanishing left side reports the right side as its margin
     - the weak-type upper/lower certificate passes on sample functions
     - lemma1, r22, thm3, thm4, thm5, column, and majorization verifiers pass
+    - on spheres, balls and sphere unions, lemma1 and r22 rows equal their
+      per-set Fraction oracles, under any budget and index range
     - the thm4 chain matches a hand-computed case exactly
     - the alpha = n column row documents the expected failure for n >= 4
     - thm5 refuses degenerate fit windows
@@ -16,9 +18,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fgw.operators import SetFamily
-from fgw.radial import RadialFunction, chi
+from fgw.lorentz import rearrange_radial
+from fgw.operators import SetFamily, best_F_ratio, candidate_sets, pairing
+from fgw.radial import RadialFunction, chi, convolve_radial
 from fgw.reportio import CSV_HEADER
 from fgw.theorems import (
     VerificationReport,
@@ -159,6 +164,42 @@ def test_verify_r22_small():
     assert rep.ok
 
 
+@st.composite
+def _radial_verifier_cases(draw):
+    kind = draw(st.sampled_from(["spheres", "balls", "sphere-unions"]))
+    radius = draw(st.integers(0, 5))
+    # budgets on both sides of the candidate count
+    count = 2 ** (radius + 1) - 1 if kind == "sphere-unions" else radius + 1
+    budget = draw(st.one_of(st.integers(1, count), st.integers(count + 1, count + 40)))
+    return SetFamily(kind, radius, budget), draw(st.integers(-1, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_radial_verifier_cases())
+def test_radial_lemma1_and_r22_match_fraction_oracles(case):
+    fam, top = case
+    q = CTX.q
+    sets = list(candidate_sets(CTX, fam))
+    lemma1 = verify_lemma1(CTX, fam, top)
+    assert [(c["id"], c["lhs"], c["rhs"]) for c in lemma1.checks] == [
+        (f"lemma1:k={k}:E={E.label}", pairing(chi(CTX, k), E, E), 2 * q ** (k // 2) * E.size)
+        for E in sets
+        for k in range(top + 1)
+    ]
+    # an exact lhs renders as a quoted rational
+    assert all(type(c["lhs"]) is Fraction for c in lemma1.checks)
+    r22 = verify_r22(CTX, fam, top)
+    assert [(c["id"], c["lhs"], c["rhs"]) for c in r22.checks] == [
+        (
+            f"r22:n={n}:E={E.label}",
+            best_F_ratio(rearrange_radial(convolve_radial(chi(CTX, n), E.indicator_radial())), 2.0)[0],
+            2.0 * float(q) ** (1.5 + 0.5 * n) * math.sqrt(E.size),
+        )
+        for E in sets
+        for n in range(top + 1)
+    ]
+
+
 def test_thm3_equivalence_bands():
     rep = thm3_equivalence_report(CTX, samples=12, seed=3, fam=SetFamily("sphere-unions", radius=5))
     assert rep.ok
@@ -286,3 +327,5 @@ def test_sample_radial_is_nonzero_nonnegative():
         assert not f.is_zero()
         assert f.is_nonnegative()
         assert f.degree <= 6
+    with pytest.raises(ValueError, match="max_degree"):
+        sample_radial(CTX, rng, -1)
