@@ -1,6 +1,15 @@
-"""Pure-Python kernel twin; reference semantics for the native extension."""
+"""Hot-loop kernels over integer-packed words.
+
+A word is packed as a base-2k integer with a leading 1 sentinel: the key of
+l_0 l_1 ... l_{n-1} is ((1*2k + l_0)*2k + l_1)... so the LAST letter is the
+lowest digit.  A key of length n lies in [(2k)^n, 2 (2k)^n), so, as 2k >= 4,
+numeric key order is the (length, lex) order of the words, and sorting keys
+sorts words.  Keys are plain Python integers, so words of any length fit.
+"""
 
 from __future__ import annotations
+
+from typing import Iterator
 
 
 def encode_word(two_k: int, letters) -> int:
@@ -49,32 +58,42 @@ def mul_key(two_k: int, ka: int, kb: int) -> int:
     return out
 
 
-def sphere_keys(two_k: int, n: int) -> list[int]:
-    """Keys of all reduced words of length n, in lexicographic order."""
+def iter_sphere_keys(two_k: int, n: int) -> Iterator[int]:
+    """Keys of all reduced words of length n, lazily, in lexicographic order.
+
+    The one sphere odometer.  pre[j] is the key of the first j letters,
+    so a step re-keys only the positions it changed.
+    """
     if n == 0:
-        return [1]
-    keys: list[int] = []
+        yield 1
+        return
     word = [0] * n
-    for i in range(1, n):
-        word[i] = 0 if word[i - 1] != 1 else 1
-    key = encode_word(two_k, word)
+    pre = [1] * (n + 1)
+    i = -1
     while True:
-        keys.append(key)
+        # the positions after i restart at the smallest letters allowed
+        for j in range(i + 1, n):
+            word[j] = 1 if j and word[j - 1] == 1 else 0
+            pre[j + 1] = pre[j] * two_k + word[j]
+        yield pre[n]
+        # bump the rightmost position that still can grow
         i = n - 1
         while i >= 0:
-            banned = word[i - 1] ^ 1 if i > 0 else -1
             c = word[i] + 1
-            if c == banned:
+            if i and c == word[i - 1] ^ 1:
                 c += 1
             if c < two_k:
                 word[i] = c
+                pre[i + 1] = pre[i] * two_k + c
                 break
             i -= 1
         else:
-            return keys
-        for j in range(i + 1, n):
-            word[j] = 0 if word[j - 1] != 1 else 1
-        key = encode_word(two_k, word)
+            return
+
+
+def sphere_keys(two_k: int, n: int) -> list[int]:
+    """Keys of all reduced words of length n, in lexicographic order."""
+    return list(iter_sphere_keys(two_k, n))
 
 
 def prod_len_hist(two_k: int, akeys, bkeys) -> list[int]:

@@ -130,22 +130,14 @@ def _family(args, ctx: FreeGroupCtx) -> SetFamily:
 
 
 def _emit(args, objects, csv_rows) -> None:
-    out = sys.stdout
-    opened = None
-    if args.output:
-        opened = open(args.output, "w", encoding="utf-8")
-        out = opened
-    try:
-        if args.format == "csv":
-            write_csv(out, csv_rows)
-        elif isinstance(objects, dict):
-            out.write(json_dumps(objects))
-            out.write("\n")
-        else:
-            write_json(out, objects)
-    finally:
-        if opened is not None:
-            opened.close()
+    out = args.out
+    if args.format == "csv":
+        write_csv(out, csv_rows)
+    elif isinstance(objects, dict):
+        out.write(json_dumps(objects))
+        out.write("\n")
+    else:
+        write_json(out, objects)
 
 
 def _finish(args, reports) -> int:
@@ -315,6 +307,12 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "conjecture": cmd_conjecture,
     }
+    # open --output before any work, so an unwritable path is a usage error
+    try:
+        args.out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    except OSError as exc:
+        print(f"error: cannot write --output: {exc}", file=sys.stderr)
+        return 2
     try:
         return handlers[args.command](args)
     except BudgetExceededError as exc:
@@ -323,6 +321,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if args.output:
+            args.out.close()
 
 
 if __name__ == "__main__":

@@ -5,8 +5,10 @@ functions; its weak-type operator norms are probed from below by
 searching over families of finite sets E (and implicitly F).  Sets
 come in two kinds:
 
-* explicit sets carry their words and go through the enumeration
-  kernels (cost |E| x sphere sizes);
+* explicit sets carry the sorted integer keys of their words (see
+  _kernels) and go through the enumeration kernels (cost |E| x sphere
+  sizes); words become ReducedWords only at the API boundary
+  (explicit_set, iter_words, FunctionOnGroup, truncated_column);
 * radial sets (unions of spheres) stay inside the radial algebra.  The
   radial families are masks over the spheres S_0 .. S_radius, and one
   integer sweep (_sphere_union_sweep) builds f * chi_E for every mask
@@ -34,7 +36,6 @@ from .words import (
     FreeGroupCtx,
     ReducedWord,
     ball_size,
-    ball_stream,
     sphere_size,
     sphere_stream,
 )
@@ -74,19 +75,23 @@ class FunctionOnGroup:
 
 @dataclass(frozen=True)
 class ElementSet:
-    """Finite subset of the group: explicit words or a union of spheres."""
+    """Finite subset of the group: explicit word keys or a union of spheres.
+
+    An explicit set stores the sorted, deduplicated integer keys of its
+    words (see _kernels), which is their (length, lex) order.
+    """
 
     ctx: FreeGroupCtx
-    words: tuple = None
+    word_keys: tuple = None
     radii: frozenset = None
     label: str = ""
 
     def __post_init__(self):
-        if (self.words is None) == (self.radii is None):
-            raise ValueError("exactly one of words/radii must be given")
-        if self.words is not None:
-            ordered = tuple(sorted(set(self.words), key=lambda w: w.sort_key()))
-            object.__setattr__(self, "words", ordered)
+        if (self.word_keys is None) == (self.radii is None):
+            raise ValueError("exactly one of word_keys/radii must be given")
+        if self.word_keys is not None:
+            ordered = tuple(sorted(set(self.word_keys)))
+            object.__setattr__(self, "word_keys", ordered)
             if not self.label:
                 object.__setattr__(self, "label", f"set({len(ordered)} words)")
         else:
@@ -107,7 +112,7 @@ class ElementSet:
     def size(self) -> int:
         if self.is_radial:
             return sum(sphere_size(self.ctx, r) for r in self.radii)
-        return len(self.words)
+        return len(self.word_keys)
 
     def indicator_radial(self) -> RadialFunction:
         if not self.is_radial:
@@ -120,20 +125,22 @@ class ElementSet:
         """Count of elements per word length."""
         if self.is_radial:
             return {r: sphere_size(self.ctx, r) for r in sorted(self.radii)}
+        tk = self.ctx.alphabet
         hist: dict = {}
-        for w in self.words:
-            hist[len(w)] = hist.get(len(w), 0) + 1
+        for key in self.word_keys:
+            n = _kernels.len_key(tk, key)
+            hist[n] = hist.get(n, 0) + 1
         return hist
 
-    def keys(self) -> list:
+    def keys(self) -> tuple:
         if self.is_radial:
             raise ValueError("radial sets are not enumerated; use the radial paths")
-        tk = self.ctx.alphabet
-        return [_kernels.encode_word(tk, w.letters) for w in self.words]
+        return self.word_keys
 
     def iter_words(self, cap: int = SPHERE_CAP):
         if not self.is_radial:
-            return iter(self.words)
+            ctx, tk = self.ctx, self.ctx.alphabet
+            return (ReducedWord(ctx, _kernels.decode_word(tk, key)) for key in self.word_keys)
         if self.size > cap:
             raise BudgetExceededError("set enumeration", self.size, cap)
 
@@ -153,7 +160,14 @@ def ball_set(ctx: FreeGroupCtx, radius: int) -> ElementSet:
 
 
 def explicit_set(ctx: FreeGroupCtx, words, label: str = "") -> ElementSet:
-    return ElementSet(ctx, words=tuple(words), label=label)
+    """The set of the given words of F_k; each word is encoded once."""
+    tk = ctx.alphabet
+    keys = []
+    for w in words:
+        if w.ctx != ctx:
+            raise ValueError(f"word {w!r} is not in the group with k={ctx.k}")
+        keys.append(_kernels.encode_word(tk, w.letters))
+    return ElementSet(ctx, word_keys=tuple(keys), label=label)
 
 
 @dataclass(frozen=True)
@@ -198,6 +212,15 @@ def _radial_candidates(fam: SetFamily):
     return range(1, min(2 << fam.radius, fam.budget + 1)), _union_label
 
 
+def _ball_keys(ctx: FreeGroupCtx, radius: int) -> list:
+    """Keys of the ball B_radius in (length, lex) order, capped at SPHERE_CAP."""
+    size = ball_size(ctx, radius)
+    if size > SPHERE_CAP:
+        raise BudgetExceededError("ball enumeration", size, SPHERE_CAP)
+    tk = ctx.alphabet
+    return [key for n in range(radius + 1) for key in _kernels.iter_sphere_keys(tk, n)]
+
+
 def candidate_sets(ctx: FreeGroupCtx, fam: SetFamily):
     """Deterministic candidate stream for the non-adaptive families."""
     if fam.kind in RADIAL_KINDS:
@@ -208,21 +231,17 @@ def candidate_sets(ctx: FreeGroupCtx, fam: SetFamily):
         count = 1 << ball_size(ctx, fam.radius)
         if count > fam.budget:
             raise BudgetExceededError("subset enumeration", count, fam.budget)
-        ball = list(ball_stream(ctx, fam.radius))
+        ball = _ball_keys(ctx, fam.radius)
         for mask in range(count):
-            words = [w for i, w in enumerate(ball) if mask >> i & 1]
-            yield explicit_set(ctx, words, label=f"sub{mask}")
+            keys = tuple(key for i, key in enumerate(ball) if mask >> i & 1)
+            yield ElementSet(ctx, word_keys=keys, label=f"sub{mask}")
     elif fam.kind == "random-subsets":
-        if ball_size(ctx, fam.radius) > SPHERE_CAP:
-            raise BudgetExceededError(
-                "ball enumeration", ball_size(ctx, fam.radius), SPHERE_CAP
-            )
-        ball = list(ball_stream(ctx, fam.radius))
+        ball = _ball_keys(ctx, fam.radius)
         rng = random.Random(fam.seed)
         for i in range(fam.budget):
             size = rng.randint(1, len(ball))
-            words = rng.sample(ball, size)
-            yield explicit_set(ctx, words, label=f"random-{i}")
+            keys = tuple(rng.sample(ball, size))
+            yield ElementSet(ctx, word_keys=keys, label=f"random-{i}")
     else:
         raise ValueError("greedy family is adaptive; use the estimator entry points")
 
@@ -505,28 +524,28 @@ def _family_report(fam: SetFamily, best: float, label: str, extra: dict) -> dict
 
 def _greedy_search(objective, ctx: FreeGroupCtx, fam: SetFamily):
     """Grow one set a word at a time, keeping the best set seen."""
-    if ball_size(ctx, fam.radius) > SPHERE_CAP:
-        raise BudgetExceededError("ball enumeration", ball_size(ctx, fam.radius), SPHERE_CAP)
-    pool = list(ball_stream(ctx, fam.radius))
+    pool = _ball_keys(ctx, fam.radius)
     chosen: list = []
     best = None
     for _ in range(fam.budget):
         round_best = None
-        round_word = None
-        for w in pool:
-            if w in chosen:
+        round_key = None
+        for key in pool:
+            if key in chosen:
                 continue
-            cand = explicit_set(ctx, chosen + [w], label=f"greedy-{len(chosen) + 1}")
+            cand = ElementSet(
+                ctx, word_keys=tuple(chosen) + (key,), label=f"greedy-{len(chosen) + 1}"
+            )
             res = objective(cand)
             if round_best is None or res[0] > round_best[0]:
                 round_best = res
-                round_word = w
+                round_key = key
         if round_best is None:
             break
         if best is not None and round_best[0] <= best[0]:
             break
         best = round_best
-        chosen.append(round_word)
+        chosen.append(round_key)
     if best is None:
         raise ValueError("empty candidate family")
     return best

@@ -32,10 +32,8 @@ from .operators import (
     chi_pairing_profile,
     column_l1_sup,
     default_radius,
-    pairing,
     q_alpha_sweep,
     restricted_weak_estimate,
-    sphere_set,
     weak_estimate_21_to_2,
 )
 from .radial import (
@@ -393,8 +391,10 @@ def thm3_equivalence_report(
         d = f.degree
         pair_best = 0.0
         for n in range(d + 3):
+            # <f * chi_n, chi_m> = (f * chi_n)_m |S_m|, one product per n
+            h = convolve_radial(f, chi(ctx, n))
             for m in (n, n + 1):
-                val = float(pairing(f, sphere_set(ctx, n), sphere_set(ctx, m)))
+                val = float(h.coefficient(m) * sphere_size(ctx, m))
                 val /= math.sqrt(sphere_size(ctx, n) * sphere_size(ctx, m))
                 pair_best = max(pair_best, val)
         even = math.fsum(

@@ -7,14 +7,18 @@ the sphere S_n with |S_n| = 2k(2k-1)^(n-1); we write q = 2k-1 for the
 branching number of the Cayley tree.
 
 Enumeration is lexicographic on letter codes and stable across runs; it is
-the order all golden files and deterministic searches rely on.
+the order all golden files and deterministic searches rely on.  Spheres
+are enumerated by the one odometer in _kernels, over integer keys, and
+decoded here; ReducedWord is the form words take where they are parsed,
+printed or passed through the public API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
+from . import _kernels
 from .errors import BudgetExceededError
 
 #: Default guard on single-sphere/ball enumeration (element count).
@@ -160,30 +164,9 @@ def sphere_stream(
     size = sphere_size(ctx, n)
     if size > cap:
         raise BudgetExceededError(f"sphere S_{n} (k={ctx.k})", size, cap)
-    if n == 0:
-        yield identity(ctx)
-        return
-    two_k = ctx.alphabet
-    word = [0] * n
-    for i in range(1, n):
-        word[i] = 0 if word[i - 1] != 1 else 1  # smallest letter != inverse of prev
-    while True:
-        yield ReducedWord(ctx, tuple(word))
-        # odometer step: bump the rightmost position that still can grow
-        i = n - 1
-        while i >= 0:
-            banned = word[i - 1] ^ 1 if i > 0 else -1
-            c = word[i] + 1
-            if c == banned:
-                c += 1
-            if c < two_k:
-                word[i] = c
-                break
-            i -= 1
-        else:
-            return
-        for j in range(i + 1, n):
-            word[j] = 0 if word[j - 1] != 1 else 1
+    tk = ctx.alphabet
+    for key in _kernels.iter_sphere_keys(tk, n):
+        yield ReducedWord(ctx, _kernels.decode_word(tk, key))
 
 
 def ball_stream(

@@ -14,7 +14,8 @@ Core claims:
     - CSV params render numbers canonically, at most 12 significant digits
     - JSON strings escape '"', backslash, \n, \t, \r and other control
       characters, and pass non-ASCII through
-    - --output writes the same bytes that would go to stdout
+    - --output writes the same bytes that would go to stdout, and an
+      unwritable --output exits 2 before any verifier runs
 """
 
 import csv
@@ -342,3 +343,17 @@ def test_output_flag_matches_stdout(tmp_path, capsys):
     assert code == 0
     assert silent.out == ""
     assert path.read_text(encoding="utf-8") == captured.out
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    import fgw.cli
+
+    def verifier_ran(*args, **kwargs):
+        raise AssertionError("the verifier ran before --output was checked")
+
+    monkeypatch.setattr(fgw.cli, "verify_p_columns", verifier_ran)
+    code = main(["verify", "pk", "--output", str(tmp_path / "missing" / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --output:")

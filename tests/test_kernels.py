@@ -1,34 +1,22 @@
-"""Integer-packed kernel layer, both backends.
+"""Integer-packed kernel layer.
 
 Core claims:
     - key encode/decode round trips and preserves lexicographic sphere order
+    - the one sphere odometer lists every reduced word once, in lex order
     - mul/inv/len on keys agree with the ReducedWord layer
     - prod_len_hist matches a brute-force double loop over ReducedWord mul
     - convolve_sphere_set matches brute force and conserves total mass
     - convolve_sphere_set_value_counts is the histogram of those counts
     - sphere_len_hists rows are per-x product-length histograms
-    - native and pure backends agree wherever both are defined
-    - FGW_PURE=1 forces the pure backend in a fresh interpreter
-    - native keys refuse words beyond the 64-bit capacity
 """
 
-import os
+import itertools
 import random
-import subprocess
-import sys
 from collections import Counter
 
-import pytest
-
-from fgw._kernels import backend, decode_word, encode_word, pure
+from fgw import _kernels
+from fgw._kernels import decode_word, encode_word
 from fgw.words import FreeGroupCtx, ReducedWord, inverse, mul, normalize, sphere_stream
-
-try:
-    from fgw._kernels import _native as native
-except ImportError:
-    native = None
-
-BACKENDS = [pure] if native is None else [pure, native]
 
 
 def _word(ctx, key):
@@ -56,47 +44,50 @@ def test_encode_decode_round_trip():
     assert decode_word(ctx.alphabet, 1) == ()
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-def test_key_ops_match_word_layer(impl):
+def test_key_ops_match_word_layer():
     ctx = FreeGroupCtx(2)
     tk = ctx.alphabet
     rng = random.Random(3)
     keys = _sample_keys(ctx, rng, 80, 10)
     for ka in keys:
         wa = _word(ctx, ka)
-        assert impl.len_key(tk, ka) == len(wa)
-        assert _word(ctx, impl.inv_key(tk, ka)) == inverse(wa)
+        assert _kernels.len_key(tk, ka) == len(wa)
+        assert _word(ctx, _kernels.inv_key(tk, ka)) == inverse(wa)
         for kb in rng.sample(keys, 10):
-            assert _word(ctx, impl.mul_key(tk, ka, kb)) == mul(wa, _word(ctx, kb))
+            assert _word(ctx, _kernels.mul_key(tk, ka, kb)) == mul(wa, _word(ctx, kb))
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-def test_sphere_keys_match_stream(impl):
+def test_sphere_keys_match_stream():
     for k in (2, 3):
         ctx = FreeGroupCtx(k)
         for n in range(0, 6):
             want = _keys(ctx, sphere_stream(ctx, n))
-            assert impl.sphere_keys(ctx.alphabet, n) == want
+            assert _kernels.sphere_keys(ctx.alphabet, n) == want
+            # every letter string, keep the reduced ones, in lex order
+            brute = [
+                encode_word(ctx.alphabet, letters)
+                for letters in itertools.product(range(ctx.alphabet), repeat=n)
+                if all(a != b ^ 1 for a, b in zip(letters, letters[1:]))
+            ]
+            assert want == brute
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-def test_prod_len_hist_matches_brute_force(impl):
+def test_prod_len_hist_matches_brute_force():
     ctx = FreeGroupCtx(2)
     tk = ctx.alphabet
     rng = random.Random(9)
     A = _sample_keys(ctx, rng, 18, 6)
     B = _sample_keys(ctx, rng, 14, 6)
     counts = Counter(len(mul(_word(ctx, a), _word(ctx, b))) for a in A for b in B)
-    hist = impl.prod_len_hist(tk, A, B)
+    hist = _kernels.prod_len_hist(tk, A, B)
     assert sum(hist) == len(A) * len(B)
     for l, c in enumerate(hist):
         assert counts.get(l, 0) == c
-    assert impl.prod_len_hist(tk, [], B) == []
-    assert impl.prod_len_hist(tk, A, []) == []
+    assert _kernels.prod_len_hist(tk, [], B) == []
+    assert _kernels.prod_len_hist(tk, A, []) == []
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-def test_convolve_sphere_set_matches_brute_force(impl):
+def test_convolve_sphere_set_matches_brute_force():
     ctx = FreeGroupCtx(2)
     tk = ctx.alphabet
     rng = random.Random(1)
@@ -106,35 +97,33 @@ def test_convolve_sphere_set_matches_brute_force(impl):
         for w in sphere_stream(ctx, n):
             for kx in xs:
                 want[encode_word(tk, mul(w, _word(ctx, kx)).letters)] += 1
-        got = impl.convolve_sphere_set(tk, n, xs)
+        got = _kernels.convolve_sphere_set(tk, n, xs)
         assert got == dict(want)
         assert sum(got.values()) == len(xs) * len(list(sphere_stream(ctx, n)))
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-def test_convolve_value_counts_matches_full_map(impl):
+def test_convolve_value_counts_matches_full_map():
     ctx = FreeGroupCtx(2)
     tk = ctx.alphabet
     rng = random.Random(5)
     for trial in range(6):
         xs = _sample_keys(ctx, rng, rng.randint(1, 25), 5)
         n = rng.randint(0, 5)
-        full = pure.convolve_sphere_set(tk, n, xs)
+        full = _kernels.convolve_sphere_set(tk, n, xs)
         want = dict(Counter(full.values()))
-        got = impl.convolve_sphere_set_value_counts(tk, n, xs)
+        got = _kernels.convolve_sphere_set_value_counts(tk, n, xs)
         assert got == want
         total = sum(c * t for c, t in got.items())
         assert total == len(xs) * len(list(sphere_stream(ctx, n)))
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-def test_sphere_len_hists_rows(impl):
+def test_sphere_len_hists_rows():
     ctx = FreeGroupCtx(2)
     tk = ctx.alphabet
     rng = random.Random(6)
     xs = _sample_keys(ctx, rng, 9, 5)
     n = 3
-    rows = impl.sphere_len_hists(tk, n, xs)
+    rows = _kernels.sphere_len_hists(tk, n, xs)
     assert len(rows) == len(xs)
     for kx, row in zip(xs, rows):
         x = _word(ctx, kx)
@@ -142,47 +131,3 @@ def test_sphere_len_hists_rows(impl):
         assert sum(row) == sum(counts.values())
         for l, c in enumerate(row):
             assert counts.get(l, 0) == c
-
-
-@pytest.mark.skipif(native is None, reason="native backend not built")
-def test_backends_agree_on_random_inputs():
-    rng = random.Random(17)
-    for k in (2, 3):
-        ctx = FreeGroupCtx(k)
-        tk = ctx.alphabet
-        A = _sample_keys(ctx, rng, 40, 7)
-        B = _sample_keys(ctx, rng, 30, 7)
-        assert native.prod_len_hist(tk, A, B) == pure.prod_len_hist(tk, A, B)
-        for n in (0, 2, 4):
-            assert native.sphere_keys(tk, n) == pure.sphere_keys(tk, n)
-            assert native.convolve_sphere_set(tk, n, B) == pure.convolve_sphere_set(tk, n, B)
-            assert native.convolve_sphere_set_value_counts(
-                tk, n, B
-            ) == pure.convolve_sphere_set_value_counts(tk, n, B)
-            assert native.sphere_len_hists(tk, n, B) == pure.sphere_len_hists(tk, n, B)
-
-
-@pytest.mark.skipif(native is None, reason="native backend not built")
-def test_native_capacity_guard():
-    with pytest.raises(ValueError):
-        native.sphere_keys(4, 40)
-    ctx = FreeGroupCtx(2)
-    long_key = encode_word(4, normalize(ctx, [0, 2] * 20).letters)
-    with pytest.raises((ValueError, OverflowError)):
-        native.mul_key(4, long_key, long_key)
-
-
-def test_env_forces_pure_backend():
-    code = "import fgw._kernels as K; print(K.backend)"
-    env = dict(os.environ, FGW_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.strip() == "pure"
-
-
-def test_default_backend_prefers_native():
-    if native is None:
-        assert backend == "pure"
-    else:
-        assert backend == "native"

@@ -15,6 +15,9 @@ Core claims:
       in both estimators, lemma1 and r22
     - estimates grow with the candidate budget under a fixed seed
     - the ball-subsets family enumerates every subset and stays within budget
+    - explicit sets store sorted integer keys, which is the (length, lex)
+      order of their words, and refuse words of another group; the
+      explicit families build no ReducedWord
     - truncated columns contain exactly the words passing the length test
     - column_l1_sup returns the brute-force sup with an attaining witness
     - q_alpha_sweep equals per-alpha column scans
@@ -204,6 +207,48 @@ def test_function_on_group_basics():
 # -- Element sets and families -----------------------------------------------
 
 
+@settings(max_examples=200, deadline=None)
+@given(k=st.sampled_from([2, 3]), data=st.data())
+def test_sorted_keys_are_length_lex_order(k, data):
+    ctx = FreeGroupCtx(k)
+    letters = st.lists(st.integers(0, ctx.alphabet - 1), max_size=6)
+    words = [normalize(ctx, seq) for seq in data.draw(st.lists(letters, max_size=30))]
+    tk = ctx.alphabet
+    want = [_kernels.encode_word(tk, w.letters) for w in sorted(words, key=ReducedWord.sort_key)]
+    assert sorted(_kernels.encode_word(tk, w.letters) for w in words) == want
+    E = explicit_set(ctx, words)
+    assert list(E.keys()) == sorted(set(want))
+    assert list(E.iter_words()) == sorted(set(words), key=ReducedWord.sort_key)
+
+
+def test_explicit_set_rejects_foreign_group_words():
+    ctx3 = FreeGroupCtx(3)
+    foreign = [word_from_str(ctx3, "c"), word_from_str(ctx3, "C")]
+    with pytest.raises(ValueError):
+        explicit_set(CTX, foreign)
+    with pytest.raises(ValueError):
+        explicit_set(CTX, [word_from_str(CTX, "a"), word_from_str(ctx3, "a")])
+
+
+def test_explicit_families_build_no_words(monkeypatch):
+    f = RadialFunction(CTX, (Fraction(1), Fraction(1, 2)))
+
+    def word_built(self):
+        raise AssertionError("a ReducedWord was built on an explicit-set path")
+
+    monkeypatch.setattr(ReducedWord, "__post_init__", word_built)
+    families = [
+        SetFamily("ball-subsets", radius=1),
+        SetFamily("random-subsets", radius=2, budget=4, seed=1),
+        SetFamily("greedy", radius=1, budget=2),
+    ]
+    for fam in families:
+        restricted_weak_estimate(f, fam)
+        weak_estimate_21_to_2(f, fam)
+    verify_lemma1(CTX, families[1], 3)
+    verify_r22(CTX, families[1], 3)
+
+
 def test_element_set_labels_and_dedupe():
     assert sphere_set(CTX, 3).label == "S3"
     assert ball_set(CTX, 4).label == "B4"
@@ -229,9 +274,9 @@ def test_candidate_sets_per_kind():
     rand1 = list(candidate_sets(CTX, SetFamily("random-subsets", radius=2, budget=20, seed=9)))
     rand2 = list(candidate_sets(CTX, SetFamily("random-subsets", radius=2, budget=20, seed=9)))
     assert len(rand1) == 20
-    assert [E.words for E in rand1] == [E.words for E in rand2]
+    assert [list(E.iter_words()) for E in rand1] == [list(E.iter_words()) for E in rand2]
     ball2 = set(ball_stream(CTX, 2))
-    assert all(set(E.words) <= ball2 for E in rand1)
+    assert all(set(E.iter_words()) <= ball2 for E in rand1)
     with pytest.raises(ValueError):
         list(candidate_sets(CTX, SetFamily("greedy", radius=2)))
     with pytest.raises(ValueError):
@@ -242,7 +287,7 @@ def test_ball_subsets_family_is_exhaustive():
     subsets = list(candidate_sets(CTX, SetFamily("ball-subsets", radius=1)))
     assert len(subsets) == 32
     ball1 = list(ball_stream(CTX, 1))
-    seen = {frozenset(E.words) for E in subsets}
+    seen = {frozenset(E.iter_words()) for E in subsets}
     expected = set()
     for mask in range(32):
         expected.add(frozenset(w for i, w in enumerate(ball1) if mask >> i & 1))
@@ -260,7 +305,7 @@ def test_ball_subsets_estimator_skips_empty_set():
     for E in candidate_sets(CTX, SetFamily("ball-subsets", radius=1)):
         if E.size == 0:
             continue
-        g = left_convolve(chi(CTX, 1), FunctionOnGroup(CTX, {w: Fraction(1) for w in E.words}))
+        g = left_convolve(chi(CTX, 1), FunctionOnGroup(CTX, {w: Fraction(1) for w in E.iter_words()}))
         value, _ = best_F_ratio(rearrange(g.entries), 2.0)
         direct.append(value / math.sqrt(E.size))
     assert math.isclose(est["estimate"], max(direct), rel_tol=1e-12)

@@ -4,7 +4,8 @@ Core claims:
     - normalize cancels adjacent inverse pairs down to the unique reduced form
     - mul/inverse satisfy the group laws and the length parity constraint
     - sphere_size matches the closed form and the enumerated count
-    - sphere_stream emits reduced words in lexicographic order, no repeats
+    - sphere_stream emits reduced words in lexicographic order, no repeats,
+      lazily
     - ball_stream concatenates spheres by radius
     - string round trip is the identity on reduced words
     - enumeration refuses spheres beyond the cap
@@ -134,6 +135,11 @@ def test_word_from_str_rejects_unknown_letters():
     ctx = FreeGroupCtx(2)
     with pytest.raises(ValueError):
         word_from_str(ctx, "c")
+
+
+def test_sphere_stream_is_lazy():
+    # S_14 holds 6.4 million words; only a lazy stream yields the first cheaply
+    assert word_to_str(next(sphere_stream(FreeGroupCtx(2), 14))) == "a" * 14
 
 
 def test_sphere_cap_enforced():
