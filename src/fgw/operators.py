@@ -8,12 +8,17 @@ come in two kinds:
 * explicit sets carry the sorted integer keys of their words (see
   _kernels) and go through the enumeration kernels (cost |E| x sphere
   sizes); words become ReducedWords only at the API boundary
-  (explicit_set, iter_words, FunctionOnGroup, truncated_column);
+  (explicit_set, iter_words, FunctionOnGroup, truncated_column).  The
+  estimators see f * chi_E as integers over D = lcm(denominators of f)
+  (_convolve_value_counts) and divide once per candidate, in
+  _best_prefix or the square sum;
 * radial sets (unions of spheres) stay inside the radial algebra.  The
   radial families are masks over the spheres S_0 .. S_radius, and one
   integer sweep (_sphere_union_sweep) builds f * chi_E for every mask
   from the columns f * chi_r, so radii far beyond any enumerable ball
   remain cheap.
+
+A float f takes D = 1 on both paths and is summed in the order of the exact values.
 
 Pairings between the two kinds reduce to the radial side because
 convolution by a real radial function is self-adjoint.
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -228,11 +234,13 @@ def candidate_sets(ctx: FreeGroupCtx, fam: SetFamily):
         for mask in masks:
             yield ElementSet(ctx, radii=frozenset(_mask_radii(mask)), label=label(mask))
     elif fam.kind == "ball-subsets":
-        count = 1 << ball_size(ctx, fam.radius)
-        if count > fam.budget:
-            raise BudgetExceededError("subset enumeration", count, fam.budget)
+        # 2^size > budget exactly when size >= budget.bit_length(); the
+        # count itself can run to thousands of digits, so it is not built
+        size = ball_size(ctx, fam.radius)
+        if size >= fam.budget.bit_length():
+            raise BudgetExceededError("subset enumeration", f"2^{size}", fam.budget)
         ball = _ball_keys(ctx, fam.radius)
-        for mask in range(count):
+        for mask in range(1 << size):
             keys = tuple(key for i, key in enumerate(ball) if mask >> i & 1)
             yield ElementSet(ctx, word_keys=keys, label=f"sub{mask}")
     elif fam.kind == "random-subsets":
@@ -246,18 +254,39 @@ def candidate_sets(ctx: FreeGroupCtx, fam: SetFamily):
         raise ValueError("greedy family is adaptive; use the estimator entry points")
 
 
-def _convolve_value_counts(f: RadialFunction, ctx: FreeGroupCtx, keys) -> dict:
-    """Sparse key -> value map of f * chi_X for an explicit key list X."""
+def _denominator(f: RadialFunction) -> int:
+    """Common denominator D of an exact f, so D f is integral; 1 for a float f."""
+    return math.lcm(*(c.denominator for c in f.coeffs)) if f.is_exact() else 1
+
+
+def _scaled_items(f: RadialFunction):
+    """D = _denominator(f) and the (n, D * f_n) pairs over the support of f.
+
+    For an exact f the scaled coefficients are integers; a float f keeps
+    its coefficients as they are (D = 1).
+    """
+    D = _denominator(f)
+    if not f.is_exact():
+        return D, f.nonzero_items()
+    return D, [(n, c.numerator * (D // c.denominator)) for n, c in f.nonzero_items()]
+
+
+def _convolve_value_counts(ctx: FreeGroupCtx, scaled, keys) -> dict:
+    """Sparse key -> D * value map of f * chi_X for an explicit key list X.
+
+    scaled holds the (n, D * f_n) pairs of _scaled_items(f); values are
+    accumulated in n ascending, then in the kernel's z order.
+    """
     tk = ctx.alphabet
-    work = sum(sphere_size(ctx, n) for n, _ in f.nonzero_items()) * len(keys)
+    work = sum(sphere_size(ctx, n) for n, _ in scaled) * len(keys)
     if work > PAIR_BUDGET:
         raise BudgetExceededError("convolution enumeration", work, PAIR_BUDGET)
     out: dict = {}
-    for n, fn in f.nonzero_items():
+    for n, fn in scaled:
         for zkey, count in _kernels.convolve_sphere_set(tk, n, keys).items():
             prev = out.get(zkey)
             out[zkey] = fn * count if prev is None else prev + fn * count
-    return {k: v for k, v in out.items() if v}
+    return out
 
 
 def left_convolve(f: RadialFunction, g: FunctionOnGroup) -> FunctionOnGroup:
@@ -302,11 +331,6 @@ def embed(f: RadialFunction) -> FunctionOnGroup:
         for w in sphere_stream(ctx, n):
             entries[w] = fn
     return FunctionOnGroup(ctx, entries)
-
-
-def _denominator(f: RadialFunction) -> int:
-    """Common denominator D of an exact f, so D f is integral; 1 for a float f."""
-    return math.lcm(*(c.denominator for c in f.coeffs)) if f.is_exact() else 1
 
 
 def _sphere_union_sweep(f: RadialFunction, fam: SetFamily):
@@ -403,33 +427,18 @@ def chi_pairing_profile(E: ElementSet, F: ElementSet) -> list:
     return [Fraction(t) for t in _kernels.prod_len_hist(tk, F.keys(), ekeys_inv)]
 
 
-def _single_sphere_histogram(f: RadialFunction, E: ElementSet):
-    """For f = c*chi_n and explicit E: {|value|: #points} of f * chi_E.
+def _chi_product_runs(ctx: FreeGroupCtx, n: int, E: ElementSet) -> list:
+    """Decreasing (value, multiplicity) runs of chi_n * chi_E for an explicit set E.
 
-    Every product value is c times a pair count, so the kernel's
-    multiplicity histogram determines the value distribution without
-    materializing the support; returns None when f is not one sphere.
+    Every value is a pair count, so the kernel's multiplicity histogram
+    is the rearrangement, and the support is never materialized.
     """
-    items = f.nonzero_items()
-    if len(items) != 1:
-        return None
-    n, c = items[0]
     keys = E.keys()
-    work = sphere_size(f.ctx, n) * len(keys)
+    work = sphere_size(ctx, n) * len(keys)
     if work > PAIR_BUDGET:
         raise BudgetExceededError("convolution enumeration", work, PAIR_BUDGET)
-    a = abs(c)
-    histo = _kernels.convolve_sphere_set_value_counts(f.ctx.alphabet, n, keys)
-    return {a * m: t for m, t in histo.items()}
-
-
-def _rearranged_product(f: RadialFunction, E: ElementSet) -> Rearrangement:
-    """Decreasing rearrangement of f * chi_E for an explicit set E."""
-    histo = _single_sphere_histogram(f, E)
-    if histo is not None:
-        pairs = tuple(sorted(histo.items(), key=lambda kv: kv[0], reverse=True))
-        return Rearrangement(pairs)
-    return rearrange(_convolve_value_counts(f, f.ctx, E.keys()))
+    histo = _kernels.convolve_sphere_set_value_counts(ctx.alphabet, n, keys)
+    return sorted(histo.items(), reverse=True)
 
 
 def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_radial):
@@ -437,8 +446,10 @@ def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_r
 
     Radial families go through _sphere_union_sweep, each candidate
     scored by score_radial(coeffs, mult, D, |E|), where mult[n] = |S_n|
-    (see there for coeffs and D).  Explicit candidates are scored by reduce_set(values, |E|, label) on
-    the sparse value map of f * chi_E.  The first maximum wins ties.
+    (see there for coeffs and D).  Explicit candidates are scored by
+    reduce_set(values, D, |E|, label) on the sparse key -> D * value map
+    of f * chi_E (see _convolve_value_counts).  The first maximum wins
+    ties.
     """
     ctx = f.ctx
     if fam.kind in RADIAL_KINDS:
@@ -453,8 +464,10 @@ def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_r
                 best_mask = mask
         return (best[0], _radial_candidates(fam)[1](best_mask), *best[1:])
 
+    D, scaled = _scaled_items(f)
+
     def objective(E: ElementSet):
-        return reduce_set(_convolve_value_counts(f, ctx, E.keys()), E.size, E.label)
+        return reduce_set(_convolve_value_counts(ctx, scaled, E.keys()), D, E.size, E.label)
 
     if fam.kind == "greedy":
         return _greedy_search(objective, ctx, fam)
@@ -561,8 +574,10 @@ def restricted_weak_estimate(f: RadialFunction, fam: SetFamily) -> dict:
     if not f.is_nonnegative():
         raise ValueError("requires nonnegative coefficients")
 
-    def reduce_set(values, size, label):
-        value, j = best_F_ratio(values, 2.0)
+    def reduce_set(values, D, size, label):
+        # the values of f * chi_E are positive, so they are their own moduli
+        runs = sorted(Counter(values.values()).items(), reverse=True)
+        value, j = _best_prefix(runs, 0.5, D)
         return value / math.sqrt(size), label, j
 
     def score_radial(coeffs, mult, D, size):
@@ -582,12 +597,12 @@ def weak_estimate_21_to_2(f: RadialFunction, fam: SetFamily) -> dict:
     if not f.is_nonnegative():
         raise ValueError("requires nonnegative coefficients")
 
-    def reduce_set(values, size, label):
-        sq = sum((v * v for v in values.values()), Fraction(0))
-        return math.sqrt(float(sq) / size), label
+    def reduce_set(values, D, size, label):
+        sq = sum(v * v for v in values.values())
+        return math.sqrt(sq / (D * D) / size), label
 
+    # int / int true division rounds as float(Fraction) does
     def score_radial(coeffs, mult, D, size):
-        # int / int true division rounds as float(Fraction) does
         sq = sum(c * c * m for c, m in zip(coeffs, mult) if c)
         return (math.sqrt(sq / (D * D) / size),)
 

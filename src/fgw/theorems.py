@@ -22,12 +22,11 @@ from .operators import (
     RADIAL_KINDS,
     SetFamily,
     _best_prefix,
+    _chi_product_runs,
     _mask_radii,
     _radial_candidates,
-    _rearranged_product,
     _scaled_runs,
     _sphere_union_sweep,
-    best_F_ratio,
     candidate_sets,
     chi_pairing_profile,
     column_l1_sup,
@@ -310,9 +309,12 @@ def verify_r22(ctx: FreeGroupCtx, fam: SetFamily, n_max: int) -> VerificationRep
             for label, size, _, hs in _chi_sweeps(ctx, fam, n_max)
         )
     else:
-        chis = [chi(ctx, n) for n in range(n_max + 1)]
         candidates = (
-            (E.label, E.size, [best_F_ratio(_rearranged_product(c, E), 2.0)[0] for c in chis])
+            (
+                E.label,
+                E.size,
+                [_best_prefix(_chi_product_runs(ctx, n, E), 0.5, 1)[0] for n in range(n_max + 1)],
+            )
             for E in candidate_sets(ctx, fam)
         )
     for label, size, sups in candidates:

@@ -10,6 +10,8 @@ Core claims:
       the radius the old column scan was capped at
     - usage errors, malformed literals, degenerate fits, --samples 0,
       --max-degree -1 and the removed --threads option exit 2
+    - a ball-subsets family past its budget exits 2 and states its need as
+      a power of two, however large the ball
     - thm5 with an infinite target index reports it as "inf"
     - CSV params render numbers canonically, at most 12 significant digits
     - JSON strings escape '"', backslash, \n, \t, \r and other control
@@ -131,6 +133,16 @@ def test_search_invalid_family_exits_2():
     proc = run_cli(["search", "--f", "0,1", "--family", "bogus"])
     assert proc.returncode == 2
     assert "invalid choice" in proc.stderr
+
+
+def test_ball_subsets_over_budget_exits_2():
+    # 2^|B_9| has about 11850 digits, past int-to-str's default limit
+    proc = run_cli(["search", "--f", "0,1", "--family", "ball-subsets", "--radius", "9"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: budget exceeded: subset enumeration needs 2^39365, cap is 1000\n"
+    )
 
 
 def test_verify_threads_option_is_gone():

@@ -15,6 +15,8 @@ Core claims:
       in both estimators, lemma1 and r22
     - estimates grow with the candidate budget under a fixed seed
     - the ball-subsets family enumerates every subset and stays within budget
+    - the explicit families' integer estimates equal a Fraction reference
+      exactly, and float f keeps its estimates to the last place
     - explicit sets store sorted integer keys, which is the (length, lex)
       order of their words, and refuse words of another group; the
       explicit families build no ReducedWord
@@ -294,9 +296,13 @@ def test_ball_subsets_family_is_exhaustive():
     assert seen == expected
     assert frozenset() in seen
 
-    # Enumerating 2^|B_2| subsets would blow the budget.
-    with pytest.raises(BudgetExceededError):
+    # Enumerating 2^|B_2| subsets would blow the budget; the need is
+    # stated as a power of two, and a budget of exactly 2^|B_1| suffices.
+    with pytest.raises(BudgetExceededError, match="needs 2\\^17, cap is 1000$"):
         list(candidate_sets(CTX, SetFamily("ball-subsets", radius=2)))
+    with pytest.raises(BudgetExceededError, match="needs 2\\^5, cap is 31$"):
+        list(candidate_sets(CTX, SetFamily("ball-subsets", radius=1, budget=31)))
+    assert len(list(candidate_sets(CTX, SetFamily("ball-subsets", radius=1, budget=32)))) == 32
 
 
 def test_ball_subsets_estimator_skips_empty_set():
@@ -547,6 +553,100 @@ def test_greedy_family_improves_on_singletons():
     assert rep["estimate"] >= max(singles)
 
 
+def _fraction_value_map(f, keys):
+    # f * chi_X with Fraction values: f_n * count summed in n ascending,
+    # then in the kernel's z order
+    out = {}
+    for n, fn in f.nonzero_items():
+        for zkey, count in _kernels.convolve_sphere_set(CTX.alphabet, n, keys).items():
+            out[zkey] = out.get(zkey, Fraction(0)) + fn * count
+    return {key: v for key, v in out.items() if v}
+
+
+def _reference_explicit_estimate(f, fam, restricted):
+    # per set: best_F_ratio on the Fraction map, or its Fraction square sum
+    def objective(E):
+        values = _fraction_value_map(f, E.keys())
+        if restricted:
+            value, j = best_F_ratio(values, 2.0)
+            return value / math.sqrt(E.size), E.label, j
+        sq = sum((v * v for v in values.values()), Fraction(0))
+        return math.sqrt(float(sq) / E.size), E.label
+
+    if fam.kind == "greedy":
+        return ops._greedy_search(objective, CTX, fam)
+    rows = [objective(E) for E in candidate_sets(CTX, fam) if E.size]
+    # max keeps the first of equal maxima, as the estimators do
+    return max(rows, key=lambda row: row[0])
+
+
+@st.composite
+def _explicit_cases(draw):
+    # small and large denominators, mixed within one f
+    coeff = st.one_of(
+        st.builds(Fraction, st.integers(0, 9), st.sampled_from([1, 2, 3, 4, 5, 7, 9, 11, 16])),
+        st.fractions(min_value=0, max_value=20, max_denominator=10**6),
+    )
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=4).filter(any))
+    if draw(st.booleans()):
+        fam = SetFamily(
+            "random-subsets", draw(st.integers(1, 2)), draw(st.integers(1, 8)),
+            draw(st.integers(0, 99)),
+        )
+    else:
+        fam = SetFamily("greedy", draw(st.integers(1, 2)), draw(st.integers(1, 4)))
+    return RadialFunction(CTX, tuple(coeffs)), fam
+
+
+@settings(max_examples=40, deadline=None)
+@given(_explicit_cases())
+@example((RadialFunction(CTX, (Fraction(1, 7), Fraction(2, 9), 0, Fraction(5, 16))),
+          SetFamily("greedy", 2, 4)))
+# coprime denominators push the scaled sums past 2^53, where float(s) / D
+# would round twice
+@example(
+    (
+        RadialFunction(CTX, (Fraction(15, 953948), Fraction(9, 691237), Fraction(18, 638525))),
+        SetFamily("random-subsets", 2, 6, 5),
+    )
+)
+def test_explicit_estimates_match_fraction_reference(case):
+    f, fam = case
+    got = restricted_weak_estimate(f, fam)
+    assert (got["estimate"], got["E"], got["j"]) == _reference_explicit_estimate(f, fam, True)
+    got = weak_estimate_21_to_2(f, fam)
+    assert (got["estimate"], got["E"]) == _reference_explicit_estimate(f, fam, False)
+
+
+# repr of the estimates of f_n = b^n, n <= 3, in float arithmetic; the
+# reports print 12 digits, so these catch drift in the last place
+FLOAT_EXPLICIT_ESTIMATES = [
+    (1 / 3, "greedy", "restricted", "1.8518518518518519"),
+    (1 / 3, "greedy", "weak", "2.1068833560485727"),
+    (1 / 3, "random-subsets", "restricted", "2.2474747474747474"),
+    (1 / 3, "random-subsets", "weak", "2.5375715232414158"),
+    (0.7, "greedy", "restricted", "4.738347844977191"),
+    (0.7, "greedy", "weak", "5.699581563588686"),
+    (0.7, "random-subsets", "restricted", "6.000878963365565"),
+    (0.7, "random-subsets", "weak", "7.96253293279716"),
+    (0.1, "greedy", "restricted", "1.191"),
+    (0.1, "greedy", "weak", "1.2086314574757624"),
+    (0.1, "random-subsets", "restricted", "1.2366818181818182"),
+    (0.1, "random-subsets", "weak", "1.2566731693425222"),
+]
+
+
+@pytest.mark.parametrize("b, kind, estimator, want", FLOAT_EXPLICIT_ESTIMATES)
+def test_float_explicit_estimates_pinned(b, kind, estimator, want):
+    f = RadialFunction(CTX, tuple(b**n for n in range(4)))
+    if kind == "greedy":
+        fam = SetFamily("greedy", radius=2, budget=6)
+    else:
+        fam = SetFamily("random-subsets", radius=3, budget=20, seed=1)
+    est = restricted_weak_estimate if estimator == "restricted" else weak_estimate_21_to_2
+    assert repr(est(f, fam)["estimate"]) == want
+
+
 # -- Truncated columns -------------------------------------------------------
 
 
@@ -654,3 +754,8 @@ def test_pair_budget_enforced(monkeypatch):
     E = explicit_set(CTX, _rand_words(rng, 4))
     with pytest.raises(BudgetExceededError):
         pairing(chi(CTX, 1), E, E)
+    with pytest.raises(BudgetExceededError, match="convolution enumeration needs 12, cap is 10$"):
+        restricted_weak_estimate(chi(CTX, 2), SetFamily("greedy", radius=1, budget=1))
+    # r22 checks |S_n| |E| before each chi_n * chi_E: sub1 = {e} at n = 2
+    with pytest.raises(BudgetExceededError, match="convolution enumeration needs 12, cap is 10$"):
+        verify_r22(CTX, SetFamily("ball-subsets", radius=1, budget=64), 2)
