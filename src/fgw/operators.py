@@ -35,7 +35,14 @@ from fractions import Fraction
 from . import _kernels
 from .errors import BudgetExceededError
 from .lorentz import Rearrangement, rearrange, rearrange_radial
-from .radial import RadialFunction, chi, convolve_radial, structure_constant
+from .radial import (
+    RadialFunction,
+    _denominator,
+    _scaled_items,
+    chi,
+    convolve_radial,
+    structure_constant,
+)
 from .words import (
     PAIR_BUDGET,
     SPHERE_CAP,
@@ -252,23 +259,6 @@ def candidate_sets(ctx: FreeGroupCtx, fam: SetFamily):
             yield ElementSet(ctx, word_keys=keys, label=f"random-{i}")
     else:
         raise ValueError("greedy family is adaptive; use the estimator entry points")
-
-
-def _denominator(f: RadialFunction) -> int:
-    """Common denominator D of an exact f, so D f is integral; 1 for a float f."""
-    return math.lcm(*(c.denominator for c in f.coeffs)) if f.is_exact() else 1
-
-
-def _scaled_items(f: RadialFunction):
-    """D = _denominator(f) and the (n, D * f_n) pairs over the support of f.
-
-    For an exact f the scaled coefficients are integers; a float f keeps
-    its coefficients as they are (D = 1).
-    """
-    D = _denominator(f)
-    if not f.is_exact():
-        return D, f.nonzero_items()
-    return D, [(n, c.numerator * (D // c.denominator)) for n, c in f.nonzero_items()]
 
 
 def _convolve_value_counts(ctx: FreeGroupCtx, scaled, keys) -> dict:

@@ -11,6 +11,15 @@ commutative algebra under convolution.
 Coefficients are exact rationals by default.  Float coefficients are
 accepted (needed for families like f_n = q^{-n/2}); any arithmetic that
 touches them degrades to floating point and is documented as such.
+
+convolve_radial runs an exact product on integers: f and g are scaled
+once by their common denominators Df and Dg, the terms Df f_n Dg g_m
+c(n, m, l) are summed as integers, and each coefficient becomes one
+Fraction over Df Dg.  A product with a float coefficient keeps the plain
+loop's arithmetic, term by term in the same (n, m, l) order, so its
+floats do not move in the last place.  Each pair (n, m) reads its
+structure constants as one row (_product_row), which is also the one
+closed form behind structure_constant.
 """
 
 from __future__ import annotations
@@ -26,21 +35,28 @@ from . import _kernels
 
 
 @lru_cache(maxsize=None)
+def _product_row(q: int, lo: int, equal: bool) -> tuple:
+    """c(n, m, l) for l = |n - m|, |n - m| + 2, .., n + m, lo = min(n, m).
+
+    The constant depends on the count j = (n + m - l) / 2 of letters
+    cancelled at the seam: 1 for j = 0, (q - 1) q^{j-1} for 0 < j < lo,
+    and at j = lo either q^lo, or (q + 1) q^{lo-1} when n == m (l = 0).
+    The row runs from j = lo down to j = 0, in ascending l.
+    """
+    if lo == 0:
+        return (1,)
+    row = [1] + [(q - 1) * q ** (j - 1) for j in range(1, lo)]
+    row.append((q + 1) * q ** (lo - 1) if equal else q**lo)
+    return tuple(reversed(row))
+
+
+@lru_cache(maxsize=None)
 def _structure_constant(q: int, n: int, m: int, l: int) -> int:
     if n < m:
         n, m = m, n
-    if m == 0:
-        return 1 if l == n else 0
     if l < n - m or l > n + m or (n + m - l) % 2 != 0:
         return 0
-    j = (n + m - l) // 2  # letters cancelled at the seam
-    if j == 0:
-        return 1
-    if j < m:
-        return (q - 1) * q ** (j - 1)
-    if n > m:
-        return q**m
-    return (q + 1) * q ** (n - 1)  # n == m, l == 0
+    return _product_row(q, m, n == m)[(l - n + m) // 2]
 
 
 def structure_constant(ctx: FreeGroupCtx, n: int, m: int, l: int) -> int:
@@ -68,7 +84,7 @@ def paper_display_coefficient(ctx: FreeGroupCtx, n: int, m: int, l: int) -> int:
 
 
 def _as_coeff(x):
-    if isinstance(x, float):
+    if isinstance(x, (float, Fraction)):
         return x
     return Fraction(x)
 
@@ -155,23 +171,53 @@ def format_radial_literal(f: RadialFunction) -> str:
     return ",".join(parts) if parts else "0"
 
 
+def _denominator(f: RadialFunction) -> int:
+    """Common denominator D of an exact f, so D f is integral; 1 for a float f."""
+    return math.lcm(*(c.denominator for c in f.coeffs)) if f.is_exact() else 1
+
+
+def _scaled_items(f: RadialFunction):
+    """D = _denominator(f) and the (n, D * f_n) pairs over the support of f.
+
+    For an exact f the scaled coefficients are integers; a float f keeps
+    its coefficients as they are (D = 1).
+    """
+    D = _denominator(f)
+    if not f.is_exact():
+        return D, f.nonzero_items()
+    return D, [(n, c.numerator * (D // c.denominator)) for n, c in f.nonzero_items()]
+
+
 def convolve_radial(f: RadialFunction, g: RadialFunction) -> RadialFunction:
-    """Exact product f * g via the structure constants."""
+    """Product f * g via the structure constants.
+
+    Exact f and g: Df f and Dg g are integral (Df, Dg their common
+    denominators), Df Dg (f * g)_l is accumulated on integers and each
+    coefficient is one Fraction over Df Dg.  With any float coefficient
+    the coefficients are multiplied and summed as they are, in the same
+    (n, m, l) order, so the result rounds exactly as the plain loop does.
+    """
     if f.ctx != g.ctx:
         raise ValueError("mismatched group contexts")
     if f.is_zero() or g.is_zero():
         return RadialFunction(f.ctx, ())
     q = f.ctx.q
-    out = [Fraction(0)] * (f.degree + g.degree + 1)
-    for n, fn in enumerate(f.coeffs):
-        if not fn:
-            continue
-        for m, gm in enumerate(g.coeffs):
-            if not gm:
-                continue
+    exact = f.is_exact() and g.is_exact()
+    if exact:
+        Df, fs = _scaled_items(f)
+        Dg, gs = _scaled_items(g)
+    else:
+        fs, gs = f.nonzero_items(), g.nonzero_items()
+    out = [0] * (f.degree + g.degree + 1)
+    for n, fn in fs:
+        for m, gm in gs:
             w = fn * gm
-            for l in range(abs(n - m), n + m + 1, 2):
-                out[l] = out[l] + w * _structure_constant(q, n, m, l)
+            row = _product_row(q, n if n < m else m, n == m)
+            for l, c in zip(range(abs(n - m), n + m + 1, 2), row):
+                out[l] = out[l] + w * c
+    if exact:
+        D = Df * Dg
+        out = [Fraction(v, D) for v in out]
     return RadialFunction(f.ctx, tuple(out))
 
 

@@ -37,6 +37,7 @@ from .operators import (
 )
 from .radial import (
     RadialFunction,
+    _scaled_items,
     a_functional,
     chi,
     conjecture_functional,
@@ -221,12 +222,10 @@ def verify_thm1(f: RadialFunction, fam: SetFamily) -> VerificationReport:
     best = None
     d = f.degree
     for m in range(2 * d, 2 * d + 5):
-        h = convolve_radial(f, chi(ctx, m))
-        sq = sum(
-            (c * c * sphere_size(ctx, n) for n, c in h.nonzero_items()),
-            Fraction(0) if exact else 0.0,
-        )
-        val = sq / sphere_size(ctx, m)
+        # exact: the squares summed on integers over D^2, one Fraction per m
+        D, items = _scaled_items(convolve_radial(f, chi(ctx, m)))
+        sq = sum((c * c * sphere_size(ctx, n) for n, c in items), 0 if exact else 0.0)
+        val = Fraction(sq, D * D * sphere_size(ctx, m)) if exact else sq / sphere_size(ctx, m)
         report.info(f"thm1:chain:m={m}", value=float(val))
         if best is None or val > best:
             best = val

@@ -24,23 +24,29 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
+import fgw
 from fgw.cli import main
 from fgw.reportio import json_dumps
 
 RUNNER = "import sys; from fgw.cli import main; sys.exit(main())"
+# the child imports the same fgw as the tests, installed or not
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(fgw.__file__)))
 
 
 def run_cli(args):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-c", RUNNER, *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 

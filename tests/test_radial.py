@@ -3,6 +3,11 @@
 Core claims:
     - structure_constant matches a brute-force triple count over enumerated spheres
     - convolve_radial(chi_n, chi_m) equals the enumeration oracle exactly
+    - convolve_radial equals the Fraction loop over the structure constants,
+      coefficient by coefficient in type and repr, on exact, float and
+      mixed inputs; float products keep their values to the last place
+    - the chi_1 recursion chi_1 * chi_n = chi_{n+1} + q chi_{n-1} holds (n >= 2)
+    - a product with float coefficients adds no structure-constant cache entries
     - total mass is conserved: sum_l c(n,m,l) |S_l| = |S_n| |S_m|
     - the display coefficient majorizes the exact one within a factor 2
     - the algebra is commutative and associative with unit chi_0
@@ -13,13 +18,15 @@ Core claims:
 """
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgw.radial import (
     RadialFunction,
+    _structure_constant,
     a_functional,
     a_functional_parts,
     chi,
@@ -80,11 +87,12 @@ def test_structure_constant_closed_form_values():
 
 
 def test_oracle_convolve_agreement():
-    for k, top in ((2, 4), (3, 3)):
+    for k, top in ((2, 4), (3, 4)):
         ctx = FreeGroupCtx(k)
         for n in range(top + 1):
             for m in range(top + 1):
-                assert convolve_radial(chi(ctx, n), chi(ctx, m)) == oracle_convolve(ctx, n, m)
+                got = convolve_radial(chi(ctx, n), chi(ctx, m))
+                assert _typed(got) == _typed(oracle_convolve(ctx, n, m))
 
 
 def test_mass_conservation():
@@ -115,22 +123,101 @@ def test_display_majorization_is_tight():
     assert Fraction(disp, exact) == Fraction(3, 2)
 
 
-def test_algebra_laws():
-    ctx = FreeGroupCtx(2)
-    rng = random.Random(8)
+# mixed denominators, up to 10^6, so the scaled products outgrow 2^53
+_EXACT = st.fractions(min_value=-20, max_value=20, max_denominator=10**6)
+_FLOAT = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+_CTXS = st.sampled_from([FreeGroupCtx(2), FreeGroupCtx(3)])
 
-    def rand_fn():
-        coeffs = [Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
-        return RadialFunction(ctx, tuple(coeffs))
 
+def _radial(ctx, coeff, max_size=6):
+    return st.lists(coeff, max_size=max_size).map(lambda cs: RadialFunction(ctx, tuple(cs)))
+
+
+def _reference_convolve(f, g):
+    # the product as a plain Fraction loop over the structure constants
+    q = f.ctx.q
+    out = [Fraction(0)] * (f.degree + g.degree + 1)
+    for n, fn in enumerate(f.coeffs):
+        if not fn:
+            continue
+        for m, gm in enumerate(g.coeffs):
+            if not gm:
+                continue
+            w = fn * gm
+            for l in range(abs(n - m), n + m + 1, 2):
+                out[l] = out[l] + w * _structure_constant(q, n, m, l)
+    return RadialFunction(f.ctx, tuple(out))
+
+
+def _typed(f):
+    return [(type(c), repr(c)) for c in f.coeffs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_algebra_laws(data):
+    ctx = data.draw(_CTXS)
+    f, g, h = (data.draw(_radial(ctx, _EXACT)) for _ in range(3))
     one = chi(ctx, 0)
-    for _ in range(25):
-        f, g, h = rand_fn(), rand_fn(), rand_fn()
-        assert convolve_radial(f, g) == convolve_radial(g, f)
-        assert convolve_radial(f, one) == f
-        left = convolve_radial(convolve_radial(f, g), h)
-        right = convolve_radial(f, convolve_radial(g, h))
-        assert left == right
+    assert convolve_radial(f, g) == convolve_radial(g, f)
+    assert convolve_radial(f, one) == f
+    assert convolve_radial(one, f) == f
+    left = convolve_radial(convolve_radial(f, g), h)
+    right = convolve_radial(f, convolve_radial(g, h))
+    assert left == right
+    assert left.is_exact()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_convolve_matches_fraction_loop(data):
+    ctx = data.draw(_CTXS)
+    coeff = data.draw(st.sampled_from([_EXACT, _FLOAT, st.one_of(_EXACT, _FLOAT)]))
+    f = data.draw(_radial(ctx, coeff))
+    g = data.draw(_radial(ctx, st.one_of(_EXACT, _FLOAT, st.integers(-5, 5))))
+    assert _typed(convolve_radial(f, g)) == _typed(_reference_convolve(f, g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 30))
+def test_chi1_recursion(k, n):
+    # chi_1 * chi_1 = chi_2 + (q + 1) chi_0: S_1 has q + 1 words
+    ctx = FreeGroupCtx(k)
+    q = ctx.q
+    if n == 0:
+        want = chi(ctx, 1)
+    elif n == 1:
+        want = chi(ctx, 2) + (q + 1) * chi(ctx, 0)
+    else:
+        want = chi(ctx, n + 1) + q * chi(ctx, n - 1)
+    got = convolve_radial(chi(ctx, 1), chi(ctx, n))
+    assert _typed(got) == _typed(want)
+
+
+def test_float_products_pinned():
+    # repr values of the Fraction-loop product, to the last place
+    ctx = FreeGroupCtx(2)
+    q = float(ctx.q)
+    geometric = RadialFunction(ctx, tuple(q ** (-0.5 * n) for n in range(7)))
+    h = convolve_radial(geometric, chi(ctx, 3))
+    assert [repr(c) for c in h.coeffs[:4]] == [
+        "6.92820323027551",
+        "6.0",
+        "4.618802153517006",
+        "3.333333333333333",
+    ]
+    u = RadialFunction(ctx, (1, 0.5))
+    assert _typed(convolve_radial(u, u)) == [(float, "2.0"), (float, "1.0"), (float, "0.25")]
+
+
+def test_float_product_fills_no_structure_constant_cache():
+    # thm5's shape: chi_40 against a degree-80 float function; the
+    # product reads whole rows, so no per-(n, m, l) entry is cached
+    ctx = FreeGroupCtx(2)
+    f = RadialFunction(ctx, tuple(3.0 ** (-0.5 * k) for k in range(81)))
+    _structure_constant.cache_clear()
+    convolve_radial(chi(ctx, 40), f)
+    assert _structure_constant.cache_info().currsize == 0
 
 
 def test_linearity_and_scalar_action():

@@ -12,6 +12,7 @@ Core claims:
     - the thm4 chain matches a hand-computed case exactly
     - the alpha = n column row documents the expected failure for n >= 4
     - thm5 refuses degenerate fit windows
+    - float thm4 and thm5 chains keep their values to the last place
 """
 
 import math
@@ -238,6 +239,19 @@ def test_thm5_exponent_fit_passes():
     assert abs(rep.params["fitted_slope"] - rep.params["expected_slope"]) <= 0.15
     rep2 = thm5_exponent_fit(CTX, 1.5, 3.0)
     assert rep2.ok
+
+
+def test_float_chains_pinned():
+    # reports print 12 digits; these repr values (from the Fraction-loop
+    # product) catch drift in the last place of the float products
+    rep = thm5_exponent_fit(CTX, 2.0, 2.0)
+    assert repr(rep.params["fitted_slope"]) == "0.8552195736494775"
+    row = {c["id"]: c for c in rep.checks}["thm5:n=40"]
+    assert repr(row["ratio"]) == "69180776299.79839"
+    q = float(CTX.q)
+    f = RadialFunction(CTX, tuple(q ** (-0.5 * n) for n in range(7)))
+    first = thm4_lower_chain(f, 1.5).checks[0]
+    assert (repr(first["lhs"]), repr(first["rhs"])) == ("18.52345496248752", "306.0020988963831")
 
 
 def test_thm5_rejects_degenerate_window():
