@@ -5,6 +5,7 @@ l_0 l_1 ... l_{n-1} is ((1*2k + l_0)*2k + l_1)... so the LAST letter is the
 lowest digit.  A key of length n lies in [(2k)^n, 2 (2k)^n), so, as 2k >= 4,
 numeric key order is the (length, lex) order of the words, and sorting keys
 sorts words.  Keys are plain Python integers, so words of any length fit.
+The kernels return raw counts; lorentz.runs rearranges them.
 """
 
 from __future__ import annotations
@@ -133,14 +134,6 @@ def convolve_sphere_set(two_k: int, n: int, xkeys) -> dict[int, int]:
             z = k * powers[rem] + kx % powers[rem]
             out[z] = out.get(z, 0) + 1
     return out
-
-
-def convolve_sphere_set_value_counts(two_k: int, n: int, xkeys) -> dict[int, int]:
-    """Histogram {count: #z} of the multiplicities of chi_n * chi_E."""
-    histo: dict[int, int] = {}
-    for c in convolve_sphere_set(two_k, n, xkeys).values():
-        histo[c] = histo.get(c, 0) + 1
-    return histo
 
 
 def sphere_len_hists(two_k: int, n: int, xkeys) -> list[list[int]]:

@@ -26,6 +26,9 @@ from .reportio import json_dumps, write_csv, write_json
 from .theorems import (
     build_thm1_suite,
     conjecture_scan,
+    require_fit_window,
+    require_thm4_index,
+    require_thm5_indices,
     thm3_equivalence_report,
     thm4_lower_chain,
     thm5_exponent_fit,
@@ -214,11 +217,33 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _option_check(option: str, check, *values):
+    """check(*values), a ValueError naming the option that fed it."""
+    try:
+        return check(*values)
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
 def _verify_reports(args, ctx: FreeGroupCtx, target: str) -> list:
+    # every usage error fires here, before the first verifier runs
     if target in ("thm3", "all") and args.samples < 1:
         raise ValueError("--samples must be at least 1")
     if target in ("thm3", "all") and args.max_degree < 0:
         raise ValueError("--max-degree must be nonnegative")
+    if target in ("thm4", "all") and args.p is not None:
+        _option_check("--p", require_thm4_index, args.p)
+    if target in ("thm5", "all"):
+        if (args.s is None) != (args.t is None):
+            raise ValueError("thm5 needs both --s and --t")
+        if args.s is not None:
+            t = _option_check("--t", float, args.t)
+            _option_check("--s/--t", require_thm5_indices, args.s, t)
+            thm5_pairs = [(args.s, t)]
+        else:
+            thm5_pairs = THM5_PAIRS
+        n_range = range(args.n_min, args.fit_n_max + 1)
+        _option_check("--n-min/--fit-n-max", require_fit_window, n_range)
     fam = _family(args, ctx)
     reports = []
     if target in ("lemma1", "all"):
@@ -258,14 +283,7 @@ def _verify_reports(args, ctx: FreeGroupCtx, target: str) -> list:
                 rep.params["label"] = label
                 reports.append(rep)
     if target in ("thm5", "all"):
-        n_range = range(args.n_min, args.fit_n_max + 1)
-        if args.s is not None or args.t is not None:
-            if args.s is None or args.t is None:
-                raise ValueError("thm5 needs both --s and --t")
-            pairs = [(args.s, float(args.t))]
-        else:
-            pairs = THM5_PAIRS
-        for s, t in pairs:
+        for s, t in thm5_pairs:
             reports.append(thm5_exponent_fit(ctx, s, t, n_range))
     if target in ("pk", "all"):
         k_max = args.k_max if args.k_max is not None else 6

@@ -2,7 +2,8 @@
 
 Everything is driven by the decreasing rearrangement a_1 >= a_2 >= ...
 of |f|, stored as (value, multiplicity) runs because multiplicities are
-sphere sizes and grow exponentially.  The norm convention is
+sphere sizes and grow exponentially.  runs() builds every such
+rearrangement in the package.  The norm convention is
 
     ||f||_{p,s} = ( sum_i a_i^s (i^{s/p} - (i-1)^{s/p}) )^{1/s}
     ||f||_{p,inf} = sup_i i^{1/p} a_i
@@ -17,8 +18,8 @@ with compensated summation (relative tolerance 1e-9 across the suite).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .radial import RadialFunction
 from .words import sphere_size
@@ -64,14 +65,18 @@ class Rearrangement:
         return sum(m for _, m in self.pairs)
 
 
-def _runs_from_values(values) -> Rearrangement:
+def runs(pairs) -> list:
+    """Decreasing (|value|, multiplicity) runs of (value, multiplicity) pairs.
+
+    Pairs with equal moduli merge and zero values drop out, so the runs
+    are strictly decreasing in value, as Rearrangement requires.
+    """
     counts: dict = {}
-    for v in values:
-        a = abs(v)
-        if a:
-            counts[a] = counts.get(a, 0) + 1
-    pairs = tuple(sorted(counts.items(), key=lambda kv: kv[0], reverse=True))
-    return Rearrangement(pairs)
+    for v, m in pairs:
+        if v:
+            a = abs(v)
+            counts[a] = counts.get(a, 0) + m
+    return sorted(counts.items(), reverse=True)
 
 
 def rearrange(g) -> Rearrangement:
@@ -82,7 +87,7 @@ def rearrange(g) -> Rearrangement:
     """
     entries = getattr(g, "entries", g)
     values = entries.values() if hasattr(entries, "values") else entries
-    return _runs_from_values(values)
+    return Rearrangement(tuple(runs(Counter(values).items())))
 
 
 def rearrange_radial(f: RadialFunction) -> Rearrangement:
@@ -92,13 +97,7 @@ def rearrange_radial(f: RadialFunction) -> Rearrangement:
     from the coefficients, no enumeration, so degrees far beyond any
     enumerable ball are fine.
     """
-    counts: dict = {}
-    for n, c in enumerate(f.coeffs):
-        a = abs(c)
-        if a:
-            counts[a] = counts.get(a, 0) + sphere_size(f.ctx, n)
-    pairs = tuple(sorted(counts.items(), key=lambda kv: kv[0], reverse=True))
-    return Rearrangement(pairs)
+    return Rearrangement(tuple(runs((c, sphere_size(f.ctx, n)) for n, c in f.nonzero_items())))
 
 
 def _pow_diff(c: int, m: int, e: float) -> float:

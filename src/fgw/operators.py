@@ -19,6 +19,9 @@ come in two kinds:
   remain cheap.
 
 A float f takes D = 1 on both paths and is summed in the order of the exact values.
+Every decreasing rearrangement is built by lorentz.runs.  self_pairings
+(lemma1) and prefix_sups (r22) hold the verifiers' radial-or-explicit
+fork, so theorems only states inequalities.
 
 Pairings between the two kinds reduce to the radial side because
 convolution by a real radial function is self-adjoint.
@@ -34,7 +37,7 @@ from fractions import Fraction
 
 from . import _kernels
 from .errors import BudgetExceededError
-from .lorentz import Rearrangement, rearrange, rearrange_radial
+from .lorentz import Rearrangement, rearrange, rearrange_radial, runs
 from .radial import (
     RadialFunction,
     _denominator,
@@ -357,16 +360,6 @@ def _sphere_union_sweep(f: RadialFunction, fam: SetFamily):
         yield mask, coeffs, size
 
 
-def _scaled_runs(coeffs, mult) -> list:
-    """Decreasing (|value|, multiplicity) runs of a radial function's scaled coefficients."""
-    counts: dict = {}
-    for c, m in zip(coeffs, mult):
-        if c:
-            a = abs(c)
-            counts[a] = counts.get(a, 0) + m
-    return sorted(counts.items(), reverse=True)
-
-
 def pairing(f: RadialFunction, E: ElementSet, F: ElementSet) -> Fraction:
     """Exact <f * chi_E, chi_F>.
 
@@ -417,18 +410,56 @@ def chi_pairing_profile(E: ElementSet, F: ElementSet) -> list:
     return [Fraction(t) for t in _kernels.prod_len_hist(tk, F.keys(), ekeys_inv)]
 
 
-def _chi_product_runs(ctx: FreeGroupCtx, n: int, E: ElementSet) -> list:
-    """Decreasing (value, multiplicity) runs of chi_n * chi_E for an explicit set E.
+def _chi_sweeps(ctx: FreeGroupCtx, fam: SetFamily, top: int):
+    """Per radial candidate E: label, |E|, radii and chi_i * chi_E for i <= top.
 
-    Every value is a pair count, so the kernel's multiplicity histogram
-    is the rearrangement, and the support is never materialized.
+    One _sphere_union_sweep per sphere index i, run in lockstep.  The
+    coefficient lists of chi_i * chi_E are integers (D = 1), since the
+    structure constants are.
     """
-    keys = E.keys()
-    work = sphere_size(ctx, n) * len(keys)
-    if work > PAIR_BUDGET:
-        raise BudgetExceededError("convolution enumeration", work, PAIR_BUDGET)
-    histo = _kernels.convolve_sphere_set_value_counts(ctx.alphabet, n, keys)
-    return sorted(histo.items(), reverse=True)
+    label = _radial_candidates(fam)[1]
+    for row in zip(*(_sphere_union_sweep(chi(ctx, i), fam) for i in range(top + 1))):
+        mask, _, size = row[0]
+        yield label(mask), size, _mask_radii(mask), [coeffs for _, coeffs, _ in row]
+
+
+def self_pairings(ctx: FreeGroupCtx, fam: SetFamily, k_max: int):
+    """Yield (label, |E|, [<chi_k * chi_E, chi_E> for k <= k_max]) per candidate E, exactly.
+
+    A radial E sums (chi_k * chi_E)_r |S_r| over its spheres r; an explicit
+    E reads chi_pairing_profile(E, E), padded or cut to k_max + 1 entries.
+    """
+    if fam.kind in RADIAL_KINDS:
+        for label, size, radii, hs in _chi_sweeps(ctx, fam, k_max):
+            yield label, size, [Fraction(sum(h[r] * sphere_size(ctx, r) for r in radii)) for h in hs]
+        return
+    for E in candidate_sets(ctx, fam):
+        profile = chi_pairing_profile(E, E)[: k_max + 1]
+        yield E.label, E.size, profile + [Fraction(0)] * (k_max + 1 - len(profile))
+
+
+def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
+    """Yield (label, |E|, [sup_F <chi_n * chi_E, chi_F> / |F|^{1/2} for n <= n_max]).
+
+    Each sup is the best prefix of the runs of chi_n * chi_E, whose values
+    are integers: radial sweep coefficients, or the kernel's pair counts.
+    """
+    if fam.kind in RADIAL_KINDS:
+        mult = [sphere_size(ctx, l) for l in range(n_max + fam.radius + 1)]
+        for label, size, _, hs in _chi_sweeps(ctx, fam, n_max):
+            yield label, size, [_best_prefix(runs(zip(h, mult)), 0.5, 1)[0] for h in hs]
+        return
+    tk = ctx.alphabet
+    for E in candidate_sets(ctx, fam):
+        keys = E.keys()
+        sups = []
+        for n in range(n_max + 1):
+            work = sphere_size(ctx, n) * len(keys)
+            if work > PAIR_BUDGET:
+                raise BudgetExceededError("convolution enumeration", work, PAIR_BUDGET)
+            counts = Counter(_kernels.convolve_sphere_set(tk, n, keys).values())
+            sups.append(_best_prefix(runs(counts.items()), 0.5, 1)[0])
+        yield E.label, E.size, sups
 
 
 def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_radial):
@@ -565,13 +596,11 @@ def restricted_weak_estimate(f: RadialFunction, fam: SetFamily) -> dict:
         raise ValueError("requires nonnegative coefficients")
 
     def reduce_set(values, D, size, label):
-        # the values of f * chi_E are positive, so they are their own moduli
-        runs = sorted(Counter(values.values()).items(), reverse=True)
-        value, j = _best_prefix(runs, 0.5, D)
+        value, j = _best_prefix(runs(Counter(values.values()).items()), 0.5, D)
         return value / math.sqrt(size), label, j
 
     def score_radial(coeffs, mult, D, size):
-        value, j = _best_prefix(_scaled_runs(coeffs, mult), 0.5, D)
+        value, j = _best_prefix(runs(zip(coeffs, mult)), 0.5, D)
         return value / math.sqrt(size), j
 
     value, label, j = _estimate_over_family(f, fam, reduce_set, score_radial)

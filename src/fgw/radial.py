@@ -125,6 +125,16 @@ class RadialFunction:
         """(n, f_n) pairs over the support, in increasing n."""
         return [(n, c) for n, c in enumerate(self.coeffs) if c]
 
+    def l2_norm_squared(self):
+        """sum_n f_n^2 |S_n|, the squared l2 norm of the sphere-wise extension.
+
+        An exact f sums on integers over D^2 (see _scaled_items) and
+        returns one Fraction; a float f sums its terms in increasing n.
+        """
+        D, items = _scaled_items(self)
+        terms = (c * c * sphere_size(self.ctx, n) for n, c in items)
+        return Fraction(sum(terms), D * D) if self.is_exact() else sum(terms, 0.0)
+
     def __add__(self, other: "RadialFunction") -> "RadialFunction":
         if self.ctx != other.ctx:
             raise ValueError("mismatched group contexts")

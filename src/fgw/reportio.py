@@ -18,14 +18,15 @@ def render_number(x) -> str:
     """Canonical text form of a report number."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError("non-finite float in report")
         return "%.12g" % x
+    # Fraction last: its metaclass is ABCMeta, so this isinstance is the slow one
+    if isinstance(x, Fraction):
+        return str(x)
     raise TypeError(f"not a report number: {x!r}")
 
 
@@ -43,8 +44,6 @@ def json_dumps(obj, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, Fraction):
-        return encode_basestring(str(obj))
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -64,6 +63,9 @@ def json_dumps(obj, indent: int = 0) -> str:
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    # Fraction last, as in render_number
+    if isinstance(obj, Fraction):
+        return encode_basestring(str(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
 
 

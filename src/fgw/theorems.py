@@ -7,6 +7,13 @@ exhaustively within the declared caps; lower bounds use only certified
 estimates, so a pass is a rigorous consequence of exact arithmetic.
 Slack constants 1/15 and (2/3)^{p'} in the lower bounds absorb the gap
 between the exact structure constants and their displayed majorant.
+
+This module only states inequalities.  How a family is swept (radial
+masks or explicit enumeration) and how values are scaled to integers
+is decided in operators (self_pairings, prefix_sups, the estimators)
+and radial (convolve_radial, RadialFunction.l2_norm_squared).  The
+argument checks (require_*) are public, so the CLI can run them before
+any verifier.
 """
 
 from __future__ import annotations
@@ -19,25 +26,17 @@ from fractions import Fraction
 
 from .lorentz import lorentz_norm, rearrange_radial, radial_weighted_sum
 from .operators import (
-    RADIAL_KINDS,
     SetFamily,
-    _best_prefix,
-    _chi_product_runs,
-    _mask_radii,
-    _radial_candidates,
-    _scaled_runs,
-    _sphere_union_sweep,
-    candidate_sets,
-    chi_pairing_profile,
     column_l1_sup,
     default_radius,
+    prefix_sups,
     q_alpha_sweep,
     restricted_weak_estimate,
+    self_pairings,
     weak_estimate_21_to_2,
 )
 from .radial import (
     RadialFunction,
-    _scaled_items,
     a_functional,
     chi,
     conjecture_functional,
@@ -218,14 +217,10 @@ def verify_thm1(f: RadialFunction, fam: SetFamily) -> VerificationReport:
         4 * a_val if isinstance(a_val, Fraction) else 4.0 * a_val,
         note="squared estimate at the family's best set vs 4*A(f)",
     )
-    exact = f.is_exact()
     best = None
     d = f.degree
     for m in range(2 * d, 2 * d + 5):
-        # exact: the squares summed on integers over D^2, one Fraction per m
-        D, items = _scaled_items(convolve_radial(f, chi(ctx, m)))
-        sq = sum((c * c * sphere_size(ctx, n) for n, c in items), 0 if exact else 0.0)
-        val = Fraction(sq, D * D * sphere_size(ctx, m)) if exact else sq / sphere_size(ctx, m)
+        val = convolve_radial(f, chi(ctx, m)).l2_norm_squared() / sphere_size(ctx, m)
         report.info(f"thm1:chain:m={m}", value=float(val))
         if best is None or val > best:
             best = val
@@ -237,19 +232,6 @@ def verify_thm1(f: RadialFunction, fam: SetFamily) -> VerificationReport:
         note="max_m ||f*chi_m||_2^2/|S_m| vs A(f)/15",
     )
     return report
-
-
-def _chi_sweeps(ctx: FreeGroupCtx, fam: SetFamily, top: int):
-    """Per radial candidate E: label, |E|, radii and chi_i * chi_E for i <= top.
-
-    One _sphere_union_sweep per sphere index i, run in lockstep.  The
-    coefficient lists of chi_i * chi_E are integers (D = 1), since the
-    structure constants are.
-    """
-    label = _radial_candidates(fam)[1]
-    for row in zip(*(_sphere_union_sweep(chi(ctx, i), fam) for i in range(top + 1))):
-        mask, _, size = row[0]
-        yield label(mask), size, _mask_radii(mask), [coeffs for _, coeffs, _ in row]
 
 
 def verify_lemma1(ctx: FreeGroupCtx, fam: SetFamily, k_max: int) -> VerificationReport:
@@ -266,19 +248,8 @@ def verify_lemma1(ctx: FreeGroupCtx, fam: SetFamily, k_max: int) -> Verification
             "budget": fam.budget,
         },
     )
-    if fam.kind in RADIAL_KINDS:
-        # <chi_k * chi_E, chi_E> = sum over r in E of (chi_k * chi_E)_r |S_r|
-        candidates = (
-            (label, size, [Fraction(sum(h[r] * sphere_size(ctx, r) for r in radii)) for h in hs])
-            for label, size, radii, hs in _chi_sweeps(ctx, fam, k_max)
-        )
-    else:
-        candidates = (
-            (E.label, E.size, chi_pairing_profile(E, E)) for E in candidate_sets(ctx, fam)
-        )
-    for label, size, profile in candidates:
-        for k in range(k_max + 1):
-            lhs = profile[k] if k < len(profile) else Fraction(0)
+    for label, size, profile in self_pairings(ctx, fam, k_max):
+        for k, lhs in enumerate(profile):
             report.check_le(f"lemma1:k={k}:E={label}", lhs, 2 * q ** (k // 2) * size)
     return report
 
@@ -301,22 +272,7 @@ def verify_r22(ctx: FreeGroupCtx, fam: SetFamily, n_max: int) -> VerificationRep
             "budget": fam.budget,
         },
     )
-    if fam.kind in RADIAL_KINDS:
-        mult = [sphere_size(ctx, l) for l in range(n_max + fam.radius + 1)]
-        candidates = (
-            (label, size, [_best_prefix(_scaled_runs(h, mult), 0.5, 1)[0] for h in hs])
-            for label, size, _, hs in _chi_sweeps(ctx, fam, n_max)
-        )
-    else:
-        candidates = (
-            (
-                E.label,
-                E.size,
-                [_best_prefix(_chi_product_runs(ctx, n, E), 0.5, 1)[0] for n in range(n_max + 1)],
-            )
-            for E in candidate_sets(ctx, fam)
-        )
-    for label, size, sups in candidates:
+    for label, size, sups in prefix_sups(ctx, fam, n_max):
         for n, sup_f in enumerate(sups):
             rhs = 2.0 * float(q) ** (1.5 + 0.5 * n) * math.sqrt(size)
             report.check_le(f"r22:n={n}:E={label}", sup_f, rhs, note="sup over F solved exactly")
@@ -436,6 +392,12 @@ def thm3_equivalence_report(
     return report
 
 
+def require_thm4_index(p: float) -> None:
+    """thm4's chain is stated for 1 < p < 2."""
+    if not 1 < p < 2:
+        raise ValueError("p must lie in (1, 2)")
+
+
 def thm4_lower_chain(f: RadialFunction, p: float, rel_tol: float = 1e-9) -> VerificationReport:
     """q^{-n} ||f * chi_n||_{p'}^{p'} >= (2/3)^{p'} sum_{l<=n} q^{lp'/p} f_l^{p'}.
 
@@ -443,8 +405,7 @@ def thm4_lower_chain(f: RadialFunction, p: float, rel_tol: float = 1e-9) -> Veri
     n >= deg f the right side equals the p-weighted sum, so the chain
     certifies the estimator >= (2/3) * radial_weighted_sum(f, p).
     """
-    if not 1 < p < 2:
-        raise ValueError("p must lie in (1, 2)")
+    require_thm4_index(p)
     if not f.is_nonnegative():
         raise ValueError("requires nonnegative coefficients")
     ctx = f.ctx
@@ -482,6 +443,20 @@ def thm4_lower_chain(f: RadialFunction, p: float, rel_tol: float = 1e-9) -> Veri
     return report
 
 
+def require_thm5_indices(s: float, t: float) -> None:
+    """thm5's exponent is stated for 1 <= s <= 2 <= t."""
+    if not (1 <= s <= 2 and 2 <= t):
+        raise ValueError("need 1 <= s <= 2 <= t")
+
+
+def require_fit_window(n_range) -> list:
+    """The fitted n as a list; a log-log fit needs at least 8 of them."""
+    ns = [int(n) for n in n_range]
+    if len(ns) < 8:
+        raise ValueError("degenerate fit: needs at least 8 points")
+    return ns
+
+
 def thm5_exponent_fit(
     ctx: FreeGroupCtx, s: float, t: float, n_range=range(4, 41)
 ) -> VerificationReport:
@@ -491,11 +466,8 @@ def thm5_exponent_fit(
     log-log slope of the q^{n/2}-normalized ratio must land within 0.15
     of 1 - 1/s + 1/t.  Entirely on the radial fast path.
     """
-    if not (1 <= s <= 2 and 2 <= t):
-        raise ValueError("need 1 <= s <= 2 <= t")
-    ns = [int(n) for n in n_range]
-    if len(ns) < 8:
-        raise ValueError("degenerate fit: needs at least 8 points")
+    require_thm5_indices(s, t)
+    ns = require_fit_window(n_range)
     q = float(ctx.q)
     expected = 1.0 - 1.0 / s + (0.0 if math.isinf(t) else 1.0 / t)
     report = VerificationReport(

@@ -10,6 +10,8 @@ Core claims:
       the radius the old column scan was capped at
     - usage errors, malformed literals, degenerate fits, --samples 0,
       --max-degree -1 and the removed --threads option exit 2
+    - bad --samples, --max-degree, --p, --s, --t and fit windows exit 2
+      with a message naming the option, before any verifier runs
     - a ball-subsets family past its budget exits 2 and states its need as
       a power of two, however large the ball
     - thm5 with an infinite target index reports it as "inf"
@@ -282,6 +284,47 @@ def test_verify_zero_samples_is_a_usage_error(capsys, monkeypatch):
             assert code == 2
             assert err.startswith("error:")
             assert option in err
+
+
+VERIFIERS = (
+    "verify_lemma1",
+    "verify_thm1",
+    "verify_r22",
+    "thm3_equivalence_report",
+    "thm4_lower_chain",
+    "thm5_exponent_fit",
+    "verify_p_columns",
+    "verify_q_columns",
+    "verify_display_majorization",
+)
+
+
+@pytest.mark.parametrize(
+    "targets, args, option",
+    [
+        (("thm4", "all"), ["--p", "2"], "--p"),
+        (("thm5", "all"), ["--s", "3", "--t", "2"], "--s"),
+        (("thm5", "all"), ["--s", "1", "--t", "x"], "--t"),
+        (("thm5", "all"), ["--s", "1"], "--t"),
+        (("thm5", "all"), ["--n-min", "38"], "--n-min"),
+    ],
+)
+def test_verify_usage_errors_fire_before_any_verifier(capsys, monkeypatch, targets, args, option):
+    import fgw.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a verifier ran before the usage check")
+
+    # `all` runs lemma1, thm1, r22 and thm3 before thm4 and thm5
+    for name in VERIFIERS:
+        monkeypatch.setattr(fgw.cli, name, no_work)
+    for target in targets:
+        code = main(["verify", target, *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert option in captured.err
 
 
 def _significant_digits(token: str) -> int:

@@ -6,7 +6,8 @@ Core claims:
     - mul/inv/len on keys agree with the ReducedWord layer
     - prod_len_hist matches a brute-force double loop over ReducedWord mul
     - convolve_sphere_set matches brute force and conserves total mass
-    - convolve_sphere_set_value_counts is the histogram of those counts
+      (r22 reads its rearrangement off these counts; test_theorems checks
+      that against best_F_ratio of left_convolve)
     - sphere_len_hists rows are per-x product-length histograms
 """
 
@@ -100,21 +101,6 @@ def test_convolve_sphere_set_matches_brute_force():
         got = _kernels.convolve_sphere_set(tk, n, xs)
         assert got == dict(want)
         assert sum(got.values()) == len(xs) * len(list(sphere_stream(ctx, n)))
-
-
-def test_convolve_value_counts_matches_full_map():
-    ctx = FreeGroupCtx(2)
-    tk = ctx.alphabet
-    rng = random.Random(5)
-    for trial in range(6):
-        xs = _sample_keys(ctx, rng, rng.randint(1, 25), 5)
-        n = rng.randint(0, 5)
-        full = _kernels.convolve_sphere_set(tk, n, xs)
-        want = dict(Counter(full.values()))
-        got = _kernels.convolve_sphere_set_value_counts(tk, n, xs)
-        assert got == want
-        total = sum(c * t for c, t in got.items())
-        assert total == len(xs) * len(list(sphere_stream(ctx, n)))
 
 
 def test_sphere_len_hists_rows():

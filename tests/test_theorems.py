@@ -7,23 +7,36 @@ Core claims:
     - a vanishing left side reports the right side as its margin
     - the weak-type upper/lower certificate passes on sample functions
     - lemma1, r22, thm3, thm4, thm5, column, and majorization verifiers pass
-    - on spheres, balls and sphere unions, lemma1 and r22 rows equal their
-      per-set Fraction oracles, under any budget and index range
+    - on spheres, balls, sphere unions, ball subsets and random subsets,
+      lemma1 and r22 rows equal their per-set Fraction oracles, under any
+      budget and index range, the empty set included
+    - theorems states inequalities only: it imports no private name of
+      operators or radial and leaves the family fork to operators
     - the thm4 chain matches a hand-computed case exactly
     - the alpha = n column row documents the expected failure for n >= 4
     - thm5 refuses degenerate fit windows
     - float thm4 and thm5 chains keep their values to the last place
 """
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgw.lorentz import rearrange_radial
-from fgw.operators import SetFamily, best_F_ratio, candidate_sets, pairing
+import fgw.theorems
+from fgw.operators import (
+    FunctionOnGroup,
+    SetFamily,
+    best_F_ratio,
+    candidate_sets,
+    left_convolve,
+    pairing,
+)
 from fgw.radial import RadialFunction, chi, convolve_radial
 from fgw.reportio import CSV_HEADER
 from fgw.theorems import (
@@ -41,7 +54,7 @@ from fgw.theorems import (
     verify_r22,
     verify_thm1,
 )
-from fgw.words import FreeGroupCtx
+from fgw.words import FreeGroupCtx, ball_size
 
 CTX = FreeGroupCtx(2)
 
@@ -166,8 +179,18 @@ def test_verify_r22_small():
 
 
 @st.composite
-def _radial_verifier_cases(draw):
-    kind = draw(st.sampled_from(["spheres", "balls", "sphere-unions"]))
+def _verifier_cases(draw):
+    kind = draw(
+        st.sampled_from(["spheres", "balls", "sphere-unions", "ball-subsets", "random-subsets"])
+    )
+    if kind == "ball-subsets":
+        # every subset of the ball, the empty sub0 included, fits the budget
+        radius = draw(st.integers(0, 1))
+        count = 2 ** ball_size(CTX, radius)
+        return SetFamily(kind, radius, draw(st.integers(count, count + 40))), draw(st.integers(-1, 6))
+    if kind == "random-subsets":
+        fam = SetFamily(kind, draw(st.integers(0, 2)), draw(st.integers(1, 8)), draw(st.integers(0, 99)))
+        return fam, draw(st.integers(-1, 6))
     radius = draw(st.integers(0, 5))
     # budgets on both sides of the candidate count
     count = 2 ** (radius + 1) - 1 if kind == "sphere-unions" else radius + 1
@@ -175,8 +198,16 @@ def _radial_verifier_cases(draw):
     return SetFamily(kind, radius, budget), draw(st.integers(-1, 6))
 
 
+def _chi_product(n, E):
+    """chi_n * chi_E: radial in the radial algebra, explicit by enumeration."""
+    if E.is_radial:
+        return rearrange_radial(convolve_radial(chi(CTX, n), E.indicator_radial()))
+    indicator = FunctionOnGroup(CTX, dict.fromkeys(E.iter_words(), Fraction(1)))
+    return left_convolve(chi(CTX, n), indicator)
+
+
 @settings(max_examples=40, deadline=None)
-@given(_radial_verifier_cases())
+@given(_verifier_cases())
 def test_radial_lemma1_and_r22_match_fraction_oracles(case):
     fam, top = case
     q = CTX.q
@@ -193,7 +224,7 @@ def test_radial_lemma1_and_r22_match_fraction_oracles(case):
     assert [(c["id"], c["lhs"], c["rhs"]) for c in r22.checks] == [
         (
             f"r22:n={n}:E={E.label}",
-            best_F_ratio(rearrange_radial(convolve_radial(chi(CTX, n), E.indicator_radial())), 2.0)[0],
+            best_F_ratio(_chi_product(n, E), 2.0)[0],
             2.0 * float(q) ** (1.5 + 0.5 * n) * math.sqrt(E.size),
         )
         for E in sets
@@ -343,3 +374,19 @@ def test_sample_radial_is_nonzero_nonnegative():
         assert f.degree <= 6
     with pytest.raises(ValueError, match="max_degree"):
         sample_radial(CTX, rng, -1)
+
+
+def test_theorems_only_states_inequalities():
+    # the family fork (radial sweep or explicit enumeration) and the
+    # integer scaling live in operators and radial, behind public names
+    source = Path(fgw.theorems.__file__).read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("operators", "radial")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+    assert "RADIAL_KINDS" not in source
