@@ -27,6 +27,7 @@ from .theorems import (
     build_thm1_suite,
     conjecture_scan,
     require_fit_window,
+    require_nonnegative,
     require_thm4_index,
     require_thm5_indices,
     thm3_equivalence_report,
@@ -244,16 +245,19 @@ def _verify_reports(args, ctx: FreeGroupCtx, target: str) -> list:
             thm5_pairs = THM5_PAIRS
         n_range = range(args.n_min, args.fit_n_max + 1)
         _option_check("--n-min/--fit-n-max", require_fit_window, n_range)
+    if target in ("thm1", "thm4", "all"):
+        if args.f is not None:
+            f = _option_check("--f", parse_radial_literal, ctx, args.f)
+            _option_check("--f", require_nonnegative, f)
+            suite = [("f", f)]
+        else:
+            suite = build_thm1_suite(ctx, seed=args.seed)
     fam = _family(args, ctx)
     reports = []
     if target in ("lemma1", "all"):
         k_max = args.k_max if args.k_max is not None else 8
         reports.append(verify_lemma1(ctx, fam, k_max))
     if target in ("thm1", "all"):
-        if args.f is not None:
-            suite = [("f", parse_radial_literal(ctx, args.f))]
-        else:
-            suite = build_thm1_suite(ctx, seed=args.seed)
         for label, f in suite:
             rep = verify_thm1(f, fam)
             rep.params["label"] = label
@@ -272,10 +276,6 @@ def _verify_reports(args, ctx: FreeGroupCtx, target: str) -> list:
             )
         )
     if target in ("thm4", "all"):
-        if args.f is not None:
-            suite = [("f", parse_radial_literal(ctx, args.f))]
-        else:
-            suite = build_thm1_suite(ctx, seed=args.seed)
         ps = [args.p] if args.p is not None else [1.25, 1.5, 1.75]
         for p in ps:
             for label, f in suite:

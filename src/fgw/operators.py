@@ -15,8 +15,10 @@ come in two kinds:
 * radial sets (unions of spheres) stay inside the radial algebra.  The
   radial families are masks over the spheres S_0 .. S_radius, and one
   integer sweep (_sphere_union_sweep) builds f * chi_E for every mask
-  from the columns f * chi_r, so radii far beyond any enumerable ball
-  remain cheap.
+  from the columns D (f * chi_r), so radii far beyond any enumerable
+  ball remain cheap.  The columns come straight from the radial
+  algebra's one product loop (radial._product_sums) on f's integer
+  form, as integers, never as Fractions.
 
 A float f takes D = 1 on both paths and is summed in the order of the exact values.
 Every decreasing rearrangement is built by lorentz.runs.  self_pairings
@@ -41,6 +43,7 @@ from .lorentz import Rearrangement, rearrange, rearrange_radial, runs
 from .radial import (
     RadialFunction,
     _denominator,
+    _product_sums,
     _scaled_items,
     chi,
     convolve_radial,
@@ -228,11 +231,17 @@ def _radial_candidates(fam: SetFamily):
     return range(1, min(2 << fam.radius, fam.budget + 1)), _union_label
 
 
-def _ball_keys(ctx: FreeGroupCtx, radius: int) -> list:
-    """Keys of the ball B_radius in (length, lex) order, capped at SPHERE_CAP."""
+def _capped_ball_size(ctx: FreeGroupCtx, radius: int) -> int:
+    """|B_radius|, or BudgetExceededError when the ball exceeds SPHERE_CAP."""
     size = ball_size(ctx, radius)
     if size > SPHERE_CAP:
         raise BudgetExceededError("ball enumeration", size, SPHERE_CAP)
+    return size
+
+
+def _ball_keys(ctx: FreeGroupCtx, radius: int) -> list:
+    """Keys of the ball B_radius in (length, lex) order, capped at SPHERE_CAP."""
+    _capped_ball_size(ctx, radius)
     tk = ctx.alphabet
     return [key for n in range(radius + 1) for key in _kernels.iter_sphere_keys(tk, n)]
 
@@ -264,6 +273,13 @@ def candidate_sets(ctx: FreeGroupCtx, fam: SetFamily):
         raise ValueError("greedy family is adaptive; use the estimator entry points")
 
 
+def _check_convolution_work(ctx: FreeGroupCtx, scaled, set_size: int) -> None:
+    """Budget check for f * chi_X with |X| = set_size: sum_n |S_n| |X| pairs."""
+    work = sum(sphere_size(ctx, n) for n, _ in scaled) * set_size
+    if work > PAIR_BUDGET:
+        raise BudgetExceededError("convolution enumeration", work, PAIR_BUDGET)
+
+
 def _convolve_value_counts(ctx: FreeGroupCtx, scaled, keys) -> dict:
     """Sparse key -> D * value map of f * chi_X for an explicit key list X.
 
@@ -271,9 +287,7 @@ def _convolve_value_counts(ctx: FreeGroupCtx, scaled, keys) -> dict:
     accumulated in n ascending, then in the kernel's z order.
     """
     tk = ctx.alphabet
-    work = sum(sphere_size(ctx, n) for n, _ in scaled) * len(keys)
-    if work > PAIR_BUDGET:
-        raise BudgetExceededError("convolution enumeration", work, PAIR_BUDGET)
+    _check_convolution_work(ctx, scaled, len(keys))
     out: dict = {}
     for n, fn in scaled:
         for zkey, count in _kernels.convolve_sphere_set(tk, n, keys).items():
@@ -326,26 +340,38 @@ def embed(f: RadialFunction) -> FunctionOnGroup:
     return FunctionOnGroup(ctx, entries)
 
 
+def _sphere_columns(f: RadialFunction, radius: int) -> list:
+    """The columns D (f * chi_r) for r = 0 .. radius, D = _denominator(f).
+
+    Each column is one run of the radial product loop on f's integer
+    form against chi_r, so an exact f gives integers directly; a float f
+    gives the floats of convolve_radial(f, chi_r).  Every column has
+    length deg f + radius + 1, zero-padded.
+    """
+    _, fs = _scaled_items(f)
+    q = f.ctx.q
+    top = f.degree + radius + 1
+    cols = [_product_sums(q, fs, ((r, 1),), top) for r in range(radius + 1)]
+    if not f.is_exact():
+        cols = [[float(c) for c in col] for col in cols]
+    return cols
+
+
 def _sphere_union_sweep(f: RadialFunction, fam: SetFamily):
     """Yield (mask, coeffs, |E|) for each candidate of a radial family.
 
     coeffs[n] / D, with D = _denominator(f), is the coefficient of
     chi_n in f * chi_E: integers for an exact f, floats (D = 1) for a
     float f.  A radial indicator is a sum of chi_r, so the columns
-    f * chi_r are computed once and each candidate's coefficients are
-    its parent's (the mask without its highest bit) plus one column;
-    radii are summed in ascending order.  All coeffs lists share one
-    length, at most deg f + radius + 1.
+    D (f * chi_r) are built once by _sphere_columns, on integers with no
+    Fraction in between, and each candidate's coefficients are its
+    parent's (the mask without its highest bit) plus one column; radii
+    are summed in ascending order.  All coeffs lists share one length,
+    deg f + radius + 1.
     """
     ctx = f.ctx
-    D = _denominator(f)
-    cols = [convolve_radial(f, chi(ctx, r)).coeffs for r in range(fam.radius + 1)]
-    if f.is_exact():
-        cols = [[c.numerator * (D // c.denominator) for c in col] for col in cols]
-    else:
-        cols = [[float(c) for c in col] for col in cols]
+    cols = _sphere_columns(f, fam.radius)
     top = len(cols[-1])
-    cols = [col + [0] * (top - len(col)) for col in cols]
     # sums[mask] = (coeffs, |E|); mask 0 is the empty set, and masks
     # holding the top radius are never parents, so they are not kept
     sums = {0: ([0] * top, 0)}
@@ -490,8 +516,16 @@ def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_r
     def objective(E: ElementSet):
         return reduce_set(_convolve_value_counts(ctx, scaled, E.keys()), D, E.size, E.label)
 
+    # the first candidate's work is known before the ball is built: one
+    # word for greedy, the first seeded draw for random-subsets (replayed
+    # here on its own generator); the ball's SPHERE_CAP check stays first
     if fam.kind == "greedy":
+        _capped_ball_size(ctx, fam.radius)
+        _check_convolution_work(ctx, scaled, 1)
         return _greedy_search(objective, ctx, fam)
+    if fam.kind == "random-subsets":
+        size = _capped_ball_size(ctx, fam.radius)
+        _check_convolution_work(ctx, scaled, random.Random(fam.seed).randint(1, size))
     best = None
     for E in candidate_sets(ctx, fam):
         if E.size > 0:

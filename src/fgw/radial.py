@@ -12,12 +12,15 @@ Coefficients are exact rationals by default.  Float coefficients are
 accepted (needed for families like f_n = q^{-n/2}); any arithmetic that
 touches them degrades to floating point and is documented as such.
 
-convolve_radial runs an exact product on integers: f and g are scaled
-once by their common denominators Df and Dg, the terms Df f_n Dg g_m
-c(n, m, l) are summed as integers, and each coefficient becomes one
-Fraction over Df Dg.  A product with a float coefficient keeps the plain
-loop's arithmetic, term by term in the same (n, m, l) order, so its
-floats do not move in the last place.  Each pair (n, m) reads its
+An exact f has one integer form: its common denominator D and the
+pairs (n, D f_n) over its support (_scaled_items), computed once per
+instance, as is its exactness.  Every product in the package runs one
+loop, _product_sums, over such pairs: convolve_radial feeds it Df f and
+Dg g and makes each coefficient one Fraction over Df Dg, and the
+sphere-union sweep (operators) feeds it D f and chi_r and keeps the
+integers.  A product with a float coefficient runs the same loop on the
+coefficients as they are, term by term in the same (n, m, l) order, so
+its floats do not move in the last place.  Each pair (n, m) reads its
 structure constants as one row (_product_row), which is also the one
 closed form behind structure_constant.
 """
@@ -84,14 +87,20 @@ def paper_display_coefficient(ctx: FreeGroupCtx, n: int, m: int, l: int) -> int:
 
 
 def _as_coeff(x):
-    if isinstance(x, (float, Fraction)):
+    # exact type tests first: Fraction's metaclass is ABCMeta, so its isinstance is slow
+    if type(x) is Fraction or type(x) is float or isinstance(x, (float, Fraction)):
         return x
     return Fraction(x)
 
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """Finitely supported radial function sum_n coeffs[n] * chi_n."""
+    """Finitely supported radial function sum_n coeffs[n] * chi_n.
+
+    Immutable: its exactness is fixed in __post_init__ and its integer
+    form (_scaled_items) is computed on first use and kept.  Neither is
+    a field, so equality and hashing read ctx and coeffs only.
+    """
 
     ctx: FreeGroupCtx
     coeffs: tuple
@@ -101,6 +110,9 @@ class RadialFunction:
         while vals and not vals[-1]:
             vals.pop()
         object.__setattr__(self, "coeffs", tuple(vals))
+        # every value is now a Fraction or a float
+        object.__setattr__(self, "_exact", not any(isinstance(c, float) for c in vals))
+        object.__setattr__(self, "_scaled", None)
 
     @property
     def degree(self) -> int:
@@ -119,7 +131,7 @@ class RadialFunction:
         return all(c >= 0 for c in self.coeffs)
 
     def is_exact(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.coeffs)
+        return self._exact
 
     def nonzero_items(self):
         """(n, f_n) pairs over the support, in increasing n."""
@@ -154,8 +166,13 @@ class RadialFunction:
         return format_radial_literal(self)
 
 
+@lru_cache(maxsize=None)
 def chi(ctx: FreeGroupCtx, n: int) -> RadialFunction:
-    """Indicator of the sphere of radius n, the algebra's basis vector."""
+    """Indicator of the sphere of radius n, the algebra's basis vector.
+
+    Memoized: RadialFunction is immutable, so one instance per (ctx, n)
+    is shared, integer form included.
+    """
     if n < 0:
         raise ValueError("sphere index must be nonnegative")
     return RadialFunction(ctx, (0,) * n + (1,))
@@ -183,48 +200,63 @@ def format_radial_literal(f: RadialFunction) -> str:
 
 def _denominator(f: RadialFunction) -> int:
     """Common denominator D of an exact f, so D f is integral; 1 for a float f."""
-    return math.lcm(*(c.denominator for c in f.coeffs)) if f.is_exact() else 1
+    return _scaled_items(f)[0]
 
 
 def _scaled_items(f: RadialFunction):
     """D = _denominator(f) and the (n, D * f_n) pairs over the support of f.
 
     For an exact f the scaled coefficients are integers; a float f keeps
-    its coefficients as they are (D = 1).
+    its coefficients as they are (D = 1).  Computed once per instance;
+    the pairs are a tuple, shared by every caller.
     """
-    D = _denominator(f)
-    if not f.is_exact():
-        return D, f.nonzero_items()
-    return D, [(n, c.numerator * (D // c.denominator)) for n, c in f.nonzero_items()]
+    if f._scaled is None:
+        if f.is_exact():
+            D = math.lcm(*(c.denominator for c in f.coeffs))
+            items = tuple((n, c.numerator * (D // c.denominator)) for n, c in f.nonzero_items())
+        else:
+            D, items = 1, tuple(f.nonzero_items())
+        object.__setattr__(f, "_scaled", (D, items))
+    return f._scaled
+
+
+def _product_sums(q: int, fs, gs, length: int) -> list:
+    """out[l] = sum over (n, f_n) in fs, (m, g_m) in gs of f_n g_m c(n, m, l).
+
+    The one product loop of the algebra.  Each out[l] receives its terms
+    in (n, m) order, starting from int 0, in the arithmetic of the
+    inputs: integers stay integers, and floats round as a plain
+    term-by-term loop would.  length must exceed every n + m.
+    """
+    out = [0] * length
+    for n, fn in fs:
+        for m, gm in gs:
+            w = fn * gm
+            row = _product_row(q, n if n < m else m, n == m)
+            lo, hi = abs(n - m), n + m + 1
+            out[lo:hi:2] = [o + w * c for o, c in zip(out[lo:hi:2], row)]
+    return out
 
 
 def convolve_radial(f: RadialFunction, g: RadialFunction) -> RadialFunction:
     """Product f * g via the structure constants.
 
-    Exact f and g: Df f and Dg g are integral (Df, Dg their common
-    denominators), Df Dg (f * g)_l is accumulated on integers and each
-    coefficient is one Fraction over Df Dg.  With any float coefficient
-    the coefficients are multiplied and summed as they are, in the same
-    (n, m, l) order, so the result rounds exactly as the plain loop does.
+    Exact f and g: _product_sums runs on Df f and Dg g (Df, Dg their
+    common denominators) and each coefficient is one Fraction over
+    Df Dg.  With any float coefficient it runs on the coefficients as
+    they are, so the result rounds exactly as the plain loop does.
     """
     if f.ctx != g.ctx:
         raise ValueError("mismatched group contexts")
     if f.is_zero() or g.is_zero():
         return RadialFunction(f.ctx, ())
-    q = f.ctx.q
     exact = f.is_exact() and g.is_exact()
     if exact:
         Df, fs = _scaled_items(f)
         Dg, gs = _scaled_items(g)
     else:
         fs, gs = f.nonzero_items(), g.nonzero_items()
-    out = [0] * (f.degree + g.degree + 1)
-    for n, fn in fs:
-        for m, gm in gs:
-            w = fn * gm
-            row = _product_row(q, n if n < m else m, n == m)
-            for l, c in zip(range(abs(n - m), n + m + 1, 2), row):
-                out[l] = out[l] + w * c
+    out = _product_sums(f.ctx.q, fs, gs, f.degree + g.degree + 1)
     if exact:
         D = Df * Dg
         out = [Fraction(v, D) for v in out]

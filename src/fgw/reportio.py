@@ -14,6 +14,12 @@ from fractions import Fraction
 from json.encoder import encode_basestring
 
 
+def _render_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError("non-finite float in report")
+    return "%.12g" % x
+
+
 def render_number(x) -> str:
     """Canonical text form of a report number."""
     if isinstance(x, bool):
@@ -21,9 +27,7 @@ def render_number(x) -> str:
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError("non-finite float in report")
-        return "%.12g" % x
+        return _render_float(x)
     # Fraction last: its metaclass is ABCMeta, so this isinstance is the slow one
     if isinstance(x, Fraction):
         return str(x)
@@ -37,9 +41,21 @@ def json_dumps(obj, indent: int = 0) -> str:
     \\n, \\r and \\t as two-character escapes, other control characters
     as \\u00xx, everything else, non-ASCII included, verbatim.  (It also
     writes \\b and \\f as short escapes; no report string holds either.)
+
+    The exact types that fill reports (float, str, dict, list, tuple)
+    are tested first by identity; anything else (None, bool, int,
+    Fraction, subclasses) takes the isinstance chain below, in which
+    Fraction comes last because its metaclass is ABCMeta.
     """
-    pad = " " * indent
-    inner = " " * (indent + 2)
+    t = type(obj)
+    if t is float:
+        return _render_float(obj)
+    if t is str:
+        return encode_basestring(obj)
+    if t is dict:
+        return _dumps_dict(obj, indent)
+    if t is list or t is tuple:
+        return _dumps_list(obj, indent)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -51,22 +67,32 @@ def json_dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return encode_basestring(obj)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [inner + json_dumps(x, indent + 2) for x in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        return _dumps_list(obj, indent)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            inner + encode_basestring(str(k)) + ": " + json_dumps(v, indent + 2)
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return _dumps_dict(obj, indent)
     # Fraction last, as in render_number
     if isinstance(obj, Fraction):
         return encode_basestring(str(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
+
+
+def _dumps_list(obj, indent: int) -> str:
+    if not obj:
+        return "[]"
+    inner = " " * (indent + 2)
+    items = [inner + json_dumps(x, indent + 2) for x in obj]
+    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+
+
+def _dumps_dict(obj, indent: int) -> str:
+    if not obj:
+        return "{}"
+    inner = " " * (indent + 2)
+    items = [
+        inner + encode_basestring(str(k)) + ": " + json_dumps(v, indent + 2)
+        for k, v in obj.items()
+    ]
+    return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
 
 
 def write_json(stream, objects) -> None:

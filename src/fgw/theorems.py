@@ -184,6 +184,12 @@ def _fmt(x) -> str:
     return "%.12g" % float(x)
 
 
+def require_nonnegative(f: RadialFunction) -> None:
+    """thm1 and thm4 are stated for nonnegative f."""
+    if not f.is_nonnegative():
+        raise ValueError("requires nonnegative coefficients")
+
+
 def verify_thm1(f: RadialFunction, fam: SetFamily) -> VerificationReport:
     """Two-sided weak-type (2,2) certificate against A(f).
 
@@ -192,8 +198,7 @@ def verify_thm1(f: RadialFunction, fam: SetFamily) -> VerificationReport:
     dominates every tested set).  Lower: the sphere chain at radii
     m = 2 deg f .. 2 deg f + 4 reaches at least A(f)/15.
     """
-    if not f.is_nonnegative():
-        raise ValueError("requires nonnegative coefficients")
+    require_nonnegative(f)
     ctx = f.ctx
     report = VerificationReport(
         "thm1",
@@ -406,8 +411,7 @@ def thm4_lower_chain(f: RadialFunction, p: float, rel_tol: float = 1e-9) -> Veri
     certifies the estimator >= (2/3) * radial_weighted_sum(f, p).
     """
     require_thm4_index(p)
-    if not f.is_nonnegative():
-        raise ValueError("requires nonnegative coefficients")
+    require_nonnegative(f)
     ctx = f.ctx
     q = float(ctx.q)
     pp = p / (p - 1.0)

@@ -16,6 +16,7 @@ printed or passed through the public API.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import _kernels
@@ -145,12 +146,17 @@ def inverse(x: ReducedWord) -> ReducedWord:
 
 
 def sphere_size(ctx: FreeGroupCtx, n: int) -> int:
-    """|S_n| = 2k(2k-1)^(n-1) for n >= 1, exactly."""
+    """|S_n| = 2k(2k-1)^(n-1) for n >= 1, exactly; memoized on (k, n)."""
+    return _sphere_size(ctx.k, n)
+
+
+@lru_cache(maxsize=None)
+def _sphere_size(k: int, n: int) -> int:
     if n < 0:
         raise ValueError("sphere radius must be >= 0")
     if n == 0:
         return 1
-    return (ctx.q + 1) * ctx.q ** (n - 1)
+    return 2 * k * (2 * k - 1) ** (n - 1)
 
 
 def ball_size(ctx: FreeGroupCtx, radius: int) -> int:

@@ -10,10 +10,14 @@ Core claims:
       the radius the old column scan was capped at
     - usage errors, malformed literals, degenerate fits, --samples 0,
       --max-degree -1 and the removed --threads option exit 2
-    - bad --samples, --max-degree, --p, --s, --t and fit windows exit 2
-      with a message naming the option, before any verifier runs
+    - bad --samples, --max-degree, --p, --s, --t, --f and fit windows
+      exit 2 with a message naming the option, before any verifier runs
+    - verify all leaves the chi, sphere_size and product-row caches holding
+      only the indices it used, so repeated runs do not grow them
     - a ball-subsets family past its budget exits 2 and states its need as
       a power of two, however large the ball
+    - random-subsets and greedy searches past the pair budget exit 2
+      before the ball is enumerated; an oversized ball still reports first
     - thm5 with an infinite target index reports it as "inf"
     - CSV params render numbers canonically, at most 12 significant digits
     - JSON strings escape '"', backslash, \n, \t, \r and other control
@@ -22,6 +26,7 @@ Core claims:
       unwritable --output exits 2 before any verifier runs
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -36,6 +41,7 @@ import pytest
 import fgw
 from fgw.cli import main
 from fgw.reportio import json_dumps
+from fgw.words import FreeGroupCtx
 
 RUNNER = "import sys; from fgw.cli import main; sys.exit(main())"
 # the child imports the same fgw as the tests, installed or not
@@ -151,6 +157,35 @@ def test_ball_subsets_over_budget_exits_2():
     assert proc.stderr == (
         "error: budget exceeded: subset enumeration needs 2^39365, cap is 1000\n"
     )
+
+
+@pytest.mark.parametrize(
+    "args, need",
+    [
+        # |S_1| times the first seeded draw, 6463344 of the 9565937 words of B_14
+        (["--f", "0,1", "--family", "random-subsets", "--radius", "14", "--budget", "1"],
+         "convolution enumeration needs 25853376, cap is 20000000"),
+        # |S_16| times one word
+        (["--f", "0," * 16 + "1", "--family", "greedy", "--radius", "2"],
+         "convolution enumeration needs 57395628, cap is 20000000"),
+        # the ball's own cap still comes first
+        (["--f", "0,1", "--family", "random-subsets", "--radius", "15"],
+         "ball enumeration needs 28697813, cap is 10000000"),
+    ],
+    ids=["random-subsets", "greedy", "ball-cap-first"],
+)
+def test_explicit_search_budget_fires_before_the_ball_is_built(capsys, monkeypatch, args, need):
+    import fgw.operators
+
+    def no_ball(*args, **kwargs):
+        raise AssertionError("the ball was enumerated before the budget check")
+
+    monkeypatch.setattr(fgw.operators, "_ball_keys", no_ball)
+    code = main(["search", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: budget exceeded: {need}\n"
 
 
 def test_verify_threads_option_is_gone():
@@ -307,6 +342,8 @@ VERIFIERS = (
         (("thm5", "all"), ["--s", "1", "--t", "x"], "--t"),
         (("thm5", "all"), ["--s", "1"], "--t"),
         (("thm5", "all"), ["--n-min", "38"], "--n-min"),
+        (("thm1", "thm4", "all"), ["--f", "1,x"], "--f"),
+        (("thm1", "thm4", "all"), ["--f", "-1"], "--f"),
     ],
 )
 def test_verify_usage_errors_fire_before_any_verifier(capsys, monkeypatch, targets, args, option):
@@ -325,6 +362,30 @@ def test_verify_usage_errors_fire_before_any_verifier(capsys, monkeypatch, targe
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert option in captured.err
+
+
+def test_verify_all_caches_hold_only_used_indices():
+    from fgw import radial, words
+
+    caches = (radial.chi, words._sphere_size, radial._product_row)
+    for cache in caches:
+        cache.cache_clear()
+    ctx = FreeGroupCtx(2)
+    for seed in ("0", "1"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["verify", "all", "--seed", seed]) == 1
+        # the largest indices come from thm5: chi_n for n <= 40 (--fit-n-max)
+        # times a function of degree 2n, so spheres up to 3 * 40
+        assert [c.cache_info().currsize for c in caches] == [41, 121, 82]
+    misses = [c.cache_info().misses for c in caches]
+    for n in range(41):
+        radial.chi(ctx, n)
+        radial._product_row(ctx.q, n, False)
+        radial._product_row(ctx.q, n, True)
+    for n in range(121):
+        words._sphere_size(ctx.k, n)
+    # every index above was already cached: the caches hold exactly these
+    assert [c.cache_info().misses for c in caches] == misses
 
 
 def _significant_digits(token: str) -> int:

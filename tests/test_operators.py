@@ -485,14 +485,15 @@ def test_sphere_union_sweep_matches_fraction_reference(case):
 
 @pytest.mark.parametrize("kind", ["spheres", "balls", "sphere-unions"])
 def test_radial_families_convolve_once_per_sphere(monkeypatch, kind):
+    # every sweep column is one run of the product loop against chi_r
     spheres = []
-    real = ops.convolve_radial
+    real = ops._product_sums
 
-    def counting(f, g):
-        spheres.append(g.degree)
-        return real(f, g)
+    def counting(q, fs, gs, length):
+        spheres.extend(m for m, _ in gs)
+        return real(q, fs, gs, length)
 
-    monkeypatch.setattr(ops, "convolve_radial", counting)
+    monkeypatch.setattr(ops, "_product_sums", counting)
     fam = SetFamily(kind, radius=4)
     f = RadialFunction(CTX, (Fraction(1), Fraction(1, 2)))
     restricted_weak_estimate(f, fam)
@@ -501,6 +502,43 @@ def test_radial_families_convolve_once_per_sphere(monkeypatch, kind):
     verify_r22(CTX, fam, 2)
     # one column per sphere S_0 .. S_4: two estimators, chi_0..chi_3, chi_0..chi_2
     assert spheres == list(range(5)) * (2 + 4 + 3)
+
+
+_SWEEP_COEFF = st.one_of(
+    st.fractions(min_value=0, max_value=20, max_denominator=10**6),
+    st.floats(min_value=0, max_value=20, allow_nan=False),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.sampled_from([2, 3]),
+    coeffs=st.lists(_SWEEP_COEFF, min_size=1, max_size=7),
+    radius=st.integers(min_value=0, max_value=8),
+    exact=st.booleans(),
+)
+def test_sweep_columns_equal_rescaled_products(k, coeffs, radius, exact):
+    # exact f: the columns are D (f * chi_r) as integers; float or mixed
+    # f: float() of convolve_radial's coefficients, bit for bit
+    ctx = FreeGroupCtx(k)
+    if exact:
+        coeffs = [Fraction(c) for c in coeffs]
+    f = RadialFunction(ctx, tuple(coeffs))
+    cols = ops._sphere_columns(f, radius)
+    assert len(cols) == radius + 1
+    top = f.degree + radius + 1
+    D = math.lcm(*(c.denominator for c in f.coeffs)) if f.is_exact() else 1
+    for r, col in enumerate(cols):
+        h = convolve_radial(f, chi(ctx, r)).coeffs
+        if f.is_exact():
+            want = [int(c * D) for c in h]
+            assert all(type(v) is int for v in col)
+        else:
+            want = [float(c) for c in h]
+            assert all(type(v) is float for v in col)
+        want += [0] * (top - len(want))
+        assert len(col) == top
+        assert [repr(v) for v in col] == [repr(type(v)(w)) for v, w in zip(col, want)]
 
 
 def test_sphere_union_ties_keep_first_union():

@@ -12,6 +12,9 @@ Core claims:
     - the display coefficient majorizes the exact one within a factor 2
     - the algebra is commutative and associative with unit chi_0
     - exact rational coefficients survive arithmetic; floats stay floats
+    - each function's cached exactness, common denominator and scaled
+      items equal a fresh recomputation, after +, scalar * and trimming,
+      and play no part in equality or hashing
     - a_functional splits exactly into rational + rational * sqrt(q)
     - conjecture_functional follows the stated s = 1 convention and sign flag
     - radial literals round trip through parse/format
@@ -26,6 +29,8 @@ from hypothesis import strategies as st
 
 from fgw.radial import (
     RadialFunction,
+    _denominator,
+    _scaled_items,
     _structure_constant,
     a_functional,
     a_functional_parts,
@@ -239,6 +244,44 @@ def test_exactness_tracking():
     g = RadialFunction(ctx, (0.5, 1.0))
     assert not g.is_exact()
     assert not (f + g).is_exact()
+
+
+def _fresh_integer_form(f):
+    # exactness, D and the scaled items, recomputed from the coefficients
+    exact = all(isinstance(c, Fraction) for c in f.coeffs)
+    if not exact:
+        return False, 1, [(n, c) for n, c in enumerate(f.coeffs) if c]
+    D = math.lcm(*(c.denominator for c in f.coeffs))
+    return True, D, [(n, int(c * D)) for n, c in enumerate(f.coeffs) if c]
+
+
+def _cached_integer_form(f):
+    D, items = _scaled_items(f)
+    assert _denominator(f) == D
+    return f.is_exact(), D, [(n, (type(c), repr(c))) for n, c in items]
+
+
+def _typed_form(form):
+    exact, D, items = form
+    return exact, D, [(n, (type(c), repr(c))) for n, c in items]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cached_integer_form_matches_recomputation(data):
+    ctx = data.draw(_CTXS)
+    coeff = data.draw(st.sampled_from([_EXACT, st.one_of(_EXACT, _FLOAT)]))
+    # trailing zeros are drawn on purpose: the constructor trims them
+    zeros = data.draw(st.lists(st.sampled_from([0, Fraction(0), 0.0]), max_size=3))
+    f = RadialFunction(ctx, tuple(data.draw(st.lists(coeff, max_size=6)) + zeros))
+    g = data.draw(_radial(ctx, coeff))
+    s = data.draw(st.one_of(_EXACT, st.integers(-5, 5)))
+    for h in (f, g, f + g, s * f, convolve_radial(f, g)):
+        # twice: the first read fills the cache, the second reads it
+        assert _cached_integer_form(h) == _typed_form(_fresh_integer_form(h))
+        assert _cached_integer_form(h) == _typed_form(_fresh_integer_form(h))
+        twin = RadialFunction(ctx, h.coeffs)
+        assert twin == h and hash(twin) == hash(h)
 
 
 def test_trailing_zeros_trimmed():

@@ -1,0 +1,84 @@
+"""Report serialization: the type dispatch of json_dumps.
+
+Core claims:
+    - json_dumps writes the same text as the isinstance chain it replaced
+      (kept below as the reference) on random report trees of dicts,
+      lists and tuples holding None, bool, int, float, str and Fraction
+    - it refuses non-finite floats and unknown types as before
+"""
+
+import math
+from fractions import Fraction
+from json.encoder import encode_basestring
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fgw.reportio import json_dumps, render_number
+
+
+def _reference_json_dumps(obj, indent=0):
+    # json_dumps as it was: one isinstance chain, Fraction last
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return render_number(obj)
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [inner + _reference_json_dumps(x, indent + 2) for x in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            inner + encode_basestring(str(k)) + ": " + _reference_json_dumps(v, indent + 2)
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, Fraction):
+        return encode_basestring(str(obj))
+    raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
+
+
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8),
+    st.fractions(max_denominator=10**6),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES, st.sampled_from([0, 2, 4]))
+def test_json_dumps_matches_isinstance_chain(tree, indent):
+    assert json_dumps(tree, indent) == _reference_json_dumps(tree, indent)
+
+
+def test_json_dumps_refuses_what_it_refused():
+    for bad in (math.inf, [1.0, -math.inf], {"x": math.nan}):
+        with pytest.raises(ValueError):
+            json_dumps(bad)
+    for bad in (object(), {"x": {1, 2}}, [b"bytes"]):
+        with pytest.raises(TypeError):
+            json_dumps(bad)
