@@ -20,18 +20,15 @@ from .operators import (
     ElementSet,
     FunctionOnGroup,
     SetFamily,
-    ball_set,
     best_F_ratio,
     candidate_sets,
     column_l1_sup,
     default_radius,
-    embed,
     explicit_set,
     left_convolve,
     pairing,
     q_alpha_sweep,
     restricted_weak_estimate,
-    sphere_set,
     truncated_column,
     weak_estimate_21_to_2,
 )

@@ -2,31 +2,29 @@
 
 The left convolution by a radial function f acts on finitely supported
 functions; its weak-type operator norms are probed from below by
-searching over families of finite sets E (and implicitly F).  Sets
-come in two kinds:
+searching over families of finite sets E (and implicitly F).  Each kind
+of family has one representation:
 
-* explicit sets carry the sorted integer keys of their words (see
-  _kernels) and go through the enumeration kernels (cost |E| x sphere
-  sizes); words become ReducedWords only at the API boundary
+* an ElementSet is an explicit set: the sorted integer keys of its words
+  (see _kernels), which go through the enumeration kernels (cost |E| x
+  sphere sizes); words become ReducedWords only at the API boundary
   (explicit_set, iter_words, FunctionOnGroup, truncated_column).  The
   estimators see f * chi_E as integers over D = lcm(denominators of f)
   (_convolve_value_counts) and divide once per candidate, in
-  _best_prefix or the square sum;
-* radial sets (unions of spheres) stay inside the radial algebra.  The
-  radial families are masks over the spheres S_0 .. S_radius, and one
-  integer sweep (_sphere_union_sweep) builds f * chi_E for every mask
-  from the columns D (f * chi_r), so radii far beyond any enumerable
-  ball remain cheap.  The columns come straight from the radial
-  algebra's one product loop (radial._product_sums) on f's integer
-  form, as integers, never as Fractions.
+  _best_prefix or the square sum, and pairings read one length
+  histogram of the products (chi_pairing_profile);
+* a radial family (unions of spheres) is never an ElementSet: its
+  candidates are masks over the spheres S_0 .. S_radius, and one integer
+  sweep (_sphere_union_sweep) builds f * chi_E for every mask from the
+  columns D (f * chi_r), so radii far beyond any enumerable ball remain
+  cheap.  The columns come straight from the radial algebra's one
+  product loop (radial._product_sums) on f's integer form, as integers,
+  never as Fractions.
 
 A float f takes D = 1 on both paths and is summed in the order of the exact values.
 Every decreasing rearrangement is built by lorentz.runs.  self_pairings
-(lemma1) and prefix_sups (r22) hold the verifiers' radial-or-explicit
+(lemma1) and prefix_sups (r22) hold the verifiers' mask-or-explicit
 fork, so theorems only states inequalities.
-
-Pairings between the two kinds reduce to the radial side because
-convolution by a real radial function is self-adjoint.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from .radial import (
     _product_sums,
     _scaled_items,
     chi,
-    convolve_radial,
     structure_constant,
 )
 from .words import (
@@ -56,7 +53,6 @@ from .words import (
     ReducedWord,
     ball_size,
     sphere_size,
-    sphere_stream,
 )
 
 RADIAL_KINDS = ("spheres", "balls", "sphere-unions")
@@ -94,88 +90,32 @@ class FunctionOnGroup:
 
 @dataclass(frozen=True)
 class ElementSet:
-    """Finite subset of the group: explicit word keys or a union of spheres.
+    """Finite subset of the group, held as explicit word keys.
 
-    An explicit set stores the sorted, deduplicated integer keys of its
-    words (see _kernels), which is their (length, lex) order.
+    The keys are the sorted, deduplicated integer keys of the words (see
+    _kernels), which is their (length, lex) order.
     """
 
     ctx: FreeGroupCtx
-    word_keys: tuple = None
-    radii: frozenset = None
+    word_keys: tuple
     label: str = ""
 
     def __post_init__(self):
-        if (self.word_keys is None) == (self.radii is None):
-            raise ValueError("exactly one of word_keys/radii must be given")
-        if self.word_keys is not None:
-            ordered = tuple(sorted(set(self.word_keys)))
-            object.__setattr__(self, "word_keys", ordered)
-            if not self.label:
-                object.__setattr__(self, "label", f"set({len(ordered)} words)")
-        else:
-            radii = frozenset(int(r) for r in self.radii)
-            if any(r < 0 for r in radii):
-                raise ValueError("radii must be nonnegative")
-            object.__setattr__(self, "radii", radii)
-            if not self.label:
-                object.__setattr__(
-                    self, "label", "U" + ",".join(str(r) for r in sorted(radii))
-                )
-
-    @property
-    def is_radial(self) -> bool:
-        return self.radii is not None
+        ordered = tuple(sorted(set(self.word_keys)))
+        object.__setattr__(self, "word_keys", ordered)
+        if not self.label:
+            object.__setattr__(self, "label", f"set({len(ordered)} words)")
 
     @property
     def size(self) -> int:
-        if self.is_radial:
-            return sum(sphere_size(self.ctx, r) for r in self.radii)
         return len(self.word_keys)
 
-    def indicator_radial(self) -> RadialFunction:
-        if not self.is_radial:
-            raise ValueError("not a radial set")
-        top = max(self.radii, default=-1)
-        coeffs = [1 if r in self.radii else 0 for r in range(top + 1)]
-        return RadialFunction(self.ctx, tuple(coeffs))
-
-    def length_histogram(self) -> dict:
-        """Count of elements per word length."""
-        if self.is_radial:
-            return {r: sphere_size(self.ctx, r) for r in sorted(self.radii)}
-        tk = self.ctx.alphabet
-        hist: dict = {}
-        for key in self.word_keys:
-            n = _kernels.len_key(tk, key)
-            hist[n] = hist.get(n, 0) + 1
-        return hist
-
     def keys(self) -> tuple:
-        if self.is_radial:
-            raise ValueError("radial sets are not enumerated; use the radial paths")
         return self.word_keys
 
-    def iter_words(self, cap: int = SPHERE_CAP):
-        if not self.is_radial:
-            ctx, tk = self.ctx, self.ctx.alphabet
-            return (ReducedWord(ctx, _kernels.decode_word(tk, key)) for key in self.word_keys)
-        if self.size > cap:
-            raise BudgetExceededError("set enumeration", self.size, cap)
-
-        def gen():
-            for r in sorted(self.radii):
-                yield from sphere_stream(self.ctx, r)
-
-        return gen()
-
-
-def sphere_set(ctx: FreeGroupCtx, n: int) -> ElementSet:
-    return ElementSet(ctx, radii=frozenset({n}), label=f"S{n}")
-
-
-def ball_set(ctx: FreeGroupCtx, radius: int) -> ElementSet:
-    return ElementSet(ctx, radii=frozenset(range(radius + 1)), label=f"B{radius}")
+    def iter_words(self):
+        ctx, tk = self.ctx, self.ctx.alphabet
+        return (ReducedWord(ctx, _kernels.decode_word(tk, key)) for key in self.word_keys)
 
 
 def explicit_set(ctx: FreeGroupCtx, words, label: str = "") -> ElementSet:
@@ -246,13 +186,25 @@ def _ball_keys(ctx: FreeGroupCtx, radius: int) -> list:
     return [key for n in range(radius + 1) for key in _kernels.iter_sphere_keys(tk, n)]
 
 
+def _first_draw_size(ctx: FreeGroupCtx, fam: SetFamily) -> int:
+    """|E| of random-subsets' first candidate, known before the ball is built.
+
+    Replays the first seeded draw on its own generator, after the ball's
+    SPHERE_CAP check, so budget checks on the first candidate fire
+    before any enumeration and the draws themselves do not change.
+    """
+    return random.Random(fam.seed).randint(1, _capped_ball_size(ctx, fam.radius))
+
+
 def candidate_sets(ctx: FreeGroupCtx, fam: SetFamily):
-    """Deterministic candidate stream for the non-adaptive families."""
+    """Deterministic candidate stream for the explicit non-adaptive families.
+
+    Radial families are masks, swept by _sphere_union_sweep; they build
+    no ElementSet.
+    """
     if fam.kind in RADIAL_KINDS:
-        masks, label = _radial_candidates(fam)
-        for mask in masks:
-            yield ElementSet(ctx, radii=frozenset(_mask_radii(mask)), label=label(mask))
-    elif fam.kind == "ball-subsets":
+        raise ValueError(f"{fam.kind} family is radial; use the sphere-union sweep")
+    if fam.kind == "ball-subsets":
         # 2^size > budget exactly when size >= budget.bit_length(); the
         # count itself can run to thousands of digits, so it is not built
         size = ball_size(ctx, fam.radius)
@@ -271,6 +223,12 @@ def candidate_sets(ctx: FreeGroupCtx, fam: SetFamily):
             yield ElementSet(ctx, word_keys=keys, label=f"random-{i}")
     else:
         raise ValueError("greedy family is adaptive; use the estimator entry points")
+
+
+def _check_pair_work(e_size: int, f_size: int) -> None:
+    """Budget check for a pairing of explicit sets: |E| |F| pairs."""
+    if e_size * f_size > PAIR_BUDGET:
+        raise BudgetExceededError("pair enumeration", e_size * f_size, PAIR_BUDGET)
 
 
 def _check_convolution_work(ctx: FreeGroupCtx, scaled, set_size: int) -> None:
@@ -326,20 +284,6 @@ def left_convolve(f: RadialFunction, g: FunctionOnGroup) -> FunctionOnGroup:
     return FunctionOnGroup(ctx, entries)
 
 
-def embed(f: RadialFunction) -> FunctionOnGroup:
-    """Sphere-wise extension of f: value f_n on every word of length n."""
-    ctx = f.ctx
-    if f.is_zero():
-        return FunctionOnGroup(ctx, {})
-    if ball_size(ctx, f.degree) > SPHERE_CAP:
-        raise BudgetExceededError("ball enumeration", ball_size(ctx, f.degree), SPHERE_CAP)
-    entries = {}
-    for n, fn in f.nonzero_items():
-        for w in sphere_stream(ctx, n):
-            entries[w] = fn
-    return FunctionOnGroup(ctx, entries)
-
-
 def _sphere_columns(f: RadialFunction, radius: int) -> list:
     """The columns D (f * chi_r) for r = 0 .. radius, D = _denominator(f).
 
@@ -387,36 +331,13 @@ def _sphere_union_sweep(f: RadialFunction, fam: SetFamily):
 
 
 def pairing(f: RadialFunction, E: ElementSet, F: ElementSet) -> Fraction:
-    """Exact <f * chi_E, chi_F>.
-
-    Radial sets are handled inside the radial algebra; a mixed pair
-    reduces to the radial side through self-adjointness of radial
-    convolution; two explicit sets are enumerated pairwise.
-    """
+    """Exact <f * chi_E, chi_F> = sum_l f_l <chi_l * chi_E, chi_F>."""
     if f.ctx != E.ctx or f.ctx != F.ctx:
         raise ValueError("mismatched group contexts")
     if not f.is_exact():
         raise ValueError("pairing requires exact rational coefficients")
-    ctx = f.ctx
-    if E.is_radial:
-        h = convolve_radial(f, E.indicator_radial())
-        return sum(
-            (h.coefficient(d) * count for d, count in F.length_histogram().items()),
-            Fraction(0),
-        )
-    if F.is_radial:
-        h = convolve_radial(f, F.indicator_radial())
-        return sum(
-            (h.coefficient(d) * count for d, count in E.length_histogram().items()),
-            Fraction(0),
-        )
-    pairs = E.size * F.size
-    if pairs > PAIR_BUDGET:
-        raise BudgetExceededError("pair enumeration", pairs, PAIR_BUDGET)
-    tk = ctx.alphabet
-    ekeys_inv = [_kernels.inv_key(tk, key) for key in E.keys()]
-    hist = _kernels.prod_len_hist(tk, F.keys(), ekeys_inv)
-    return sum((f.coefficient(d) * t for d, t in enumerate(hist) if t), Fraction(0))
+    profile = chi_pairing_profile(E, F)
+    return sum((f.coefficient(d) * t for d, t in enumerate(profile) if t), Fraction(0))
 
 
 def chi_pairing_profile(E: ElementSet, F: ElementSet) -> list:
@@ -424,13 +345,10 @@ def chi_pairing_profile(E: ElementSet, F: ElementSet) -> list:
 
     One length histogram of the products serves every sphere index, so
     sweeping l costs no more than a single pairing; entries are exact.
-    Radial sets go through _sphere_union_sweep instead.
     """
     if E.ctx != F.ctx:
         raise ValueError("mismatched group contexts")
-    pairs = E.size * F.size
-    if pairs > PAIR_BUDGET:
-        raise BudgetExceededError("pair enumeration", pairs, PAIR_BUDGET)
+    _check_pair_work(E.size, F.size)
     tk = E.ctx.alphabet
     ekeys_inv = [_kernels.inv_key(tk, key) for key in E.keys()]
     return [Fraction(t) for t in _kernels.prod_len_hist(tk, F.keys(), ekeys_inv)]
@@ -454,11 +372,16 @@ def self_pairings(ctx: FreeGroupCtx, fam: SetFamily, k_max: int):
 
     A radial E sums (chi_k * chi_E)_r |S_r| over its spheres r; an explicit
     E reads chi_pairing_profile(E, E), padded or cut to k_max + 1 entries.
+    random-subsets checks its first draw's |E|^2 pairs before the ball is
+    built.
     """
     if fam.kind in RADIAL_KINDS:
         for label, size, radii, hs in _chi_sweeps(ctx, fam, k_max):
             yield label, size, [Fraction(sum(h[r] * sphere_size(ctx, r) for r in radii)) for h in hs]
         return
+    if fam.kind == "random-subsets":
+        size = _first_draw_size(ctx, fam)
+        _check_pair_work(size, size)
     for E in candidate_sets(ctx, fam):
         profile = chi_pairing_profile(E, E)[: k_max + 1]
         yield E.label, E.size, profile + [Fraction(0)] * (k_max + 1 - len(profile))
@@ -469,20 +392,25 @@ def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
 
     Each sup is the best prefix of the runs of chi_n * chi_E, whose values
     are integers: radial sweep coefficients, or the kernel's pair counts.
+    random-subsets checks its first draw's |S_n| |E| pairs, n <= n_max,
+    before the ball is built.
     """
     if fam.kind in RADIAL_KINDS:
         mult = [sphere_size(ctx, l) for l in range(n_max + fam.radius + 1)]
         for label, size, _, hs in _chi_sweeps(ctx, fam, n_max):
             yield label, size, [_best_prefix(runs(zip(h, mult)), 0.5, 1)[0] for h in hs]
         return
+    # ((n, 1),) is chi_n's scaled form: the check counts |S_n| |E| pairs
+    if fam.kind == "random-subsets":
+        size = _first_draw_size(ctx, fam)
+        for n in range(n_max + 1):
+            _check_convolution_work(ctx, ((n, 1),), size)
     tk = ctx.alphabet
     for E in candidate_sets(ctx, fam):
         keys = E.keys()
         sups = []
         for n in range(n_max + 1):
-            work = sphere_size(ctx, n) * len(keys)
-            if work > PAIR_BUDGET:
-                raise BudgetExceededError("convolution enumeration", work, PAIR_BUDGET)
+            _check_convolution_work(ctx, ((n, 1),), len(keys))
             counts = Counter(_kernels.convolve_sphere_set(tk, n, keys).values())
             sups.append(_best_prefix(runs(counts.items()), 0.5, 1)[0])
         yield E.label, E.size, sups
@@ -517,15 +445,14 @@ def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_r
         return reduce_set(_convolve_value_counts(ctx, scaled, E.keys()), D, E.size, E.label)
 
     # the first candidate's work is known before the ball is built: one
-    # word for greedy, the first seeded draw for random-subsets (replayed
-    # here on its own generator); the ball's SPHERE_CAP check stays first
+    # word for greedy, the first seeded draw for random-subsets; the
+    # ball's SPHERE_CAP check stays first
     if fam.kind == "greedy":
         _capped_ball_size(ctx, fam.radius)
         _check_convolution_work(ctx, scaled, 1)
         return _greedy_search(objective, ctx, fam)
     if fam.kind == "random-subsets":
-        size = _capped_ball_size(ctx, fam.radius)
-        _check_convolution_work(ctx, scaled, random.Random(fam.seed).randint(1, size))
+        _check_convolution_work(ctx, scaled, _first_draw_size(ctx, fam))
     best = None
     for E in candidate_sets(ctx, fam):
         if E.size > 0:

@@ -16,8 +16,10 @@ Core claims:
       only the indices it used, so repeated runs do not grow them
     - a ball-subsets family past its budget exits 2 and states its need as
       a power of two, however large the ball
-    - random-subsets and greedy searches past the pair budget exit 2
-      before the ball is enumerated; an oversized ball still reports first
+    - random-subsets and greedy searches, and lemma1 and r22 on
+      random-subsets, exit 2 before the ball is enumerated when the first
+      candidate is past the pair budget; an oversized ball still reports
+      first
     - thm5 with an infinite target index reports it as "inf"
     - CSV params render numbers canonically, at most 12 significant digits
     - JSON strings escape '"', backslash, \n, \t, \r and other control
@@ -182,6 +184,39 @@ def test_explicit_search_budget_fires_before_the_ball_is_built(capsys, monkeypat
 
     monkeypatch.setattr(fgw.operators, "_ball_keys", no_ball)
     code = main(["search", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: budget exceeded: {need}\n"
+
+
+@pytest.mark.parametrize(
+    "target, radius, need",
+    [
+        # the first seeded draw, 6463344 of the 9565937 words of B_14, paired with itself
+        ("lemma1", "14", "pair enumeration needs 41774815662336, cap is 20000000"),
+        # |S_1| times the same draw
+        ("r22", "14", "convolution enumeration needs 25853376, cap is 20000000"),
+        # B_9 fits SPHERE_CAP, but its first draw of 25248 words is past the
+        # pair budget: 25248^2 pairs, and |S_6| x 25248 at the default n_max
+        ("lemma1", "9", "pair enumeration needs 637461504, cap is 20000000"),
+        ("r22", "9", "convolution enumeration needs 24541056, cap is 20000000"),
+        # the ball's own cap still comes first
+        ("r22", "15", "ball enumeration needs 28697813, cap is 10000000"),
+    ],
+    ids=["lemma1-14", "r22-14", "lemma1-9", "r22-9", "ball-cap-first"],
+)
+def test_explicit_verify_budget_fires_before_the_ball_is_built(
+    capsys, monkeypatch, target, radius, need
+):
+    import fgw.operators
+
+    def no_ball(*args, **kwargs):
+        raise AssertionError("the ball was enumerated before the budget check")
+
+    monkeypatch.setattr(fgw.operators, "_ball_keys", no_ball)
+    args = ["--family", "random-subsets", "--radius", radius, "--budget", "1"]
+    code = main(["verify", target, *args])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -1,13 +1,16 @@
 """Convolution operators, pairings, estimators, truncated columns.
 
 Core claims:
-    - pairing matches the brute-force double sum on every dispatch path
+    - pairing matches the brute-force double sum on spheres, balls and
+      random word sets
     - pairing is symmetric in (E, F) because radial convolution is self-adjoint
     - chi_pairing_profile packs every sphere pairing of explicit sets into
       one pass
     - left_convolve agrees with the pointwise convolution sum and conserves mass
     - best_F_ratio equals the exhaustive prefix search and dominates subsets
     - the sphere-union fast path reproduces the generic per-set estimates
+    - radial families agree, in both estimators, lemma1 and r22, with the
+      same candidates built as explicit word sets
     - the integer sweep reproduces per-set Fraction sums float for float
       on spheres, balls and sphere unions, for exact and float f, under
       any budget, first maximum winning ties
@@ -20,6 +23,8 @@ Core claims:
     - explicit sets store sorted integer keys, which is the (length, lex)
       order of their words, and refuse words of another group; the
       explicit families build no ReducedWord
+    - an ElementSet is explicit only: radial families are masks and build
+      no ElementSet
     - truncated columns contain exactly the words passing the length test
     - column_l1_sup returns the brute-force sup with an attaining witness
     - q_alpha_sweep equals per-alpha column scans
@@ -29,6 +34,7 @@ Core claims:
     - budgets abort oversized enumerations
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -42,21 +48,19 @@ from fgw import _kernels
 from fgw.errors import BudgetExceededError
 from fgw.lorentz import rearrange, rearrange_radial
 from fgw.operators import (
+    RADIAL_KINDS,
     ElementSet,
     FunctionOnGroup,
     SetFamily,
-    ball_set,
     best_F_ratio,
     candidate_sets,
     chi_pairing_profile,
     column_l1_sup,
-    embed,
     explicit_set,
     left_convolve,
     pairing,
     q_alpha_sweep,
     restricted_weak_estimate,
-    sphere_set,
     truncated_column,
     weak_estimate_21_to_2,
 )
@@ -112,8 +116,8 @@ def test_pairing_matches_brute_force_all_dispatches():
     rng = random.Random(31)
     f = _rand_radial(rng)
     sets = [
-        sphere_set(CTX, 2),
-        ball_set(CTX, 2),
+        explicit_set(CTX, sphere_stream(CTX, 2), "S2"),
+        explicit_set(CTX, ball_stream(CTX, 2), "B2"),
         explicit_set(CTX, _rand_words(rng, 9)),
         explicit_set(CTX, _rand_words(rng, 14)),
     ]
@@ -127,12 +131,12 @@ def test_pairing_symmetric_in_sets():
     rng = random.Random(7)
     f = _rand_radial(rng)
     E = explicit_set(CTX, _rand_words(rng, 8))
-    F = sphere_set(CTX, 3)
+    F = explicit_set(CTX, sphere_stream(CTX, 3), "S3")
     assert pairing(f, E, F) == pairing(f, F, E)
 
 
 def test_pairing_requires_exact_coefficients():
-    E = sphere_set(CTX, 1)
+    E = explicit_set(CTX, sphere_stream(CTX, 1), "S1")
     with pytest.raises(ValueError):
         pairing(RadialFunction(CTX, (0.5, 1.0)), E, E)
 
@@ -145,7 +149,7 @@ def test_chi_pairing_profile_matches_pairing():
             prof = chi_pairing_profile(E, F)
             assert sum(prof) == Fraction(E.size * F.size)
             for l in range(len(prof) + 2):
-                want = pairing(chi(CTX, l), E, F)
+                want = _brute_pairing(chi(CTX, l), _as_setlist(E), _as_setlist(F))
                 got = prof[l] if l < len(prof) else Fraction(0)
                 assert got == want
 
@@ -185,17 +189,6 @@ def test_left_convolve_linear_in_g():
     h1, h2 = left_convolve(f, g1), left_convolve(f, g2)
     for z in h.entries:
         assert h.value(z) == h1.value(z) + h2.value(z)
-
-
-def test_embed_expands_spheres():
-    f = chi(CTX, 1) + 2 * chi(CTX, 2)
-    g = embed(f)
-    assert g.support_size == 4 + 12
-    for w in sphere_stream(CTX, 1):
-        assert g.value(w) == 1
-    for w in sphere_stream(CTX, 2):
-        assert g.value(w) == 2
-    assert g.value(identity(CTX)) == 0
 
 
 def test_function_on_group_basics():
@@ -252,27 +245,21 @@ def test_explicit_families_build_no_words(monkeypatch):
 
 
 def test_element_set_labels_and_dedupe():
-    assert sphere_set(CTX, 3).label == "S3"
-    assert ball_set(CTX, 4).label == "B4"
-    assert ElementSet(CTX, radii=frozenset({0, 2, 5})).label == "U0,2,5"
     w = word_from_str(CTX, "a")
     E = explicit_set(CTX, [w, w])
     assert E.size == 1
-    with pytest.raises(ValueError):
-        ElementSet(CTX)
-    with pytest.raises(ValueError):
-        sphere_set(CTX, 2).keys()
+    assert E.label == "set(1 words)"
+
+
+def test_element_set_has_one_representation():
+    # unions of spheres live only as sweep masks
+    assert [fld.name for fld in dataclasses.fields(ElementSet)] == ["ctx", "word_keys", "label"]
+    for kind in RADIAL_KINDS:
+        with pytest.raises(ValueError, match="radial"):
+            list(candidate_sets(CTX, SetFamily(kind, radius=2)))
 
 
 def test_candidate_sets_per_kind():
-    radius = 3
-    spheres = list(candidate_sets(CTX, SetFamily("spheres", radius=radius)))
-    assert [E.label for E in spheres] == ["S0", "S1", "S2", "S3"]
-    balls = list(candidate_sets(CTX, SetFamily("balls", radius=radius)))
-    assert [E.label for E in balls] == ["B0", "B1", "B2", "B3"]
-    unions = list(candidate_sets(CTX, SetFamily("sphere-unions", radius=radius)))
-    assert len(unions) == 2 ** (radius + 1) - 1
-    assert len({E.label for E in unions}) == len(unions)
     rand1 = list(candidate_sets(CTX, SetFamily("random-subsets", radius=2, budget=20, seed=9)))
     rand2 = list(candidate_sets(CTX, SetFamily("random-subsets", radius=2, budget=20, seed=9)))
     assert len(rand1) == 20
@@ -399,22 +386,35 @@ def test_sphere_union_fast_path_matches_generic():
     assert got2["E"] == want2[1]
 
 
+def _radial_candidates(fam):
+    # (radii, label) of each candidate of a radial family, in sweep order
+    count = min(fam.radius + 1, fam.budget)
+    if fam.kind == "spheres":
+        return [([n], f"S{n}") for n in range(count)]
+    if fam.kind == "balls":
+        return [(list(range(n + 1)), f"B{n}") for n in range(count)]
+    unions = []
+    for mask in range(1, min(2 ** (fam.radius + 1), fam.budget + 1)):
+        radii = [r for r in range(fam.radius + 1) if mask >> r & 1]
+        unions.append((radii, "U" + ",".join(str(r) for r in radii)))
+    return unions
+
+
 def _reference_union_rows(f, fam):
-    # the sweep without integer scaling: over candidate_sets, Fraction
-    # sums of the columns f * chi_r in ascending r, rearrange_radial,
-    # then best_F_ratio
+    # the sweep without integer scaling: over the candidates' radii,
+    # Fraction sums of the columns f * chi_r in ascending r,
+    # rearrange_radial, then best_F_ratio
     cols = [convolve_radial(f, chi(CTX, r)).coeffs for r in range(fam.radius + 1)]
     top = max(len(c) for c in cols)
     restricted = []
     weak = []
-    for E in candidate_sets(CTX, fam):
-        radii = sorted(E.radii)
+    for radii, label in _radial_candidates(fam):
         coeffs = [
             sum((cols[r][i] for r in radii if i < len(cols[r])), Fraction(0))
             for i in range(top)
         ]
         h = RadialFunction(CTX, tuple(coeffs))
-        size, label = E.size, E.label
+        size = sum(sphere_size(CTX, r) for r in radii)
         value, j = best_F_ratio(rearrange_radial(h), 2.0)
         restricted.append((value / math.sqrt(size), label, j))
         sq = sum((c * c * sphere_size(CTX, n) for n, c in h.nonzero_items()), Fraction(0))
@@ -539,6 +539,51 @@ def test_sweep_columns_equal_rescaled_products(k, coeffs, radius, exact):
         want += [0] * (top - len(want))
         assert len(col) == top
         assert [repr(v) for v in col] == [repr(type(v)(w)) for v, w in zip(col, want)]
+
+
+@st.composite
+def _agreement_cases(draw):
+    coeff = st.fractions(min_value=0, max_value=20, max_denominator=100)
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=3))
+    kind = draw(st.sampled_from(RADIAL_KINDS))
+    fam = _radial_family(draw, kind, draw(st.integers(0, 2)))
+    return RadialFunction(CTX, tuple(coeffs)), fam, draw(st.integers(0, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_agreement_cases())
+def test_radial_families_agree_with_explicit_sets(case):
+    # the mask sweep against the same candidates enumerated as word sets
+    f, fam, top = case
+    sets = [
+        explicit_set(CTX, [w for r in radii for w in sphere_stream(CTX, r)], label)
+        for radii, label in _radial_candidates(fam)
+    ]
+    indicators = [FunctionOnGroup(CTX, dict.fromkeys(E.iter_words(), Fraction(1))) for E in sets]
+    restricted = []
+    weak = []
+    for E, indicator in zip(sets, indicators):
+        h = left_convolve(f, indicator)
+        value, j = best_F_ratio(h, 2.0)
+        restricted.append((value / math.sqrt(E.size), E.label, j))
+        weak.append((math.sqrt(float(h.l2_norm_squared()) / E.size), E.label))
+    # max keeps the first of equal maxima, as the estimators do
+    got = restricted_weak_estimate(f, fam)
+    assert (got["estimate"], got["E"], got["j"]) == max(restricted, key=lambda row: row[0])
+    got = weak_estimate_21_to_2(f, fam)
+    assert (got["estimate"], got["E"]) == max(weak, key=lambda row: row[0])
+    lemma1 = [(c["id"], c["lhs"]) for c in verify_lemma1(CTX, fam, top).checks]
+    assert lemma1 == [
+        (f"lemma1:k={k}:E={E.label}", pairing(chi(CTX, k), E, E))
+        for E in sets
+        for k in range(top + 1)
+    ]
+    r22 = [(c["id"], c["lhs"]) for c in verify_r22(CTX, fam, top).checks]
+    assert r22 == [
+        (f"r22:n={n}:E={E.label}", best_F_ratio(left_convolve(chi(CTX, n), indicator), 2.0)[0])
+        for E, indicator in zip(sets, indicators)
+        for n in range(top + 1)
+    ]
 
 
 def test_sphere_union_ties_keep_first_union():

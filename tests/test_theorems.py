@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from fgw.lorentz import rearrange_radial
 import fgw.theorems
 from fgw.operators import (
+    RADIAL_KINDS,
     FunctionOnGroup,
     SetFamily,
     best_F_ratio,
@@ -54,7 +55,7 @@ from fgw.theorems import (
     verify_r22,
     verify_thm1,
 )
-from fgw.words import FreeGroupCtx, ball_size
+from fgw.words import FreeGroupCtx, ball_size, sphere_size
 
 CTX = FreeGroupCtx(2)
 
@@ -198,12 +199,47 @@ def _verifier_cases(draw):
     return SetFamily(kind, radius, budget), draw(st.integers(-1, 6))
 
 
-def _chi_product(n, E):
-    """chi_n * chi_E: radial in the radial algebra, explicit by enumeration."""
-    if E.is_radial:
-        return rearrange_radial(convolve_radial(chi(CTX, n), E.indicator_radial()))
-    indicator = FunctionOnGroup(CTX, dict.fromkeys(E.iter_words(), Fraction(1)))
-    return left_convolve(chi(CTX, n), indicator)
+def _radial_candidates(fam):
+    # (radii, label) of each candidate of a radial family, in sweep order
+    count = min(fam.radius + 1, fam.budget)
+    if fam.kind == "spheres":
+        return [([n], f"S{n}") for n in range(count)]
+    if fam.kind == "balls":
+        return [(list(range(n + 1)), f"B{n}") for n in range(count)]
+    unions = []
+    for mask in range(1, min(2 ** (fam.radius + 1), fam.budget + 1)):
+        radii = [r for r in range(fam.radius + 1) if mask >> r & 1]
+        unions.append((radii, "U" + ",".join(str(r) for r in radii)))
+    return unions
+
+
+def _oracle_rows(fam, top):
+    """Per candidate E: label, |E|, <chi_k * chi_E, chi_E> and the sup over F, k <= top.
+
+    Radial candidates stay in the radial algebra, with chi_E a
+    RadialFunction and <h, chi_E> = sum over r in E of h_r |S_r|;
+    explicit ones are paired and convolved by enumeration.
+    """
+    rows = []
+    if fam.kind in RADIAL_KINDS:
+        for radii, label in _radial_candidates(fam):
+            indicator = RadialFunction(CTX, tuple(int(r in radii) for r in range(radii[-1] + 1)))
+            hs = [convolve_radial(chi(CTX, n), indicator) for n in range(top + 1)]
+            pairings = [
+                sum((h.coefficient(r) * sphere_size(CTX, r) for r in radii), Fraction(0))
+                for h in hs
+            ]
+            sups = [best_F_ratio(rearrange_radial(h), 2.0)[0] for h in hs]
+            rows.append((label, sum(sphere_size(CTX, r) for r in radii), pairings, sups))
+        return rows
+    for E in candidate_sets(CTX, fam):
+        indicator = FunctionOnGroup(CTX, dict.fromkeys(E.iter_words(), Fraction(1)))
+        pairings = [pairing(chi(CTX, k), E, E) for k in range(top + 1)]
+        sups = [
+            best_F_ratio(left_convolve(chi(CTX, n), indicator), 2.0)[0] for n in range(top + 1)
+        ]
+        rows.append((E.label, E.size, pairings, sups))
+    return rows
 
 
 @settings(max_examples=40, deadline=None)
@@ -211,24 +247,20 @@ def _chi_product(n, E):
 def test_radial_lemma1_and_r22_match_fraction_oracles(case):
     fam, top = case
     q = CTX.q
-    sets = list(candidate_sets(CTX, fam))
+    rows = _oracle_rows(fam, top)
     lemma1 = verify_lemma1(CTX, fam, top)
     assert [(c["id"], c["lhs"], c["rhs"]) for c in lemma1.checks] == [
-        (f"lemma1:k={k}:E={E.label}", pairing(chi(CTX, k), E, E), 2 * q ** (k // 2) * E.size)
-        for E in sets
-        for k in range(top + 1)
+        (f"lemma1:k={k}:E={label}", lhs, 2 * q ** (k // 2) * size)
+        for label, size, pairings, _ in rows
+        for k, lhs in enumerate(pairings)
     ]
     # an exact lhs renders as a quoted rational
     assert all(type(c["lhs"]) is Fraction for c in lemma1.checks)
     r22 = verify_r22(CTX, fam, top)
     assert [(c["id"], c["lhs"], c["rhs"]) for c in r22.checks] == [
-        (
-            f"r22:n={n}:E={E.label}",
-            best_F_ratio(_chi_product(n, E), 2.0)[0],
-            2.0 * float(q) ** (1.5 + 0.5 * n) * math.sqrt(E.size),
-        )
-        for E in sets
-        for n in range(top + 1)
+        (f"r22:n={n}:E={label}", sup, 2.0 * float(q) ** (1.5 + 0.5 * n) * math.sqrt(size))
+        for label, size, _, sups in rows
+        for n, sup in enumerate(sups)
     ]
 
 
