@@ -14,6 +14,7 @@ from .lorentz import (
     radial_weighted_sum,
     rearrange,
     rearrange_radial,
+    rearrange_spheres,
     weak_norm,
 )
 from .operators import (
@@ -43,6 +44,8 @@ from .radial import (
     oracle_convolve,
     paper_display_coefficient,
     parse_radial_literal,
+    sphere_product,
+    sphere_product_norm_squared,
     structure_constant,
 )
 from .theorems import (

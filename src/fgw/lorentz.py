@@ -3,7 +3,9 @@
 Everything is driven by the decreasing rearrangement a_1 >= a_2 >= ...
 of |f|, stored as (value, multiplicity) runs because multiplicities are
 sphere sizes and grow exponentially.  runs() builds every such
-rearrangement in the package.  The norm convention is
+rearrangement in the package; rearrange_spheres() is its radial form,
+for a RadialFunction or for a product read as integers over D.  The
+norm convention is
 
     ||f||_{p,s} = ( sum_i a_i^s (i^{s/p} - (i-1)^{s/p}) )^{1/s}
     ||f||_{p,inf} = sup_i i^{1/p} a_i
@@ -20,9 +22,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .radial import RadialFunction
-from .words import sphere_size
+from .words import FreeGroupCtx, sphere_size
 
 
 @dataclass(frozen=True)
@@ -90,14 +93,25 @@ def rearrange(g) -> Rearrangement:
     return Rearrangement(tuple(runs(Counter(values).items())))
 
 
-def rearrange_radial(f: RadialFunction) -> Rearrangement:
-    """Rearrangement of the sphere-wise extension of f.
+def rearrange_spheres(ctx: FreeGroupCtx, values, D: int = 1) -> Rearrangement:
+    """Rearrangement of the sphere-wise extension of sum_n (values[n] / D) chi_n.
 
-    |f_n| occurs with multiplicity sphere_size(n); computed straight
-    from the coefficients, no enumeration, so degrees far beyond any
-    enumerable ball are fine.
+    |values[n]| / D occurs with multiplicity sphere_size(n); computed
+    straight from the values, no enumeration, so degrees far beyond any
+    enumerable ball are fine.  Integers over one D merge and order as
+    the rationals they stand for, so the runs are built on the values
+    and each run is divided once; D = 1 keeps the values as they are.
+    This is how radial.sphere_product's (D, h) is rearranged.
     """
-    return Rearrangement(tuple(runs((c, sphere_size(f.ctx, n)) for n, c in f.nonzero_items())))
+    pairs = runs((c, sphere_size(ctx, n)) for n, c in enumerate(values) if c)
+    if D != 1:
+        pairs = [(Fraction(v, D), m) for v, m in pairs]
+    return Rearrangement(tuple(pairs))
+
+
+def rearrange_radial(f: RadialFunction) -> Rearrangement:
+    """Rearrangement of the sphere-wise extension of f (see rearrange_spheres)."""
+    return rearrange_spheres(f.ctx, f.coeffs)
 
 
 def _pow_diff(c: int, m: int, e: float) -> float:

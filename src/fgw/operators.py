@@ -17,8 +17,8 @@ of family has one representation:
   candidates are masks over the spheres S_0 .. S_radius, and one integer
   sweep (_sphere_union_sweep) builds f * chi_E for every mask from the
   columns D (f * chi_r), so radii far beyond any enumerable ball remain
-  cheap.  The columns come straight from the radial algebra's one
-  product loop (radial._product_sums) on f's integer form, as integers,
+  cheap.  The columns come straight from radial.sphere_product, the
+  radial algebra's one product loop on f's integer form, as integers,
   never as Fractions.
 
 A float f takes D = 1 on both paths and is summed in the order of the exact values.
@@ -41,9 +41,9 @@ from .lorentz import Rearrangement, rearrange, rearrange_radial, runs
 from .radial import (
     RadialFunction,
     _denominator,
-    _product_sums,
     _scaled_items,
     chi,
+    sphere_product,
     structure_constant,
 )
 from .words import (
@@ -186,14 +186,28 @@ def _ball_keys(ctx: FreeGroupCtx, radius: int) -> list:
     return [key for n in range(radius + 1) for key in _kernels.iter_sphere_keys(tk, n)]
 
 
-def _first_draw_size(ctx: FreeGroupCtx, fam: SetFamily) -> int:
-    """|E| of random-subsets' first candidate, known before the ball is built.
+def _check_draws(ctx: FreeGroupCtx, fam: SetFamily, check) -> None:
+    """Run check(|E|) on random-subsets' draws, in order, before the ball is built.
 
-    Replays the first seeded draw on its own generator, after the ball's
-    SPHERE_CAP check, so budget checks on the first candidate fire
-    before any enumeration and the draws themselves do not change.
+    check raises BudgetExceededError and grows with |E|.  The ball's
+    SPHERE_CAP check comes first; when a draw of the whole ball passes,
+    every draw does and nothing is replayed.  Otherwise each draw is
+    replayed on its own generator: rng.sample consumes it by population
+    size and draw size only, so sampling range(|B|) leaves it where
+    candidate_sets' draw from the ball does, and the first oversized
+    draw fails with the message its own candidate would give.
     """
-    return random.Random(fam.seed).randint(1, _capped_ball_size(ctx, fam.radius))
+    ball = _capped_ball_size(ctx, fam.radius)
+    try:
+        check(ball)
+        return
+    except BudgetExceededError:
+        pass
+    rng = random.Random(fam.seed)
+    for _ in range(fam.budget):
+        size = rng.randint(1, ball)
+        check(size)
+        rng.sample(range(ball), size)
 
 
 def candidate_sets(ctx: FreeGroupCtx, fam: SetFamily):
@@ -287,15 +301,13 @@ def left_convolve(f: RadialFunction, g: FunctionOnGroup) -> FunctionOnGroup:
 def _sphere_columns(f: RadialFunction, radius: int) -> list:
     """The columns D (f * chi_r) for r = 0 .. radius, D = _denominator(f).
 
-    Each column is one run of the radial product loop on f's integer
-    form against chi_r, so an exact f gives integers directly; a float f
-    gives the floats of convolve_radial(f, chi_r).  Every column has
-    length deg f + radius + 1, zero-padded.
+    Each column is radial.sphere_product(f, r), so an exact f gives
+    integers directly; a float f gives float() of the coefficients of
+    convolve_radial(f, chi_r).  Every column has length
+    deg f + radius + 1, zero-padded.
     """
-    _, fs = _scaled_items(f)
-    q = f.ctx.q
     top = f.degree + radius + 1
-    cols = [_product_sums(q, fs, ((r, 1),), top) for r in range(radius + 1)]
+    cols = [sphere_product(f, r, top)[1] for r in range(radius + 1)]
     if not f.is_exact():
         cols = [[float(c) for c in col] for col in cols]
     return cols
@@ -372,7 +384,7 @@ def self_pairings(ctx: FreeGroupCtx, fam: SetFamily, k_max: int):
 
     A radial E sums (chi_k * chi_E)_r |S_r| over its spheres r; an explicit
     E reads chi_pairing_profile(E, E), padded or cut to k_max + 1 entries.
-    random-subsets checks its first draw's |E|^2 pairs before the ball is
+    random-subsets checks every draw's |E|^2 pairs before the ball is
     built.
     """
     if fam.kind in RADIAL_KINDS:
@@ -380,8 +392,7 @@ def self_pairings(ctx: FreeGroupCtx, fam: SetFamily, k_max: int):
             yield label, size, [Fraction(sum(h[r] * sphere_size(ctx, r) for r in radii)) for h in hs]
         return
     if fam.kind == "random-subsets":
-        size = _first_draw_size(ctx, fam)
-        _check_pair_work(size, size)
+        _check_draws(ctx, fam, lambda size: _check_pair_work(size, size))
     for E in candidate_sets(ctx, fam):
         profile = chi_pairing_profile(E, E)[: k_max + 1]
         yield E.label, E.size, profile + [Fraction(0)] * (k_max + 1 - len(profile))
@@ -392,7 +403,7 @@ def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
 
     Each sup is the best prefix of the runs of chi_n * chi_E, whose values
     are integers: radial sweep coefficients, or the kernel's pair counts.
-    random-subsets checks its first draw's |S_n| |E| pairs, n <= n_max,
+    random-subsets checks every draw's |S_n| |E| pairs, n <= n_max,
     before the ball is built.
     """
     if fam.kind in RADIAL_KINDS:
@@ -401,16 +412,18 @@ def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
             yield label, size, [_best_prefix(runs(zip(h, mult)), 0.5, 1)[0] for h in hs]
         return
     # ((n, 1),) is chi_n's scaled form: the check counts |S_n| |E| pairs
-    if fam.kind == "random-subsets":
-        size = _first_draw_size(ctx, fam)
+    def check(size):
         for n in range(n_max + 1):
             _check_convolution_work(ctx, ((n, 1),), size)
+
+    if fam.kind == "random-subsets":
+        _check_draws(ctx, fam, check)
     tk = ctx.alphabet
     for E in candidate_sets(ctx, fam):
         keys = E.keys()
+        check(len(keys))
         sups = []
         for n in range(n_max + 1):
-            _check_convolution_work(ctx, ((n, 1),), len(keys))
             counts = Counter(_kernels.convolve_sphere_set(tk, n, keys).values())
             sups.append(_best_prefix(runs(counts.items()), 0.5, 1)[0])
         yield E.label, E.size, sups
@@ -444,15 +457,15 @@ def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_r
     def objective(E: ElementSet):
         return reduce_set(_convolve_value_counts(ctx, scaled, E.keys()), D, E.size, E.label)
 
-    # the first candidate's work is known before the ball is built: one
-    # word for greedy, the first seeded draw for random-subsets; the
+    # work known before the ball is built is checked first: greedy's first
+    # candidate is one word, and random-subsets' seeded draws replay; the
     # ball's SPHERE_CAP check stays first
     if fam.kind == "greedy":
         _capped_ball_size(ctx, fam.radius)
         _check_convolution_work(ctx, scaled, 1)
         return _greedy_search(objective, ctx, fam)
     if fam.kind == "random-subsets":
-        _check_convolution_work(ctx, scaled, _first_draw_size(ctx, fam))
+        _check_draws(ctx, fam, lambda size: _check_convolution_work(ctx, scaled, size))
     best = None
     for E in candidate_sets(ctx, fam):
         if E.size > 0:

@@ -15,14 +15,17 @@ touches them degrades to floating point and is documented as such.
 An exact f has one integer form: its common denominator D and the
 pairs (n, D f_n) over its support (_scaled_items), computed once per
 instance, as is its exactness.  Every product in the package runs one
-loop, _product_sums, over such pairs: convolve_radial feeds it Df f and
-Dg g and makes each coefficient one Fraction over Df Dg, and the
-sphere-union sweep (operators) feeds it D f and chi_r and keeps the
-integers.  A product with a float coefficient runs the same loop on the
-coefficients as they are, term by term in the same (n, m, l) order, so
-its floats do not move in the last place.  Each pair (n, m) reads its
-structure constants as one row (_product_row), which is also the one
-closed form behind structure_constant.
+loop, _product_sums, over such pairs, and only this module calls it:
+convolve_radial feeds it Df f and Dg g and makes each coefficient one
+Fraction over Df Dg, and sphere_product feeds it D f and chi_n and
+keeps the integers.  sphere_product is what the rest of the package
+reads: the sphere-union sweep's columns (operators) and the verifiers'
+chains through f * chi_n (theorems, with sphere_product_norm_squared
+for ||f * chi_n||_2^2).  A product with a float coefficient runs the
+same loop on the coefficients as they are, term by term in the same
+(n, m, l) order, so its floats do not move in the last place.  Each
+pair (n, m) reads its structure constants as one row (_product_row),
+which is also the one closed form behind structure_constant.
 """
 
 from __future__ import annotations
@@ -144,8 +147,7 @@ class RadialFunction:
         returns one Fraction; a float f sums its terms in increasing n.
         """
         D, items = _scaled_items(self)
-        terms = (c * c * sphere_size(self.ctx, n) for n, c in items)
-        return Fraction(sum(terms), D * D) if self.is_exact() else sum(terms, 0.0)
+        return _l2_sum(self.ctx, D, items, self.is_exact())
 
     def __add__(self, other: "RadialFunction") -> "RadialFunction":
         if self.ctx != other.ctx:
@@ -220,6 +222,16 @@ def _scaled_items(f: RadialFunction):
     return f._scaled
 
 
+def _l2_sum(ctx: FreeGroupCtx, D: int, items, exact: bool):
+    """sum c^2 |S_n| / D^2 over the (n, c) pairs of items, in their order.
+
+    exact: items are integers over D and the sum is one Fraction;
+    otherwise the terms are summed from 0.0 as they come.
+    """
+    terms = (c * c * sphere_size(ctx, n) for n, c in items)
+    return Fraction(sum(terms), D * D) if exact else sum(terms, 0.0)
+
+
 def _product_sums(q: int, fs, gs, length: int) -> list:
     """out[l] = sum over (n, f_n) in fs, (m, g_m) in gs of f_n g_m c(n, m, l).
 
@@ -261,6 +273,35 @@ def convolve_radial(f: RadialFunction, g: RadialFunction) -> RadialFunction:
         D = Df * Dg
         out = [Fraction(v, D) for v in out]
     return RadialFunction(f.ctx, tuple(out))
+
+
+def sphere_product(f: RadialFunction, n: int, length: int = 0):
+    """(D, h) with h[l] = D (f * chi_n)_l and D = _denominator(f).
+
+    One run of _product_sums on f's integer form against chi_n, whose
+    integer form is ((n, 1),), so an exact f gives integers and builds
+    no Fraction.  A float f (D = 1) gives the loop's sums as they are,
+    which convolve_radial(f, chi_n) would wrap as its coefficients:
+    floats, int 0 where no term lands, and the Fraction sums of a
+    mixed f.  h has length deg f + n + 1 unless length is given, which
+    must then exceed deg f + n; the extra entries are 0.
+    """
+    if n < 0:
+        raise ValueError("sphere index must be nonnegative")
+    D, fs = _scaled_items(f)
+    return D, _product_sums(f.ctx.q, fs, ((n, 1),), length or f.degree + n + 1)
+
+
+def sphere_product_norm_squared(f: RadialFunction, n: int):
+    """||f * chi_n||_2^2 read from sphere_product.
+
+    Equal, in value and type, to convolve_radial(f, chi_n).l2_norm_squared():
+    the same sum (_l2_sum) over the same nonzero entries, exact when no
+    entry is a float.
+    """
+    D, h = sphere_product(f, n)
+    exact = not any(isinstance(c, float) for c in h)
+    return _l2_sum(f.ctx, D, ((l, c) for l, c in enumerate(h) if c), exact)
 
 
 def oracle_convolve(ctx: FreeGroupCtx, n: int, m: int) -> RadialFunction:

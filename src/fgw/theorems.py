@@ -10,10 +10,16 @@ between the exact structure constants and their displayed majorant.
 
 This module only states inequalities.  How a family is swept (radial
 masks or explicit enumeration) and how values are scaled to integers
-is decided in operators (self_pairings, prefix_sups, the estimators)
-and radial (convolve_radial, RadialFunction.l2_norm_squared).  The
-argument checks (require_*) are public, so the CLI can run them before
-any verifier.
+is decided in operators (self_pairings, prefix_sups, the estimators),
+radial and lorentz.  Every product f * chi_n here is read as integers
+over D = lcm(denominators of f) from radial.sphere_product, with no
+Fraction built: thm1 takes ||f * chi_m||_2^2 from
+sphere_product_norm_squared, which shares the sum of
+RadialFunction.l2_norm_squared and equals
+convolve_radial(f, chi_m).l2_norm_squared(); thm3 and thm4 divide by D
+once per value, which rounds as float() of the Fraction would; thm5
+rearranges through lorentz.rearrange_spheres.  The argument checks
+(require_*) are public, so the CLI can run them before any verifier.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lorentz import lorentz_norm, rearrange_radial, radial_weighted_sum
+from .lorentz import lorentz_norm, rearrange_radial, rearrange_spheres, radial_weighted_sum
 from .operators import (
     SetFamily,
     column_l1_sup,
@@ -40,8 +46,9 @@ from .radial import (
     a_functional,
     chi,
     conjecture_functional,
-    convolve_radial,
     paper_display_coefficient,
+    sphere_product,
+    sphere_product_norm_squared,
     structure_constant,
 )
 from .reportio import render_number
@@ -225,7 +232,7 @@ def verify_thm1(f: RadialFunction, fam: SetFamily) -> VerificationReport:
     best = None
     d = f.degree
     for m in range(2 * d, 2 * d + 5):
-        val = convolve_radial(f, chi(ctx, m)).l2_norm_squared() / sphere_size(ctx, m)
+        val = sphere_product_norm_squared(f, m) / sphere_size(ctx, m)
         report.info(f"thm1:chain:m={m}", value=float(val))
         if best is None or val > best:
             best = val
@@ -350,15 +357,7 @@ def thm3_equivalence_report(
     for label, f in fns:
         weighted = radial_weighted_sum(f, 2.0)
         est = restricted_weak_estimate(f, fam)["estimate"]
-        d = f.degree
-        pair_best = 0.0
-        for n in range(d + 3):
-            # <f * chi_n, chi_m> = (f * chi_n)_m |S_m|, one product per n
-            h = convolve_radial(f, chi(ctx, n))
-            for m in (n, n + 1):
-                val = float(h.coefficient(m) * sphere_size(ctx, m))
-                val /= math.sqrt(sphere_size(ctx, n) * sphere_size(ctx, m))
-                pair_best = max(pair_best, val)
+        pair_best = _sphere_pair_best(f)
         even = math.fsum(
             float(c) * float(q) ** (0.5 * n) for n, c in f.nonzero_items() if n % 2 == 0
         )
@@ -397,6 +396,24 @@ def thm3_equivalence_report(
     return report
 
 
+def _sphere_pair_best(f: RadialFunction) -> float:
+    """max of <f * chi_n, chi_m> / sqrt(|S_n| |S_m|) over n <= deg f + 2, m in (n, n + 1).
+
+    <f * chi_n, chi_m> = (f * chi_n)_m |S_m|, one sphere_product per n.
+    """
+    ctx = f.ctx
+    d = f.degree
+    best = 0.0
+    for n in range(d + 3):
+        # length d + n + 2 reaches m = n + 1 also when deg f = 0
+        D, h = sphere_product(f, n, d + n + 2)
+        for m in (n, n + 1):
+            val = h[m] * sphere_size(ctx, m) / D
+            val /= math.sqrt(sphere_size(ctx, n) * sphere_size(ctx, m))
+            best = max(best, val)
+    return best
+
+
 def require_thm4_index(p: float) -> None:
     """thm4's chain is stated for 1 < p < 2."""
     if not 1 < p < 2:
@@ -427,9 +444,9 @@ def thm4_lower_chain(f: RadialFunction, p: float, rel_tol: float = 1e-9) -> Veri
         float(c) ** pp * q ** (l * pp / p) for l, c in f.nonzero_items()
     )
     for n in range(d, d + 4):
-        h = convolve_radial(f, chi(ctx, n))
+        D, h = sphere_product(f, n)
         norm_pp = math.fsum(
-            float(c) ** pp * float(sphere_size(ctx, l)) for l, c in h.nonzero_items()
+            (c / D) ** pp * float(sphere_size(ctx, l)) for l, c in enumerate(h) if c
         )
         lhs = norm_pp / q**n
         report.check_ge(
@@ -489,7 +506,8 @@ def thm5_exponent_fit(
     ys = []
     for n in ns:
         f = RadialFunction(ctx, tuple(q ** (-0.5 * k) for k in range(2 * n + 1)))
-        num = lorentz_norm(rearrange_radial(convolve_radial(chi(ctx, n), f)), (2.0, t))
+        D, h = sphere_product(f, n)
+        num = lorentz_norm(rearrange_spheres(ctx, h, D), (2.0, t))
         den = lorentz_norm(rearrange_radial(f), (2.0, s))
         ratio = num / den
         xs.append(math.log(n))

@@ -223,6 +223,41 @@ def test_explicit_verify_budget_fires_before_the_ball_is_built(
     assert captured.err == f"error: budget exceeded: {need}\n"
 
 
+@pytest.mark.parametrize(
+    "args, need",
+    [
+        # B_9 has 39365 words; each first draw passes, the second does not:
+        # 3707 then 12896 words, 12896^2 pairs
+        (["verify", "lemma1", "--seed", "2"], "pair enumeration needs 166306816"),
+        # 805 then 22644 words, |S_5| x 22644 at the default n_max
+        (["verify", "r22", "--seed", "31"], "convolution enumeration needs 22009968"),
+        # 16741 then 38743 words, |S_6| x 38743 for f = chi_6
+        (
+            ["search", "--f", "0,0,0,0,0,0,1", "--seed", "5"],
+            "convolution enumeration needs 37658196",
+        ),
+        (
+            ["search", "--f", "0,0,0,0,0,0,1", "--estimator", "weak", "--seed", "5"],
+            "convolution enumeration needs 37658196",
+        ),
+    ],
+    ids=["lemma1", "r22", "restricted", "weak"],
+)
+def test_later_draw_budget_fires_before_the_ball_is_built(capsys, monkeypatch, args, need):
+    import fgw.operators
+
+    def no_ball(*args, **kwargs):
+        raise AssertionError("the ball was enumerated before the budget check")
+
+    monkeypatch.setattr(fgw.operators, "_ball_keys", no_ball)
+    family = ["--family", "random-subsets", "--radius", "9", "--budget", "2"]
+    code = main([*args, *family])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: budget exceeded: {need}, cap is 20000000\n"
+
+
 def test_verify_threads_option_is_gone():
     proc = run_cli(["verify", "lemma1", "--threads", "2"])
     assert proc.returncode == 2
@@ -409,12 +444,15 @@ def test_verify_all_caches_hold_only_used_indices():
     for seed in ("0", "1"):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["verify", "all", "--seed", seed]) == 1
-        # the largest indices come from thm5: chi_n for n <= 40 (--fit-n-max)
-        # times a function of degree 2n, so spheres up to 3 * 40
-        assert [c.cache_info().currsize for c in caches] == [41, 121, 82]
+        # chi_n is built only as a basis function or sweep input: n <= 8 from
+        # lemma1's and r22's default k_max and n_max.  The largest product
+        # indices come from thm5: f of degree 2n times chi_n for n <= 40
+        # (--fit-n-max), so rows lo <= 40 and spheres up to 3 * 40
+        assert [c.cache_info().currsize for c in caches] == [9, 121, 82]
     misses = [c.cache_info().misses for c in caches]
-    for n in range(41):
+    for n in range(9):
         radial.chi(ctx, n)
+    for n in range(41):
         radial._product_row(ctx.q, n, False)
         radial._product_row(ctx.q, n, True)
     for n in range(121):

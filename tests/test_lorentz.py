@@ -8,6 +8,8 @@ Core claims:
     - norms decrease in the second index s
     - blockwise power differences telescope without cancellation error
     - rearrange_radial equals rearrangement of the expanded radial function
+    - rearrange_spheres on sphere_product's integers over D equals
+      rearrange_radial of the Fraction product, on exact, float and mixed f
     - radial_weighted_sum follows the p = 2 and 1 < p < 2 formulas
 """
 
@@ -16,6 +18,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgw.lorentz import (
     LorentzIndex,
@@ -24,9 +28,10 @@ from fgw.lorentz import (
     radial_weighted_sum,
     rearrange,
     rearrange_radial,
+    rearrange_spheres,
     weak_norm,
 )
-from fgw.radial import RadialFunction, chi
+from fgw.radial import RadialFunction, chi, convolve_radial, sphere_product
 from fgw.words import FreeGroupCtx, sphere_size
 
 
@@ -142,6 +147,31 @@ def test_rearrange_radial_matches_expansion():
     # negative coefficients enter through their absolute value
     g = RadialFunction(ctx, (Fraction(-3), Fraction(1)))
     assert rearrange_radial(g).pairs == ((3, 1), (1, 4))
+
+
+_EXACT = st.fractions(min_value=-20, max_value=20, max_denominator=10**6)
+_FLOAT = st.floats(min_value=-20, max_value=20, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.sampled_from([2, 3]),
+    coeffs=st.sampled_from([_EXACT, _FLOAT, st.one_of(_EXACT, _FLOAT)]).flatmap(
+        lambda coeff: st.lists(coeff, max_size=7)
+    ),
+    n=st.integers(0, 12),
+)
+def test_rearrange_spheres_of_scaled_product(k, coeffs, n):
+    # thm5's numerator: the runs of D (f * chi_n), divided by D per run
+    ctx = FreeGroupCtx(k)
+    f = RadialFunction(ctx, tuple(coeffs))
+    D, h = sphere_product(f, n)
+    got = rearrange_spheres(ctx, h, D)
+    want = rearrange_radial(convolve_radial(f, chi(ctx, n)))
+    assert got == want
+    assert [repr(v) for v, _ in got.pairs if isinstance(v, float)] == [
+        repr(v) for v, _ in want.pairs if isinstance(v, float)
+    ]
 
 
 def test_radial_weighted_sum_formulas():

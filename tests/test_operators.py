@@ -44,6 +44,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fgw.operators as ops
+import fgw.radial as radial
 from fgw import _kernels
 from fgw.errors import BudgetExceededError
 from fgw.lorentz import rearrange, rearrange_radial
@@ -487,13 +488,13 @@ def test_sphere_union_sweep_matches_fraction_reference(case):
 def test_radial_families_convolve_once_per_sphere(monkeypatch, kind):
     # every sweep column is one run of the product loop against chi_r
     spheres = []
-    real = ops._product_sums
+    real = radial._product_sums
 
     def counting(q, fs, gs, length):
         spheres.extend(m for m, _ in gs)
         return real(q, fs, gs, length)
 
-    monkeypatch.setattr(ops, "_product_sums", counting)
+    monkeypatch.setattr(radial, "_product_sums", counting)
     fam = SetFamily(kind, radius=4)
     f = RadialFunction(CTX, (Fraction(1), Fraction(1, 2)))
     restricted_weak_estimate(f, fam)

@@ -6,6 +6,10 @@ Core claims:
     - convolve_radial equals the Fraction loop over the structure constants,
       coefficient by coefficient in type and repr, on exact, float and
       mixed inputs; float products keep their values to the last place
+    - sphere_product(f, n) is convolve_radial(f, chi_n) as integers over
+      f's common denominator (exact f) or as the same sums (float and mixed
+      f), and sphere_product_norm_squared equals the product's
+      l2_norm_squared in value and type
     - the chi_1 recursion chi_1 * chi_n = chi_{n+1} + q chi_{n-1} holds (n >= 2)
     - a product with float coefficients adds no structure-constant cache entries
     - total mass is conserved: sum_l c(n,m,l) |S_l| = |S_n| |S_m|
@@ -24,7 +28,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fgw.radial import (
@@ -41,6 +45,8 @@ from fgw.radial import (
     oracle_convolve,
     parse_radial_literal,
     paper_display_coefficient,
+    sphere_product,
+    sphere_product_norm_squared,
     structure_constant,
 )
 from fgw.words import FreeGroupCtx, mul, sphere_size, sphere_stream
@@ -181,6 +187,55 @@ def test_convolve_matches_fraction_loop(data):
     f = data.draw(_radial(ctx, coeff))
     g = data.draw(_radial(ctx, st.one_of(_EXACT, _FLOAT, st.integers(-5, 5))))
     assert _typed(convolve_radial(f, g)) == _typed(_reference_convolve(f, g))
+
+
+_F_KINDS = st.sampled_from([_EXACT, _FLOAT, st.one_of(_EXACT, _FLOAT)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(0, 12))
+def test_sphere_product_is_the_scaled_product(data, n):
+    ctx = data.draw(_CTXS)
+    f = data.draw(_radial(ctx, data.draw(_F_KINDS)))
+    D, h = sphere_product(f, n)
+    prod = convolve_radial(f, chi(ctx, n))
+    assert D == _denominator(f)
+    assert len(h) == f.degree + n + 1
+    for l, c in enumerate(h):
+        want = prod.coefficient(l)
+        if f.is_exact():
+            assert type(c) is int
+            assert Fraction(c, D) == want
+        else:
+            # the loop's own sums: floats repr-equal, the rest equal
+            assert D == 1 and c == want
+            assert isinstance(c, float) == isinstance(want, float)
+            assert repr(c) == repr(want) or not isinstance(c, float)
+    pad = data.draw(st.integers(0, 3))
+    D2, padded = sphere_product(f, n, len(h) + pad)
+    assert (D2, padded) == (D, h + [0] * pad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ctx=_CTXS,
+    coeffs=_F_KINDS.flatmap(lambda coeff: st.lists(coeff, max_size=6)),
+    n=st.integers(0, 12),
+)
+# a float 0.0 makes f inexact, yet its product holds no float
+@example(ctx=FreeGroupCtx(2), coeffs=[Fraction(1), 0.0, Fraction(1, 3)], n=3)
+def test_sphere_chain_norm_equals_l2_norm_of_product(ctx, coeffs, n):
+    # thm1's chain value ||f * chi_n||_2^2 / |S_n|, with == and the same type
+    f = RadialFunction(ctx, tuple(coeffs))
+    got = sphere_product_norm_squared(f, n) / sphere_size(ctx, n)
+    want = convolve_radial(f, chi(ctx, n)).l2_norm_squared() / sphere_size(ctx, n)
+    assert type(got) is type(want)
+    assert got == want
+
+
+def test_sphere_product_refuses_negative_index():
+    with pytest.raises(ValueError, match="nonnegative"):
+        sphere_product(chi(FreeGroupCtx(2), 1), -1)
 
 
 @settings(max_examples=40, deadline=None)

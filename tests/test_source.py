@@ -3,6 +3,9 @@
 Core claims:
     - no module of fgw other than __init__ (which re-exports) imports a
       name that it never uses
+    - the one product loop, radial._product_sums, is called only inside
+      radial, and theorems reads its products through sphere_product,
+      never through convolve_radial
 
 No linter ships with the test dependencies, so the check is made here
 with the standard library's ast.
@@ -39,3 +42,31 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def called_names(source: str) -> set:
+    """Names called in source, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                names.add(func.id)
+            elif isinstance(func, ast.Attribute):
+                names.add(func.attr)
+    return names
+
+
+def test_called_names_are_found():
+    source = "f(1)\nmod.g(h)\nx.y.z()\n"
+    assert called_names(source) == {"f", "g", "z"}
+
+
+def test_product_loop_is_called_only_in_radial():
+    callers = [p.name for p in MODULES if "_product_sums" in called_names(p.read_text(encoding="utf-8"))]
+    assert callers == ["radial.py"]
+
+
+def test_theorems_never_calls_convolve_radial():
+    source = (Path(fgw.__file__).parent / "theorems.py").read_text(encoding="utf-8")
+    assert "convolve_radial" not in called_names(source)

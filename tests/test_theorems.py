@@ -16,6 +16,9 @@ Core claims:
     - the alpha = n column row documents the expected failure for n >= 4
     - thm5 refuses degenerate fit windows
     - float thm4 and thm5 chains keep their values to the last place
+    - thm3's sphere-pair value and thm4's p'-sums, read as integers over
+      D, equal their values through Fraction products exactly, on exact,
+      float and mixed f
 """
 
 import ast
@@ -42,6 +45,7 @@ from fgw.radial import RadialFunction, chi, convolve_radial
 from fgw.reportio import CSV_HEADER
 from fgw.theorems import (
     VerificationReport,
+    _sphere_pair_best,
     build_thm1_suite,
     conjecture_scan,
     sample_radial,
@@ -315,6 +319,51 @@ def test_float_chains_pinned():
     f = RadialFunction(CTX, tuple(q ** (-0.5 * n) for n in range(7)))
     first = thm4_lower_chain(f, 1.5).checks[0]
     assert (repr(first["lhs"]), repr(first["rhs"])) == ("18.52345496248752", "306.0020988963831")
+
+
+_NONNEG_EXACT = st.fractions(min_value=0, max_value=20, max_denominator=10**6)
+_NONNEG_FLOAT = st.floats(min_value=0, max_value=20, allow_nan=False)
+# exact, float or mixed coefficients
+_CHAIN_COEFF = st.sampled_from(
+    [_NONNEG_EXACT, _NONNEG_FLOAT, st.one_of(_NONNEG_EXACT, _NONNEG_FLOAT)]
+)
+_CHAIN_F = st.builds(
+    lambda k, cs: RadialFunction(FreeGroupCtx(k), tuple(cs)),
+    st.sampled_from([2, 3]),
+    _CHAIN_COEFF.flatmap(lambda coeff: st.lists(coeff, min_size=1, max_size=7)),
+).filter(lambda f: not f.is_zero())
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_CHAIN_F)
+def test_thm3_pair_value_equals_fraction_path(f):
+    ctx = f.ctx
+    want = 0.0
+    for n in range(f.degree + 3):
+        h = convolve_radial(f, chi(ctx, n))
+        for m in (n, n + 1):
+            val = float(h.coefficient(m) * sphere_size(ctx, m))
+            val /= math.sqrt(sphere_size(ctx, n) * sphere_size(ctx, m))
+            want = max(want, val)
+    got = _sphere_pair_best(f)
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_CHAIN_F, p=st.floats(min_value=1.05, max_value=1.95))
+def test_thm4_chain_equals_fraction_path(f, p):
+    ctx = f.ctx
+    q = float(ctx.q)
+    pp = p / (p - 1.0)
+    rows = [c for c in thm4_lower_chain(f, p).checks if c["id"].startswith("thm4:n=")]
+    assert len(rows) == 4
+    for n, row in zip(range(f.degree, f.degree + 4), rows):
+        h = convolve_radial(f, chi(ctx, n))
+        norm_pp = math.fsum(
+            float(c) ** pp * float(sphere_size(ctx, l)) for l, c in h.nonzero_items()
+        )
+        # check_ge stores the chain's side as rhs
+        assert repr(row["rhs"]) == repr(norm_pp / q**n)
 
 
 def test_thm5_rejects_degenerate_window():
