@@ -14,7 +14,6 @@ from .lorentz import (
     radial_weighted_sum,
     rearrange,
     rearrange_radial,
-    rearrange_spheres,
     weak_norm,
 )
 from .operators import (
@@ -45,7 +44,6 @@ from .radial import (
     paper_display_coefficient,
     parse_radial_literal,
     sphere_product,
-    sphere_product_norm_squared,
     structure_constant,
 )
 from .theorems import (

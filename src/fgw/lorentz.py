@@ -4,8 +4,8 @@ Everything is driven by the decreasing rearrangement a_1 >= a_2 >= ...
 of |f|, stored as (value, multiplicity) runs because multiplicities are
 sphere sizes and grow exponentially.  runs() builds every such
 rearrangement in the package; rearrange_spheres() is its radial form,
-for a RadialFunction or for a product read as integers over D.  The
-norm convention is
+for a RadialFunction or for a float product read from
+radial.sphere_product.  The norm convention is
 
     ||f||_{p,s} = ( sum_i a_i^s (i^{s/p} - (i-1)^{s/p}) )^{1/s}
     ||f||_{p,inf} = sup_i i^{1/p} a_i
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .radial import RadialFunction
 from .words import FreeGroupCtx, sphere_size
@@ -93,20 +92,14 @@ def rearrange(g) -> Rearrangement:
     return Rearrangement(tuple(runs(Counter(values).items())))
 
 
-def rearrange_spheres(ctx: FreeGroupCtx, values, D: int = 1) -> Rearrangement:
-    """Rearrangement of the sphere-wise extension of sum_n (values[n] / D) chi_n.
+def rearrange_spheres(ctx: FreeGroupCtx, values) -> Rearrangement:
+    """Rearrangement of the sphere-wise extension of sum_n values[n] chi_n.
 
-    |values[n]| / D occurs with multiplicity sphere_size(n); computed
+    |values[n]| occurs with multiplicity sphere_size(n); computed
     straight from the values, no enumeration, so degrees far beyond any
-    enumerable ball are fine.  Integers over one D merge and order as
-    the rationals they stand for, so the runs are built on the values
-    and each run is divided once; D = 1 keeps the values as they are.
-    This is how radial.sphere_product's (D, h) is rearranged.
+    enumerable ball are fine.
     """
-    pairs = runs((c, sphere_size(ctx, n)) for n, c in enumerate(values) if c)
-    if D != 1:
-        pairs = [(Fraction(v, D), m) for v, m in pairs]
-    return Rearrangement(tuple(pairs))
+    return Rearrangement(tuple(runs((c, sphere_size(ctx, n)) for n, c in enumerate(values) if c)))
 
 
 def rearrange_radial(f: RadialFunction) -> Rearrangement:

@@ -288,6 +288,8 @@ def sphere_product(f: RadialFunction, n: int, length: int = 0):
     """
     if n < 0:
         raise ValueError("sphere index must be nonnegative")
+    if length and length <= f.degree + n:
+        raise ValueError("length must exceed deg f + n")
     D, fs = _scaled_items(f)
     return D, _product_sums(f.ctx.q, fs, ((n, 1),), length or f.degree + n + 1)
 

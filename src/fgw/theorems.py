@@ -17,8 +17,9 @@ Fraction built: thm1 takes ||f * chi_m||_2^2 from
 sphere_product_norm_squared, which shares the sum of
 RadialFunction.l2_norm_squared and equals
 convolve_radial(f, chi_m).l2_norm_squared(); thm3 and thm4 divide by D
-once per value, which rounds as float() of the Fraction would; thm5
-rearranges through lorentz.rearrange_spheres.  The argument checks
+once per value, which rounds as float() of the Fraction would; thm5's
+f is float, so D = 1 and h is rearranged as it is through
+lorentz.rearrange_spheres.  The argument checks
 (require_*) are public, so the CLI can run them before any verifier.
 """
 
@@ -506,8 +507,8 @@ def thm5_exponent_fit(
     ys = []
     for n in ns:
         f = RadialFunction(ctx, tuple(q ** (-0.5 * k) for k in range(2 * n + 1)))
-        D, h = sphere_product(f, n)
-        num = lorentz_norm(rearrange_spheres(ctx, h, D), (2.0, t))
+        _, h = sphere_product(f, n)  # f is float, so D = 1
+        num = lorentz_norm(rearrange_spheres(ctx, h), (2.0, t))
         den = lorentz_norm(rearrange_radial(f), (2.0, s))
         ratio = num / den
         xs.append(math.log(n))

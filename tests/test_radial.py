@@ -236,6 +236,10 @@ def test_sphere_chain_norm_equals_l2_norm_of_product(ctx, coeffs, n):
 def test_sphere_product_refuses_negative_index():
     with pytest.raises(ValueError, match="nonnegative"):
         sphere_product(chi(FreeGroupCtx(2), 1), -1)
+    # a given length must leave room for the top coefficient, deg f + n
+    with pytest.raises(ValueError, match="exceed"):
+        sphere_product(chi(FreeGroupCtx(2), 1), 2, 3)
+    assert len(sphere_product(chi(FreeGroupCtx(2), 1), 2, 4)[1]) == 4
 
 
 @settings(max_examples=40, deadline=None)
