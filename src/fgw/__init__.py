@@ -1,9 +1,10 @@
 """Exact-arithmetic toolkit for radial convolution operators on free groups.
 
 Words and spheres, the exact radial convolution algebra, discrete
-Lorentz norms, truncated convolution operators with set-search norm
-estimators, and composite verifiers that certify the weak-type operator
-norm bounds at desk scale.
+Lorentz norms, set-search norm estimators and truncated column sups,
+and composite verifiers that certify the weak-type operator norm bounds
+at desk scale.  fgw.oracle holds the brute-force ground truth they are
+tested against.
 """
 
 from .errors import BudgetExceededError
@@ -18,19 +19,22 @@ from .lorentz import (
 )
 from .operators import (
     ElementSet,
-    FunctionOnGroup,
     SetFamily,
-    best_F_ratio,
     candidate_sets,
     column_l1_sup,
     default_radius,
     explicit_set,
-    left_convolve,
-    pairing,
     q_alpha_sweep,
     restricted_weak_estimate,
-    truncated_column,
     weak_estimate_21_to_2,
+)
+from .oracle import (
+    FunctionOnGroup,
+    best_F_ratio,
+    left_convolve,
+    oracle_convolve,
+    pairing,
+    truncated_column,
 )
 from .radial import (
     RadialFunction,
@@ -40,7 +44,6 @@ from .radial import (
     conjecture_functional,
     convolve_radial,
     format_radial_literal,
-    oracle_convolve,
     paper_display_coefficient,
     parse_radial_literal,
     sphere_product,

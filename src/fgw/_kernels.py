@@ -5,6 +5,10 @@ l_0 l_1 ... l_{n-1} is ((1*2k + l_0)*2k + l_1)... so the LAST letter is the
 lowest digit.  A key of length n lies in [(2k)^n, 2 (2k)^n), so, as 2k >= 4,
 numeric key order is the (length, lex) order of the words, and sorting keys
 sorts words.  Keys are plain Python integers, so words of any length fit.
+
+Every function here serves a certifier path: the sphere odometer, key
+encoding and inversion, and the pair kernels of the explicit families,
+prod_len_hist (pairings) and convolve_sphere_set (estimators and r22).
 The kernels return raw counts; lorentz.runs rearranges them.
 """
 
@@ -43,19 +47,6 @@ def inv_key(two_k: int, key: int) -> int:
     while key > 1:
         key, c = divmod(key, two_k)
         out = out * two_k + (c ^ 1)
-    return out
-
-
-def mul_key(two_k: int, ka: int, kb: int) -> int:
-    b = decode_word(two_k, kb)
-    i = 0
-    n = len(b)
-    while ka > 1 and i < n and ka % two_k == b[i] ^ 1:
-        ka //= two_k
-        i += 1
-    out = ka
-    for c in b[i:]:
-        out = out * two_k + c
     return out
 
 
@@ -133,23 +124,4 @@ def convolve_sphere_set(two_k: int, n: int, xkeys) -> dict[int, int]:
             rem = m - i
             z = k * powers[rem] + kx % powers[rem]
             out[z] = out.get(z, 0) + 1
-    return out
-
-
-def sphere_len_hists(two_k: int, n: int, xkeys) -> list[list[int]]:
-    """For each x: histogram of |w*x| over w in S_n (truncation column data)."""
-    ws = sphere_keys(two_k, n)
-    out = []
-    for kx in xkeys:
-        xl = decode_word(two_k, kx)
-        m = len(xl)
-        hist = [0] * (n + m + 1)
-        for kw in ws:
-            k = kw
-            i = 0
-            while k > 1 and i < m and k % two_k == xl[i] ^ 1:
-                k //= two_k
-                i += 1
-            hist[n + m - 2 * i] += 1
-        out.append(hist)
     return out

@@ -9,19 +9,15 @@ byte-identical for identical (argv, seed).
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 
 from .errors import BudgetExceededError
 from .lorentz import LorentzIndex, lorentz_norm, rearrange_radial
 from .operators import FAMILY_KINDS, SetFamily, default_radius
-from .radial import (
-    chi,
-    convolve_radial,
-    format_radial_literal,
-    oracle_convolve,
-    parse_radial_literal,
-)
+from .oracle import oracle_convolve
+from .radial import chi, convolve_radial, format_radial_literal, parse_radial_literal
 from .reportio import json_dumps, write_csv, write_json
 from .theorems import (
     build_thm1_suite,
@@ -325,23 +321,25 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "conjecture": cmd_conjecture,
     }
-    # open --output before any work, so an unwritable path is a usage error
+    # check --output before any work, so an unwritable path is a usage
+    # error; appending nothing leaves its contents as they are, and they
+    # are replaced only once a report has been written
+    if args.output:
+        try:
+            open(args.output, "a", encoding="utf-8").close()
+        except OSError as exc:
+            print(f"error: cannot write --output: {exc}", file=sys.stderr)
+            return 2
+    args.out = io.StringIO() if args.output else sys.stdout
     try:
-        args.out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    except OSError as exc:
-        print(f"error: cannot write --output: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return handlers[args.command](args)
-    except BudgetExceededError as exc:
+        code = handlers[args.command](args)
+    except (BudgetExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if args.output:
-            args.out.close()
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.write(args.out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -1,18 +1,16 @@
-"""Convolution operators on truncated supports and set-search estimators.
+"""Set-search estimators, the family sweeps of lemma1 and r22, and column sups.
 
-The left convolution by a radial function f acts on finitely supported
-functions; its weak-type operator norms are probed from below by
+The left convolution by a radial function f is probed from below by
 searching over families of finite sets E (and implicitly F).  Each kind
 of family has one representation:
 
 * an ElementSet is an explicit set: the sorted integer keys of its words
   (see _kernels), which go through the enumeration kernels (cost |E| x
   sphere sizes); words become ReducedWords only at the API boundary
-  (explicit_set, iter_words, FunctionOnGroup, truncated_column).  The
-  estimators see f * chi_E as integers over D = lcm(denominators of f)
-  (_convolve_value_counts) and divide once per candidate, in
-  _best_prefix or the square sum, and pairings read one length
-  histogram of the products (chi_pairing_profile);
+  (explicit_set, iter_words).  The estimators see f * chi_E as integers
+  over D = lcm(denominators of f) (_convolve_value_counts) and divide
+  once per candidate, in _best_prefix or the square sum, and pairings
+  read one length histogram of the products (chi_pairing_profile);
 * a radial family (unions of spheres) is never an ElementSet: its
   candidates are masks over the spheres S_0 .. S_radius, and one integer
   sweep (_sphere_union_sweep) builds f * chi_E for every mask from the
@@ -24,7 +22,11 @@ of family has one representation:
 A float f takes D = 1 on both paths and is summed in the order of the exact values.
 Every decreasing rearrangement is built by lorentz.runs.  self_pairings
 (lemma1) and prefix_sups (r22) hold the verifiers' mask-or-explicit
-fork, so theorems only states inequalities.
+fork, so theorems only states inequalities.  The column sups of the
+truncated sphere operators (column_l1_sup, q_alpha_sweep) come in closed
+form from the structure constants.  Every function here is on a
+certifier path; the enumerated ground truth they are tested against
+lives in fgw.oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 
 from . import _kernels
 from .errors import BudgetExceededError
-from .lorentz import Rearrangement, rearrange, rearrange_radial, runs
+from .lorentz import runs
 from .radial import (
     RadialFunction,
     _denominator,
@@ -62,30 +64,6 @@ FAMILY_KINDS = RADIAL_KINDS + ("ball-subsets", "random-subsets", "greedy")
 def default_radius(ctx: FreeGroupCtx) -> int:
     """Default ball radius: 8 on two generators, 5 beyond."""
     return 8 if ctx.k == 2 else 5
-
-
-@dataclass
-class FunctionOnGroup:
-    """Finitely supported function, sparse map word -> exact rational."""
-
-    ctx: FreeGroupCtx
-    entries: dict
-
-    def __post_init__(self):
-        self.entries = {w: v for w, v in self.entries.items() if v}
-
-    def value(self, w: ReducedWord):
-        return self.entries.get(w, Fraction(0))
-
-    @property
-    def support_size(self) -> int:
-        return len(self.entries)
-
-    def l1_mass(self):
-        return sum(abs(v) for v in self.entries.values())
-
-    def l2_norm_squared(self):
-        return sum(v * v for v in self.entries.values())
 
 
 @dataclass(frozen=True)
@@ -268,36 +246,6 @@ def _convolve_value_counts(ctx: FreeGroupCtx, scaled, keys) -> dict:
     return out
 
 
-def left_convolve(f: RadialFunction, g: FunctionOnGroup) -> FunctionOnGroup:
-    """Exact f * g for radial f and finitely supported g."""
-    if f.ctx != g.ctx:
-        raise ValueError("mismatched group contexts")
-    ctx = f.ctx
-    tk = ctx.alphabet
-    if f.is_zero() or not g.entries:
-        return FunctionOnGroup(ctx, {})
-    by_value: dict = {}
-    for w, v in g.entries.items():
-        by_value.setdefault(v, []).append(_kernels.encode_word(tk, w.letters))
-    sphere_work = sum(sphere_size(ctx, n) for n, _ in f.nonzero_items())
-    if sphere_work * g.support_size > PAIR_BUDGET:
-        raise BudgetExceededError(
-            "convolution enumeration", sphere_work * g.support_size, PAIR_BUDGET
-        )
-    acc: dict = {}
-    for v, keys in by_value.items():
-        for n, fn in f.nonzero_items():
-            scale = fn * v
-            for zkey, count in _kernels.convolve_sphere_set(tk, n, keys).items():
-                acc[zkey] = acc.get(zkey, Fraction(0)) + scale * count
-    entries = {
-        ReducedWord(ctx, _kernels.decode_word(tk, zkey)): val
-        for zkey, val in acc.items()
-        if val
-    }
-    return FunctionOnGroup(ctx, entries)
-
-
 def _sphere_columns(f: RadialFunction, radius: int) -> list:
     """The columns D (f * chi_r) for r = 0 .. radius, D = _denominator(f).
 
@@ -340,16 +288,6 @@ def _sphere_union_sweep(f: RadialFunction, fam: SetFamily):
         if r < fam.radius:
             sums[mask] = (coeffs, size)
         yield mask, coeffs, size
-
-
-def pairing(f: RadialFunction, E: ElementSet, F: ElementSet) -> Fraction:
-    """Exact <f * chi_E, chi_F> = sum_l f_l <chi_l * chi_E, chi_F>."""
-    if f.ctx != E.ctx or f.ctx != F.ctx:
-        raise ValueError("mismatched group contexts")
-    if not f.is_exact():
-        raise ValueError("pairing requires exact rational coefficients")
-    profile = chi_pairing_profile(E, F)
-    return sum((f.coefficient(d) * t for d, t in enumerate(profile) if t), Fraction(0))
 
 
 def chi_pairing_profile(E: ElementSet, F: ElementSet) -> list:
@@ -477,26 +415,6 @@ def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_r
     return best
 
 
-def best_F_ratio(g, p: float):
-    """max_F <g, chi_F> / |F|^{1/p'} and the optimal prefix length.
-
-    The optimal F is a prefix of the decreasing rearrangement of g, and
-    within a run of equal values the prefix objective is decreasing then
-    increasing, so only run boundaries need checking.  Accepts a sparse
-    function, a radial function, or a ready rearrangement.
-    """
-    if not p > 1:
-        raise ValueError("first index p must exceed 1")
-    if isinstance(g, Rearrangement):
-        r = g
-    elif isinstance(g, RadialFunction):
-        r = rearrange_radial(g)
-    else:
-        r = rearrange(g)
-    # unscaled runs: s / 1.0 is float(s) for int, Fraction and float s
-    return _best_prefix(r.pairs, 1.0 - 1.0 / p, 1.0)
-
-
 def _best_prefix(runs, e: float, D):
     """max_j (a_1 + ... + a_j) / j^e over the runs and the maximizing j.
 
@@ -618,44 +536,6 @@ def _alpha_condition(q: int, alpha: float, d: int, lx: int) -> bool:
     if twice == int(twice):
         return _q_power_le(q, int(twice), d, lx)
     return float(lx) >= float(q) ** alpha * d
-
-
-def truncated_column(kind: str, params: dict, x: ReducedWord) -> FunctionOnGroup:
-    """Column of a length-truncated piece of convolution by a sphere.
-
-    kind "P", params {"k": k}: sum of delta_{wx} over |w| = k with
-    |wx| <= |x|.  kind "Q", params {"n": n, "alpha": a}: sum of
-    delta_{wx} over |w| = n with |x| >= q^a |wx|.  The map w -> wx is
-    injective, so the column is 0/1-valued and its l1 mass is a count.
-    """
-    ctx = x.ctx
-    tk = ctx.alphabet
-    if kind == "P":
-        n = int(params["k"])
-
-        def accept(d, lx):
-            return d <= lx
-
-    elif kind == "Q":
-        n = int(params["n"])
-        alpha = float(params["alpha"])
-        q = ctx.q
-
-        def accept(d, lx):
-            return _alpha_condition(q, alpha, d, lx)
-
-    else:
-        raise ValueError("kind must be 'P' or 'Q'")
-    if sphere_size(ctx, n) > SPHERE_CAP:
-        raise BudgetExceededError("sphere enumeration", sphere_size(ctx, n), SPHERE_CAP)
-    kx = _kernels.encode_word(tk, x.letters)
-    lx = len(x)
-    entries = {}
-    for kw in _kernels.sphere_keys(tk, n):
-        kz = _kernels.mul_key(tk, kw, kx)
-        if accept(_kernels.len_key(tk, kz), lx):
-            entries[ReducedWord(ctx, _kernels.decode_word(tk, kz))] = Fraction(1)
-    return FunctionOnGroup(ctx, entries)
 
 
 def _column_rows(ctx: FreeGroupCtx, n: int, radius: int) -> list:

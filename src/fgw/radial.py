@@ -25,7 +25,9 @@ for ||f * chi_n||_2^2).  A product with a float coefficient runs the
 same loop on the coefficients as they are, term by term in the same
 (n, m, l) order, so its floats do not move in the last place.  Each
 pair (n, m) reads its structure constants as one row (_product_row),
-which is also the one closed form behind structure_constant.
+which is also the one closed form behind structure_constant.  Nothing
+here enumerates words; the brute-force product oracle_convolve that
+checks these constants lives in fgw.oracle.
 """
 
 from __future__ import annotations
@@ -35,9 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 import math
 
-from .errors import BudgetExceededError
-from .words import PAIR_BUDGET, FreeGroupCtx, sphere_size
-from . import _kernels
+from .words import FreeGroupCtx, sphere_size
 
 
 @lru_cache(maxsize=None)
@@ -304,27 +304,6 @@ def sphere_product_norm_squared(f: RadialFunction, n: int):
     D, h = sphere_product(f, n)
     exact = not any(isinstance(c, float) for c in h)
     return _l2_sum(f.ctx, D, ((l, c) for l, c in enumerate(h) if c), exact)
-
-
-def oracle_convolve(ctx: FreeGroupCtx, n: int, m: int) -> RadialFunction:
-    """chi_n * chi_m by brute enumeration of all |S_n| x |S_m| products.
-
-    Independent ground truth for convolve_radial: tallies |x*y| over all
-    pairs, checks the tally on each sphere is divisible by the sphere
-    size (radiality), and returns the quotients.
-    """
-    pairs = sphere_size(ctx, n) * sphere_size(ctx, m)
-    if pairs > PAIR_BUDGET:
-        raise BudgetExceededError("sphere pair enumeration", pairs, PAIR_BUDGET)
-    tk = ctx.alphabet
-    hist = _kernels.prod_len_hist(tk, _kernels.sphere_keys(tk, n), _kernels.sphere_keys(tk, m))
-    coeffs = []
-    for l, tally in enumerate(hist):
-        size = sphere_size(ctx, l)
-        if tally % size != 0:
-            raise AssertionError(f"product tally not radial at length {l}")
-        coeffs.append(Fraction(tally // size))
-    return RadialFunction(ctx, tuple(coeffs))
 
 
 def a_functional_parts(f: RadialFunction):

@@ -24,8 +24,9 @@ Core claims:
     - CSV params render numbers canonically, at most 12 significant digits
     - JSON strings escape '"', backslash, \n, \t, \r and other control
       characters, and pass non-ASCII through
-    - --output writes the same bytes that would go to stdout, and an
-      unwritable --output exits 2 before any verifier runs
+    - --output writes the same bytes that would go to stdout, an
+      unwritable --output exits 2 before any verifier runs, and a usage or
+      budget error leaves an existing --output file as it was
 """
 
 import contextlib
@@ -552,3 +553,17 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write --output:")
+
+
+def test_failed_run_keeps_existing_output(tmp_path, capsys):
+    path = tmp_path / "prev.json"
+    sentinel = b"previous report\n\x00\xff"
+    path.write_bytes(sentinel)
+    usage = ["verify", "all", "--p", "2"]
+    budget = ["verify", "r22", "--family", "random-subsets", "--radius", "14", "--budget", "1"]
+    for args in (usage, budget):
+        code = main(args + ["--output", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert path.read_bytes() == sentinel

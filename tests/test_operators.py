@@ -1,16 +1,18 @@
-"""Convolution operators, pairings, estimators, truncated columns.
+"""Estimators, family sweeps and column sups, against the fgw.oracle ground truth.
 
 Core claims:
-    - pairing matches the brute-force double sum on spheres, balls and
-      random word sets
-    - pairing is symmetric in (E, F) because radial convolution is self-adjoint
+    - oracle: pairing matches the brute-force double sum on spheres, balls
+      and random word sets, and is symmetric in (E, F) because radial
+      convolution is self-adjoint
     - chi_pairing_profile packs every sphere pairing of explicit sets into
       one pass
-    - left_convolve agrees with the pointwise convolution sum and conserves mass
-    - best_F_ratio equals the exhaustive prefix search and dominates subsets
-    - the sphere-union fast path reproduces the generic per-set estimates
+    - oracle: left_convolve agrees with the pointwise convolution sum and
+      conserves mass
+    - oracle: best_F_ratio equals the exhaustive prefix search and
+      dominates subsets
     - radial families agree, in both estimators, lemma1 and r22, with the
-      same candidates built as explicit word sets
+      same candidates built as explicit word sets (the sphere unions of
+      radius 3 among them, for a fixed random f)
     - the integer sweep reproduces per-set Fraction sums float for float
       on spheres, balls and sphere unions, for exact and float f, under
       any budget, first maximum winning ties
@@ -18,17 +20,19 @@ Core claims:
       in both estimators, lemma1 and r22
     - estimates grow with the candidate budget under a fixed seed
     - the ball-subsets family enumerates every subset and stays within budget
-    - the explicit families' integer estimates equal a Fraction reference
-      exactly, and float f keeps its estimates to the last place
+    - the explicit families' integer estimates equal the exact reference
+      of left_convolve exactly, and float f keeps its estimates to the
+      last place
     - explicit sets store sorted integer keys, which is the (length, lex)
       order of their words, and refuse words of another group; the
       explicit families build no ReducedWord
     - an ElementSet is explicit only: radial families are masks and build
       no ElementSet
-    - truncated columns contain exactly the words passing the length test
+    - oracle: truncated columns contain exactly the words passing the
+      length test
     - column_l1_sup returns the brute-force sup with an attaining witness
     - q_alpha_sweep equals per-alpha column scans
-    - the closed-form column rows equal the enumerated length histograms
+    - the closed-form column rows equal the word-layer length histograms
     - column sups run far past any enumerable ball, P_k reaching q^[k/2]
     - the full-cancellation witness breaks the Q bound at alpha = n >= 4
     - budgets abort oversized enumerations
@@ -47,23 +51,27 @@ import fgw.operators as ops
 import fgw.radial as radial
 from fgw import _kernels
 from fgw.errors import BudgetExceededError
-from fgw.lorentz import rearrange, rearrange_radial
+from fgw.lorentz import rearrange
 from fgw.operators import (
     RADIAL_KINDS,
     ElementSet,
-    FunctionOnGroup,
     SetFamily,
-    best_F_ratio,
     candidate_sets,
     chi_pairing_profile,
     column_l1_sup,
     explicit_set,
-    left_convolve,
-    pairing,
     q_alpha_sweep,
     restricted_weak_estimate,
-    truncated_column,
     weak_estimate_21_to_2,
+)
+from fgw.oracle import (
+    FunctionOnGroup,
+    best_F_ratio,
+    column_row,
+    left_convolve,
+    pairing,
+    radial_candidates,
+    truncated_column,
 )
 from fgw.radial import RadialFunction, chi, convolve_radial
 from fgw.reportio import json_dumps
@@ -300,7 +308,7 @@ def test_ball_subsets_estimator_skips_empty_set():
         if E.size == 0:
             continue
         g = left_convolve(chi(CTX, 1), FunctionOnGroup(CTX, {w: Fraction(1) for w in E.iter_words()}))
-        value, _ = best_F_ratio(rearrange(g.entries), 2.0)
+        value, _ = best_F_ratio(g, 2.0)
         direct.append(value / math.sqrt(E.size))
     assert math.isclose(est["estimate"], max(direct), rel_tol=1e-12)
 
@@ -351,72 +359,21 @@ def test_best_F_ratio_accepts_radial_and_rearrangement():
 # -- Estimators --------------------------------------------------------------
 
 
-def _manual_union_estimates(f, radius):
-    # generic-path replay of the sphere-union family using public primitives
-    restricted = []
-    weak = []
-    for mask in range(1, 2 ** (radius + 1)):
-        radii = [r for r in range(radius + 1) if mask >> r & 1]
-        words = [w for r in radii for w in sphere_stream(CTX, r)]
-        label = "U" + ",".join(str(r) for r in radii)
-        g = FunctionOnGroup(CTX, {w: Fraction(1) for w in words})
-        h = left_convolve(f, g)
-        value, j = best_F_ratio(rearrange(h), 2.0)
-        restricted.append((value / math.sqrt(len(words)), label, j))
-        sq = h.l2_norm_squared()
-        weak.append((math.sqrt(float(sq) / len(words)), label))
-    return restricted, weak
-
-
-def test_sphere_union_fast_path_matches_generic():
-    rng = random.Random(47)
-    f = _rand_radial(rng, deg=3)
-    radius = 3
-    fam = SetFamily("sphere-unions", radius=radius, budget=2 ** (radius + 1))
-    restricted, weak = _manual_union_estimates(f, radius)
-
-    got = restricted_weak_estimate(f, fam)
-    want = max(restricted, key=lambda t: t[0])
-    assert got["estimate"] == want[0]
-    assert got["E"] == want[1]
-    assert got["j"] == want[2]
-
-    got2 = weak_estimate_21_to_2(f, fam)
-    want2 = max(weak, key=lambda t: t[0])
-    assert got2["estimate"] == want2[0]
-    assert got2["E"] == want2[1]
-
-
-def _radial_candidates(fam):
-    # (radii, label) of each candidate of a radial family, in sweep order
-    count = min(fam.radius + 1, fam.budget)
-    if fam.kind == "spheres":
-        return [([n], f"S{n}") for n in range(count)]
-    if fam.kind == "balls":
-        return [(list(range(n + 1)), f"B{n}") for n in range(count)]
-    unions = []
-    for mask in range(1, min(2 ** (fam.radius + 1), fam.budget + 1)):
-        radii = [r for r in range(fam.radius + 1) if mask >> r & 1]
-        unions.append((radii, "U" + ",".join(str(r) for r in radii)))
-    return unions
-
-
 def _reference_union_rows(f, fam):
     # the sweep without integer scaling: over the candidates' radii,
-    # Fraction sums of the columns f * chi_r in ascending r,
-    # rearrange_radial, then best_F_ratio
+    # Fraction sums of the columns f * chi_r in ascending r, then best_F_ratio
     cols = [convolve_radial(f, chi(CTX, r)).coeffs for r in range(fam.radius + 1)]
     top = max(len(c) for c in cols)
     restricted = []
     weak = []
-    for radii, label in _radial_candidates(fam):
+    for radii, label in radial_candidates(fam):
         coeffs = [
             sum((cols[r][i] for r in radii if i < len(cols[r])), Fraction(0))
             for i in range(top)
         ]
         h = RadialFunction(CTX, tuple(coeffs))
         size = sum(sphere_size(CTX, r) for r in radii)
-        value, j = best_F_ratio(rearrange_radial(h), 2.0)
+        value, j = best_F_ratio(h, 2.0)
         restricted.append((value / math.sqrt(size), label, j))
         sq = sum((c * c * sphere_size(CTX, n) for n, c in h.nonzero_items()), Fraction(0))
         weak.append((math.sqrt(float(sq) / size), label))
@@ -553,12 +510,14 @@ def _agreement_cases(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(_agreement_cases())
+# every union of spheres in B_3, for a random exact f of degree 3
+@example((_rand_radial(random.Random(47), deg=3), SetFamily("sphere-unions", 3, 16), 3))
 def test_radial_families_agree_with_explicit_sets(case):
     # the mask sweep against the same candidates enumerated as word sets
     f, fam, top = case
     sets = [
         explicit_set(CTX, [w for r in radii for w in sphere_stream(CTX, r)], label)
-        for radii, label in _radial_candidates(fam)
+        for radii, label in radial_candidates(fam)
     ]
     indicators = [FunctionOnGroup(CTX, dict.fromkeys(E.iter_words(), Fraction(1))) for E in sets]
     restricted = []
@@ -637,25 +596,16 @@ def test_greedy_family_improves_on_singletons():
     assert rep["estimate"] >= max(singles)
 
 
-def _fraction_value_map(f, keys):
-    # f * chi_X with Fraction values: f_n * count summed in n ascending,
-    # then in the kernel's z order
-    out = {}
-    for n, fn in f.nonzero_items():
-        for zkey, count in _kernels.convolve_sphere_set(CTX.alphabet, n, keys).items():
-            out[zkey] = out.get(zkey, Fraction(0)) + fn * count
-    return {key: v for key, v in out.items() if v}
-
-
 def _reference_explicit_estimate(f, fam, restricted):
-    # per set: best_F_ratio on the Fraction map, or its Fraction square sum
+    # per set: best_F_ratio of left_convolve on the indicator, or its
+    # square sum; the values are exact Fractions, so neither depends on
+    # the order in which they are summed
     def objective(E):
-        values = _fraction_value_map(f, E.keys())
+        h = left_convolve(f, FunctionOnGroup(CTX, dict.fromkeys(E.iter_words(), Fraction(1))))
         if restricted:
-            value, j = best_F_ratio(values, 2.0)
+            value, j = best_F_ratio(h, 2.0)
             return value / math.sqrt(E.size), E.label, j
-        sq = sum((v * v for v in values.values()), Fraction(0))
-        return math.sqrt(float(sq) / E.size), E.label
+        return math.sqrt(float(h.l2_norm_squared()) / E.size), E.label
 
     if fam.kind == "greedy":
         return ops._greedy_search(objective, CTX, fam)
@@ -810,9 +760,7 @@ def _reduced_words(draw):
 @settings(max_examples=60, deadline=None)
 @given(_reduced_words(), st.integers(0, 5))
 def test_column_rows_match_enumerated_histograms(x, n):
-    tk = x.ctx.alphabet
-    row = ops._column_rows(x.ctx, n, len(x))[len(x)]
-    assert row == _kernels.sphere_len_hists(tk, n, [_kernels.encode_word(tk, x.letters)])[0]
+    assert ops._column_rows(x.ctx, n, len(x))[len(x)] == column_row(n, x)
 
 
 def test_column_sup_has_no_radius_cap():

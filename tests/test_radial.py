@@ -42,13 +42,13 @@ from fgw.radial import (
     conjecture_functional,
     convolve_radial,
     format_radial_literal,
-    oracle_convolve,
     parse_radial_literal,
     paper_display_coefficient,
     sphere_product,
     sphere_product_norm_squared,
     structure_constant,
 )
+from fgw.oracle import oracle_convolve
 from fgw.words import FreeGroupCtx, mul, sphere_size, sphere_stream
 
 

@@ -6,6 +6,10 @@ Core claims:
     - the one product loop, radial._product_sums, is called only inside
       radial, and theorems reads its products through sphere_product,
       never through convolve_radial
+    - the ground truth stays out of the certifier paths: only cli (for
+      convolve --oracle) and __init__ (which re-exports) import oracle
+    - every top-level function of _kernels is called in fgw outside
+      oracle, so no kernel is kept alive by the oracle or the tests alone
 
 No linter ships with the test dependencies, so the check is made here
 with the standard library's ast.
@@ -18,7 +22,8 @@ import pytest
 
 import fgw
 
-MODULES = sorted(p for p in Path(fgw.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(fgw.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list:
@@ -68,5 +73,40 @@ def test_product_loop_is_called_only_in_radial():
 
 
 def test_theorems_never_calls_convolve_radial():
-    source = (Path(fgw.__file__).parent / "theorems.py").read_text(encoding="utf-8")
+    source = (PACKAGE / "theorems.py").read_text(encoding="utf-8")
     assert "convolve_radial" not in called_names(source)
+
+
+def imported_modules(source: str) -> set:
+    """Last components of the modules that source imports, in any form."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and not node.module):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module.split(".")[-1])
+    return names
+
+
+def test_imported_modules_are_found():
+    source = "import a.b\nfrom .c import d\nfrom . import e\nfrom f import g as h\n"
+    assert imported_modules(source) == {"b", "c", "e", "f"}
+
+
+def test_only_cli_and_init_import_the_oracle():
+    importers = [
+        p.name
+        for p in sorted(PACKAGE.glob("*.py"))
+        if "oracle" in imported_modules(p.read_text(encoding="utf-8"))
+    ]
+    assert importers == ["__init__.py", "cli.py"]
+
+
+def test_every_kernel_is_called_outside_the_oracle():
+    source = (PACKAGE / "_kernels.py").read_text(encoding="utf-8")
+    kernels = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    called = set()
+    for path in MODULES:
+        if path.name != "oracle.py":
+            called |= called_names(path.read_text(encoding="utf-8"))
+    assert sorted(kernels - called) == []

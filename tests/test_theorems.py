@@ -30,17 +30,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgw.lorentz import rearrange_radial
 import fgw.theorems
-from fgw.operators import (
-    RADIAL_KINDS,
-    FunctionOnGroup,
-    SetFamily,
-    best_F_ratio,
-    candidate_sets,
-    left_convolve,
-    pairing,
-)
+from fgw.operators import RADIAL_KINDS, SetFamily, candidate_sets
+from fgw.oracle import FunctionOnGroup, best_F_ratio, left_convolve, pairing, radial_candidates
 from fgw.radial import RadialFunction, chi, convolve_radial
 from fgw.reportio import CSV_HEADER
 from fgw.theorems import (
@@ -203,20 +195,6 @@ def _verifier_cases(draw):
     return SetFamily(kind, radius, budget), draw(st.integers(-1, 6))
 
 
-def _radial_candidates(fam):
-    # (radii, label) of each candidate of a radial family, in sweep order
-    count = min(fam.radius + 1, fam.budget)
-    if fam.kind == "spheres":
-        return [([n], f"S{n}") for n in range(count)]
-    if fam.kind == "balls":
-        return [(list(range(n + 1)), f"B{n}") for n in range(count)]
-    unions = []
-    for mask in range(1, min(2 ** (fam.radius + 1), fam.budget + 1)):
-        radii = [r for r in range(fam.radius + 1) if mask >> r & 1]
-        unions.append((radii, "U" + ",".join(str(r) for r in radii)))
-    return unions
-
-
 def _oracle_rows(fam, top):
     """Per candidate E: label, |E|, <chi_k * chi_E, chi_E> and the sup over F, k <= top.
 
@@ -226,14 +204,14 @@ def _oracle_rows(fam, top):
     """
     rows = []
     if fam.kind in RADIAL_KINDS:
-        for radii, label in _radial_candidates(fam):
+        for radii, label in radial_candidates(fam):
             indicator = RadialFunction(CTX, tuple(int(r in radii) for r in range(radii[-1] + 1)))
             hs = [convolve_radial(chi(CTX, n), indicator) for n in range(top + 1)]
             pairings = [
                 sum((h.coefficient(r) * sphere_size(CTX, r) for r in radii), Fraction(0))
                 for h in hs
             ]
-            sups = [best_F_ratio(rearrange_radial(h), 2.0)[0] for h in hs]
+            sups = [best_F_ratio(h, 2.0)[0] for h in hs]
             rows.append((label, sum(sphere_size(CTX, r) for r in radii), pairings, sups))
         return rows
     for E in candidate_sets(CTX, fam):
