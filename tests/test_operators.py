@@ -10,9 +10,10 @@ Core claims:
       conserves mass
     - oracle: best_F_ratio equals the exhaustive prefix search and
       dominates subsets
+    - the sphere-union fast path reproduces the per-set oracle estimates
+      on every union of spheres in B_3, for a fixed random f
     - radial families agree, in both estimators, lemma1 and r22, with the
-      same candidates built as explicit word sets (the sphere unions of
-      radius 3 among them, for a fixed random f)
+      same candidates built as explicit word sets
     - the integer sweep reproduces per-set Fraction sums float for float
       on spheres, balls and sphere unions, for exact and float f, under
       any budget, first maximum winning ties
@@ -508,10 +509,27 @@ def _agreement_cases(draw):
     return RadialFunction(CTX, tuple(coeffs)), fam, draw(st.integers(0, 3))
 
 
+def test_sphere_union_fast_path_matches_generic():
+    # every union of spheres in B_3, for a random exact f of degree 3,
+    # against the per-set convolutions of the oracle
+    f = _rand_radial(random.Random(47), deg=3)
+    fam = SetFamily("sphere-unions", radius=3, budget=16)
+    restricted = []
+    weak = []
+    for radii, label in radial_candidates(fam):
+        words = [w for r in radii for w in sphere_stream(CTX, r)]
+        h = left_convolve(f, FunctionOnGroup(CTX, dict.fromkeys(words, Fraction(1))))
+        value, j = best_F_ratio(h, 2.0)
+        restricted.append((value / math.sqrt(len(words)), label, j))
+        weak.append((math.sqrt(float(h.l2_norm_squared()) / len(words)), label))
+    got = restricted_weak_estimate(f, fam)
+    assert (got["estimate"], got["E"], got["j"]) == max(restricted, key=lambda row: row[0])
+    got = weak_estimate_21_to_2(f, fam)
+    assert (got["estimate"], got["E"]) == max(weak, key=lambda row: row[0])
+
+
 @settings(max_examples=30, deadline=None)
 @given(_agreement_cases())
-# every union of spheres in B_3, for a random exact f of degree 3
-@example((_rand_radial(random.Random(47), deg=3), SetFamily("sphere-unions", 3, 16), 3))
 def test_radial_families_agree_with_explicit_sets(case):
     # the mask sweep against the same candidates enumerated as word sets
     f, fam, top = case
