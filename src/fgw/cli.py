@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import os
 import sys
 
 from .errors import BudgetExceededError
@@ -324,6 +325,7 @@ def main(argv=None) -> int:
     # check --output before any work, so an unwritable path is a usage
     # error; appending nothing leaves its contents as they are, and they
     # are replaced only once a report has been written
+    created = bool(args.output) and not os.path.exists(args.output)
     if args.output:
         try:
             open(args.output, "a", encoding="utf-8").close()
@@ -333,7 +335,12 @@ def main(argv=None) -> int:
     args.out = io.StringIO() if args.output else sys.stdout
     try:
         code = handlers[args.command](args)
-    except (BudgetExceededError, ValueError) as exc:
+    except BaseException as exc:
+        # a file this run created but wrote no report to is taken away
+        if created:
+            os.remove(args.output)
+        if not isinstance(exc, (BudgetExceededError, ValueError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output:

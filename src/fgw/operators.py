@@ -24,9 +24,11 @@ Every decreasing rearrangement is built by lorentz.runs.  self_pairings
 (lemma1) and prefix_sups (r22) hold the verifiers' mask-or-explicit
 fork, so theorems only states inequalities.  The column sups of the
 truncated sphere operators (column_l1_sup, q_alpha_sweep) come in closed
-form from the structure constants.  Every function here is on a
-certifier path; the enumerated ground truth they are tested against
-lives in fgw.oracle.
+form from the structure constants, by one rule for both kinds: P_k is
+Q_k at alpha = 0, and each column mass is a prefix of its length
+histogram up to one exact cutoff (_accepted_cutoff).  Every function
+here is on a certifier path; the enumerated ground truth they are
+tested against lives in fgw.oracle.
 """
 
 from __future__ import annotations
@@ -164,28 +166,36 @@ def _ball_keys(ctx: FreeGroupCtx, radius: int) -> list:
     return [key for n in range(radius + 1) for key in _kernels.iter_sphere_keys(tk, n)]
 
 
+def _random_draws(fam: SetFamily, population, check=None):
+    """random-subsets' seeded draws from population, in order.
+
+    check(|E|), when given, runs before each draw is sampled.  A draw from
+    range(|B|) consumes the generator as a draw from the ball does:
+    sample reads only the population size and the draw size.
+    """
+    rng = random.Random(fam.seed)
+    for _ in range(fam.budget):
+        size = rng.randint(1, len(population))
+        if check is not None:
+            check(size)
+        yield rng.sample(population, size)
+
+
 def _check_draws(ctx: FreeGroupCtx, fam: SetFamily, check) -> None:
     """Run check(|E|) on random-subsets' draws, in order, before the ball is built.
 
     check raises BudgetExceededError and grows with |E|.  The ball's
     SPHERE_CAP check comes first; when a draw of the whole ball passes,
-    every draw does and nothing is replayed.  Otherwise each draw is
-    replayed on its own generator: rng.sample consumes it by population
-    size and draw size only, so sampling range(|B|) leaves it where
-    candidate_sets' draw from the ball does, and the first oversized
-    draw fails with the message its own candidate would give.
+    every draw does and nothing is replayed.  Otherwise the draws of
+    _random_draws are replayed on their own generator, and the first
+    oversized one fails with the message its own candidate would give.
     """
     ball = _capped_ball_size(ctx, fam.radius)
     try:
         check(ball)
-        return
     except BudgetExceededError:
-        pass
-    rng = random.Random(fam.seed)
-    for _ in range(fam.budget):
-        size = rng.randint(1, ball)
-        check(size)
-        rng.sample(range(ball), size)
+        for _ in _random_draws(fam, range(ball), check):
+            pass
 
 
 def candidate_sets(ctx: FreeGroupCtx, fam: SetFamily):
@@ -208,11 +218,8 @@ def candidate_sets(ctx: FreeGroupCtx, fam: SetFamily):
             yield ElementSet(ctx, word_keys=keys, label=f"sub{mask}")
     elif fam.kind == "random-subsets":
         ball = _ball_keys(ctx, fam.radius)
-        rng = random.Random(fam.seed)
-        for i in range(fam.budget):
-            size = rng.randint(1, len(ball))
-            keys = tuple(rng.sample(ball, size))
-            yield ElementSet(ctx, word_keys=keys, label=f"random-{i}")
+        for i, draw in enumerate(_random_draws(fam, ball)):
+            yield ElementSet(ctx, word_keys=tuple(draw), label=f"random-{i}")
     else:
         raise ValueError("greedy family is adaptive; use the estimator entry points")
 
@@ -521,21 +528,19 @@ def weak_estimate_21_to_2(f: RadialFunction, fam: SetFamily) -> dict:
     return _family_report(fam, value, label, {})
 
 
-def _q_power_le(q: int, twice_alpha: int, d: int, lx: int) -> bool:
-    """Exact test of q^{twice_alpha/2} * d <= lx for integers d, lx >= 0."""
-    if d == 0:
-        return True
-    if twice_alpha >= 0:
-        return q**twice_alpha * d * d <= lx * lx
-    return d * d <= q**-twice_alpha * lx * lx
+def _accepted_cutoff(q: int, alpha: float, m: int, top: int) -> int:
+    """Largest d <= top with m >= q^alpha d, or -1 if there is none.
 
-
-def _alpha_condition(q: int, alpha: float, d: int, lx: int) -> bool:
-    """|x| >= q^alpha |y| with |y| = d, |x| = lx; exact on the half grid."""
+    q^alpha d grows with d, so the accepted d are an initial segment.  For
+    t = 2 alpha an integer the cutoff is exact (q^t d^2 <= m^2); otherwise
+    each d keeps the float test float(m) >= float(q)**alpha * d.
+    """
     twice = 2.0 * alpha
     if twice == int(twice):
-        return _q_power_le(q, int(twice), d, lx)
-    return float(lx) >= float(q) ** alpha * d
+        t = int(twice)
+        return min(top, math.isqrt(m * m // q**t) if t >= 0 else math.isqrt(q**-t * m * m))
+    scale = float(q) ** alpha
+    return next((d for d in range(top, -1, -1) if float(m) >= scale * d), -1)
 
 
 def _column_rows(ctx: FreeGroupCtx, n: int, radius: int) -> list:
@@ -561,50 +566,32 @@ def _column_rows(ctx: FreeGroupCtx, n: int, radius: int) -> list:
 def _column_sup(kind: str, params: dict, radius: int, ctx: FreeGroupCtx, rows) -> dict:
     """Column sup report from the rows of _column_rows.
 
-    Every x of length m has the same column mass, so the first strict
-    maximum over increasing m is attained first, in (length, lex) order,
-    by a^m.
+    P_k is Q_k at alpha = 0, so the column mass at |x| = m is the prefix
+    of row m up to _accepted_cutoff for both kinds, which differ only in
+    the bound q^{e/2}: e = 2[k/2] for P, e = 3 + n - 2 alpha for Q (ok is
+    exact for e an integer).  Every x of length m has the same mass, so
+    the first strict maximum over increasing m is attained first, in
+    (length, lex) order, by a^m.
     """
     q = ctx.q
     if kind == "P":
-        n = int(params["k"])
+        n, alpha = int(params["k"]), 0.0
+        e = 2 * (n // 2)
         bound_value = float(q ** (n // 2))
-
-        def mass(hist, lx):
-            return sum(hist[: lx + 1])
-
-        def exact_ok(sup):
-            return sup <= q ** (n // 2)
-
     else:
-        n = int(params["n"])
-        alpha = float(params["alpha"])
-
-        def mass(hist, lx):
-            return sum(
-                t for d, t in enumerate(hist) if t and _alpha_condition(q, alpha, d, lx)
-            )
-
-        bound_value = float(q) ** (1.5 - alpha + 0.5 * n)
+        n, alpha = int(params["n"]), float(params["alpha"])
         twice = 2.0 * alpha
-        if twice == int(twice):
-            e = 3 + n - int(twice)  # bound is q^{e/2}
-
-            def exact_ok(sup):
-                if e >= 0:
-                    return sup * sup <= q**e
-                return sup * sup * q**-e <= 1
-
-        else:
-
-            def exact_ok(sup):
-                return float(sup) <= bound_value
-
+        e = 3 + n - int(twice) if twice == int(twice) else None
+        bound_value = float(q) ** (1.5 - alpha + 0.5 * n)
     sup, witness = -1, None
     for m, hist in enumerate(rows):
-        s = mass(hist, m)
+        s = sum(hist[: _accepted_cutoff(q, alpha, m, n + m) + 1])
         if s > sup:
             sup, witness = s, ReducedWord(ctx, (0,) * m)
+    if e is None:
+        ok = float(sup) <= bound_value
+    else:  # sup <= q^{e/2}, squared
+        ok = sup * sup * q ** max(-e, 0) <= q ** max(e, 0)
     return {
         "kind": kind,
         "params": {k: (float(v) if k == "alpha" else int(v)) for k, v in params.items()},
@@ -612,7 +599,7 @@ def _column_sup(kind: str, params: dict, radius: int, ctx: FreeGroupCtx, rows) -
         "sup": sup,
         "witness": str(witness),
         "bound": bound_value,
-        "ok": exact_ok(sup),
+        "ok": ok,
     }
 
 

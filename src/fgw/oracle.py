@@ -6,8 +6,9 @@ certifier obtains in closed form or by an integer sweep: products and
 pairings on explicit supports (left_convolve, pairing), truncated
 columns and their length histograms (truncated_column, column_row),
 chi_n * chi_m (oracle_convolve) and a radial family's candidates as
-lists of radii (radial_candidates).  best_F_ratio runs the estimators'
-own _best_prefix, so its floats are theirs bit for bit.
+lists of radii (radial_candidates), with truncated_column testing each
+word by its own column rule (column_accepts).  best_F_ratio runs the
+estimators' own _best_prefix, so its floats are theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from . import _kernels
 from .errors import BudgetExceededError
 from .lorentz import Rearrangement, rearrange, rearrange_radial
-from .operators import ElementSet, _alpha_condition, _best_prefix, chi_pairing_profile
+from .operators import ElementSet, _best_prefix, chi_pairing_profile
 from .radial import RadialFunction
 from .words import (
     PAIR_BUDGET,
@@ -116,38 +117,39 @@ def best_F_ratio(g, p: float):
     return _best_prefix(r.pairs, 1.0 - 1.0 / p, 1.0)
 
 
+def column_accepts(q: int, alpha: float, d: int, lx: int) -> bool:
+    """The Q column test |x| >= q^alpha |wx| at |wx| = d, |x| = lx.
+
+    For t = 2 alpha an integer both sides are squared, so the test is
+    exact; otherwise it is float(lx) >= float(q)**alpha * d.
+    """
+    twice = 2.0 * alpha
+    if twice != int(twice):
+        return float(lx) >= float(q) ** alpha * d
+    t = int(twice)
+    return q**t * d * d <= lx * lx if t >= 0 else d * d <= q**-t * lx * lx
+
+
 def truncated_column(kind: str, params: dict, x: ReducedWord) -> FunctionOnGroup:
     """Column of a length-truncated piece of convolution by a sphere.
 
     kind "P", params {"k": k}: sum of delta_{wx} over |w| = k with
     |wx| <= |x|.  kind "Q", params {"n": n, "alpha": a}: sum of
-    delta_{wx} over |w| = n with |x| >= q^a |wx|.  The map w -> wx is
-    injective, so the column is 0/1-valued and its l1 mass is a count.
+    delta_{wx} over |w| = n with |x| >= q^a |wx| (column_accepts).  Each
+    word is tested on its own.  The map w -> wx is injective, so the
+    column is 0/1-valued and its l1 mass is a count.
     """
-    ctx = x.ctx
-    if kind == "P":
-        n = int(params["k"])
-
-        def accept(d, lx):
-            return d <= lx
-
-    elif kind == "Q":
-        n = int(params["n"])
-        alpha = float(params["alpha"])
-        q = ctx.q
-
-        def accept(d, lx):
-            return _alpha_condition(q, alpha, d, lx)
-
-    else:
+    if kind not in ("P", "Q"):
         raise ValueError("kind must be 'P' or 'Q'")
+    ctx, lx = x.ctx, len(x)
+    n = int(params["k"] if kind == "P" else params["n"])
+    alpha = None if kind == "P" else float(params["alpha"])
     if sphere_size(ctx, n) > SPHERE_CAP:
         raise BudgetExceededError("sphere enumeration", sphere_size(ctx, n), SPHERE_CAP)
-    lx = len(x)
     entries = {}
     for w in sphere_stream(ctx, n):
         z = mul(w, x)
-        if accept(len(z), lx):
+        if (len(z) <= lx) if alpha is None else column_accepts(ctx.q, alpha, len(z), lx):
             entries[z] = Fraction(1)
     return FunctionOnGroup(ctx, entries)
 

@@ -227,7 +227,7 @@ def verify_thm1(f: RadialFunction, fam: SetFamily) -> VerificationReport:
     report.check_le(
         f"thm1:upper:E={est['E']}",
         est["estimate"] ** 2,
-        4 * a_val if isinstance(a_val, Fraction) else 4.0 * a_val,
+        4 * a_val,
         note="squared estimate at the family's best set vs 4*A(f)",
     )
     best = None
@@ -237,7 +237,7 @@ def verify_thm1(f: RadialFunction, fam: SetFamily) -> VerificationReport:
         report.info(f"thm1:chain:m={m}", value=float(val))
         if best is None or val > best:
             best = val
-    threshold = a_val / 15 if isinstance(a_val, Fraction) else a_val / 15.0
+    threshold = a_val / 15
     report.check_ge(
         "thm1:lower:sphere-chain",
         best,

@@ -26,7 +26,8 @@ Core claims:
       characters, and pass non-ASCII through
     - --output writes the same bytes that would go to stdout, an
       unwritable --output exits 2 before any verifier runs, and a usage or
-      budget error leaves an existing --output file as it was
+      budget error leaves an existing --output file as it was and creates
+      no new one
 """
 
 import contextlib
@@ -567,3 +568,19 @@ def test_failed_run_keeps_existing_output(tmp_path, capsys):
         assert code == 2
         assert captured.err.startswith("error: ")
         assert path.read_bytes() == sentinel
+
+
+def test_failed_run_leaves_no_new_output(tmp_path, capsys):
+    # the run creates --output to check that it is writable; when it exits
+    # 2 without a report, the file it created goes away again
+    path = tmp_path / "new.json"
+    usage = ["verify", "all", "--p", "2"]
+    budget = ["verify", "r22", "--family", "random-subsets", "--radius", "14", "--budget", "1"]
+    for args in (usage, budget):
+        code = main(args + ["--output", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert not path.exists()
+    assert main(["verify", "pk", "--output", str(path)]) == 0
+    assert path.read_text(encoding="utf-8").startswith("[")

@@ -31,7 +31,10 @@ Core claims:
       no ElementSet
     - oracle: truncated columns contain exactly the words passing the
       length test
-    - column_l1_sup returns the brute-force sup with an attaining witness
+    - column_l1_sup returns the brute-force sup with an attaining witness,
+      for P and for Q on and off the half grid
+    - the column cutoff is the last length the oracle's pointwise rule
+      accepts, and the accepted lengths form an initial segment
     - q_alpha_sweep equals per-alpha column scans
     - the closed-form column rows equal the word-layer length histograms
     - column sups run far past any enumerable ball, P_k reaching q^[k/2]
@@ -68,6 +71,7 @@ from fgw.operators import (
 from fgw.oracle import (
     FunctionOnGroup,
     best_F_ratio,
+    column_accepts,
     column_row,
     left_convolve,
     pairing,
@@ -743,7 +747,15 @@ def test_full_cancellation_witness_breaks_q_bound():
 
 def test_column_l1_sup_matches_brute_force():
     radius = 3
-    for kind, params in (("P", {"k": 2}), ("Q", {"n": 2, "alpha": 0.5})):
+    cases = (
+        ("P", {"k": 2}),
+        ("P", {"k": 3}),
+        ("Q", {"n": 2, "alpha": 0.5}),
+        ("Q", {"n": 3, "alpha": -1.0}),
+        ("Q", {"n": 2, "alpha": 0.3}),
+        ("Q", {"n": 4, "alpha": 4.0}),
+    )
+    for kind, params in cases:
         rep = column_l1_sup(kind, params, radius, CTX)
         best = -1
         for x in ball_stream(CTX, radius):
@@ -761,6 +773,27 @@ def test_q_alpha_sweep_matches_single_scans():
     for alpha, row in zip(alphas, rows):
         single = column_l1_sup("Q", {"n": 3, "alpha": alpha}, 3, CTX)
         assert row == single
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7)),
+    st.one_of(
+        st.integers(-12, 12).map(lambda t: t / 2),
+        st.floats(-6, 6, allow_nan=False).filter(lambda a: 2 * a != int(2 * a)),
+    ),
+    st.integers(0, 60),
+    st.integers(0, 80),
+)
+@example(3, 1.0, 3, 80)  # q^t d^2 = m^2 exactly at d = 1
+@example(5, -1.0, 2, 80)  # d = 10 = q^{-alpha} m exactly
+@example(7, 0.5, 60, 10)  # capped by top
+@example(3, 0.0, 0, 0)
+def test_accepted_cutoff_is_the_last_accepted_length(q, alpha, lx, top):
+    accepted = [d for d in range(top + 1) if column_accepts(q, alpha, d, lx)]
+    # the accepted lengths form an initial segment, whose end is the cutoff
+    assert accepted == list(range(len(accepted)))
+    assert ops._accepted_cutoff(q, alpha, lx, top) == len(accepted) - 1
 
 
 @st.composite
