@@ -241,7 +241,7 @@ def _verify_reports(args, ctx: FreeGroupCtx, target: str) -> list:
         else:
             thm5_pairs = THM5_PAIRS
         n_range = range(args.n_min, args.fit_n_max + 1)
-        _option_check("--n-min/--fit-n-max", require_fit_window, n_range)
+        _option_check("--n-min/--fit-n-max", require_fit_window, ctx, n_range)
     if target in ("thm1", "thm4", "all"):
         if args.f is not None:
             f = _option_check("--f", parse_radial_literal, ctx, args.f)

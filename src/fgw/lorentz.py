@@ -15,6 +15,12 @@ every s, so indicator-based estimates are literal identities rather
 than equivalences up to a constant.  Blockwise sums never expand runs;
 the power differences are evaluated without cancellation and combined
 with compensated summation (relative tolerance 1e-9 across the suite).
+Counts or terms past float range (|S_n| is no float from n = 646 on
+F_2) take a log-scaled path, as math.log takes integers of any size;
+every evaluation that stays in float range keeps the float path, and a
+norm that is itself past float range is a ValueError.
+lorentz_prefix_norms gives the norms of every prefix of one
+rearrangement's runs from one pass over its terms.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .radial import RadialFunction
 from .words import FreeGroupCtx, sphere_size
@@ -115,6 +122,29 @@ def _pow_diff(c: int, m: int, e: float) -> float:
     return fc**e * math.expm1(e * math.log1p(float(m) / fc))
 
 
+def _log(x) -> float:
+    """log x for a positive int of any size, a float or a Fraction."""
+    if isinstance(x, Fraction):
+        return math.log(x.numerator) - math.log(x.denominator)
+    return math.log(x)
+
+
+def _log_pow_diff(c: int, m: int, e: float) -> float:
+    """log((c+m)^e - c^e) for counts of any size; math.log takes big ints."""
+    if c == 0:
+        return e * math.log(m)
+    y = e * (math.log1p(m / c) if m <= c else math.log(c + m) - math.log(c))
+    # log(expm1(y)) = y + log(1 - e^{-y}), which overflows for no y
+    return e * math.log(c) + y + math.log(-math.expm1(-y))
+
+
+def _exp_in_range(log_value: float, what: str) -> float:
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ValueError(f"{what} e^{log_value:.6g} is out of float range") from None
+
+
 def _as_index(idx) -> LorentzIndex:
     if isinstance(idx, LorentzIndex):
         return idx
@@ -122,35 +152,118 @@ def _as_index(idx) -> LorentzIndex:
     return LorentzIndex(float(p), float(s))
 
 
+def _run_terms(pairs, idx: LorentzIndex) -> list:
+    """The terms v^s ((c+m)^{s/p} - c^{s/p}) of the runs, c the count before each.
+
+    lorentz_norm sums them; the list stops at the first term whose
+    float evaluation overflows.
+    """
+    e = idx.s / idx.p
+    cum = 0
+    terms = []
+    try:
+        for v, m in pairs:
+            terms.append(float(v) ** idx.s * _pow_diff(cum, m, e))
+            cum += m
+    except OverflowError:
+        pass
+    return terms
+
+
+def _float_norm(pairs, terms, idx: LorentzIndex):
+    """||.||_{p,s} on the runs in floats, from their _run_terms.
+
+    None when the evaluation leaves float range.
+    """
+    try:
+        if len(pairs) == 1:
+            v, m = pairs[0]
+            value = float(v) * float(m) ** (1.0 / idx.p)
+        elif len(terms) == len(pairs):
+            value = math.fsum(terms) ** (1.0 / idx.s)
+        else:
+            return None
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _log_scaled_norm(pairs, idx: LorentzIndex) -> float:
+    """||.||_{p,s} on runs whose counts or terms leave float range.
+
+    Each term is taken as a logarithm and the terms are scaled by the
+    largest before they are summed; ValueError when the norm itself is
+    out of float range.
+    """
+    e = idx.s / idx.p
+    logs = []
+    cum = 0
+    for v, m in pairs:
+        logs.append(idx.s * _log(v) + _log_pow_diff(cum, m, e))
+        cum += m
+    top = max(logs)
+    total = top + math.log(math.fsum(math.exp(t - top) for t in logs))
+    return _exp_in_range(total / idx.s, "the Lorentz norm")
+
+
 def lorentz_norm(r: Rearrangement, idx) -> float:
-    """||f||_{p,s} evaluated blockwise on the rearrangement runs."""
+    """||f||_{p,s} evaluated blockwise on the rearrangement runs.
+
+    Runs whose counts or terms overflow a float take a log-scaled path;
+    everything in float range is evaluated in floats.
+    """
     idx = _as_index(idx)
     if math.isinf(idx.s):
         return weak_norm(r, idx.p)
     if not r.pairs:
         return 0.0
-    if len(r.pairs) == 1:
-        v, m = r.pairs[0]
-        return float(v) * float(m) ** (1.0 / idx.p)
-    e = idx.s / idx.p
-    cum = 0
-    terms = []
-    for v, m in r.pairs:
-        terms.append(float(v) ** idx.s * _pow_diff(cum, m, e))
-        cum += m
-    return math.fsum(terms) ** (1.0 / idx.s)
+    value = _float_norm(r.pairs, _run_terms(r.pairs, idx), idx)
+    return _log_scaled_norm(r.pairs, idx) if value is None else value
+
+
+def lorentz_prefix_norms(r: Rearrangement, idx, lengths) -> list:
+    """lorentz_norm of the runs r.pairs[:n] for each n in lengths, float for float.
+
+    The run terms are computed once, for r; a prefix's terms are a
+    prefix of them, and fsum is correctly rounded, so the fsum of a
+    prefix is the sum lorentz_norm takes on that prefix alone.
+    """
+    idx = _as_index(idx)
+    if math.isinf(idx.s):
+        return [weak_norm(Rearrangement(r.pairs[:n]), idx.p) for n in lengths]
+    terms = _run_terms(r.pairs, idx)
+    out = []
+    for n in lengths:
+        pairs = r.pairs[:n]
+        value = _float_norm(pairs, terms[:n], idx) if pairs else 0.0
+        out.append(_log_scaled_norm(pairs, idx) if value is None else value)
+    return out
 
 
 def weak_norm(r: Rearrangement, p: float) -> float:
-    """||f||_{p,inf} = sup_i i^{1/p} a_i; the sup sits at run ends."""
+    """||f||_{p,inf} = sup_i i^{1/p} a_i; the sup sits at run ends.
+
+    Counts past float range take the sup of the logarithms.
+    """
     if not p > 1:
         raise ValueError("first index p must exceed 1")
     best = 0.0
     cum = 0
+    try:
+        for v, m in r.pairs:
+            cum += m
+            best = max(best, float(v) * float(cum) ** (1.0 / p))
+    except OverflowError:
+        pass
+    else:
+        if math.isfinite(best):
+            return best
+    cum = 0
+    logs = []
     for v, m in r.pairs:
         cum += m
-        best = max(best, float(v) * float(cum) ** (1.0 / p))
-    return best
+        logs.append(_log(v) + math.log(cum) / p)
+    return _exp_in_range(max(logs), "the weak Lorentz norm")
 
 
 def radial_weighted_sum(f: RadialFunction, p: float) -> float:

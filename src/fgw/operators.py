@@ -12,12 +12,17 @@ of family has one representation:
   once per candidate, in _best_prefix or the square sum, and pairings
   read one length histogram of the products (chi_pairing_profile);
 * a radial family (unions of spheres) is never an ElementSet: its
-  candidates are masks over the spheres S_0 .. S_radius, and one integer
-  sweep (_sphere_union_sweep) builds f * chi_E for every mask from the
-  columns D (f * chi_r), so radii far beyond any enumerable ball remain
-  cheap.  The columns come straight from radial.sphere_product, the
-  radial algebra's one product loop on f's integer form, as integers,
-  never as Fractions.
+  candidates are masks over the spheres S_0 .. S_radius, and f * chi_E
+  is a sum of the columns D (f * chi_r), so radii far beyond any
+  enumerable ball remain cheap.  One integer sweep (_sphere_union_sweep)
+  builds it for every mask, for the spheres and balls families and for
+  lemma1 and r22, which report every candidate.  The estimators find
+  the best sphere union by an exact branch and bound
+  (_sphere_union_search), which decides S_R first, scores a few dozen
+  masks instead of 2^(R+1) - 1, and returns the sweep's first maximum.
+  The columns come straight from radial.sphere_product, the radial
+  algebra's one product loop on f's integer form, as integers, never
+  as Fractions.
 
 A float f takes D = 1 on both paths and is summed in the order of the exact values.
 Every decreasing rearrangement is built by lorentz.runs.  self_pairings
@@ -377,24 +382,16 @@ def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
 def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_radial):
     """Max over the family as a (value, label, extra...) tuple.
 
-    Radial families go through _sphere_union_sweep, each candidate
-    scored by score_radial(coeffs, mult, D, |E|), where mult[n] = |S_n|
-    (see there for coeffs and D).  Explicit candidates are scored by
-    reduce_set(values, D, |E|, label) on the sparse key -> D * value map
-    of f * chi_E (see _convolve_value_counts).  The first maximum wins
-    ties.
+    Radial candidates are scored by score_radial (see _sweep_best):
+    sphere unions by _sphere_union_search, spheres and balls by the
+    sweep.  Explicit candidates are scored by reduce_set(values, D, |E|,
+    label) on the sparse key -> D * value map of f * chi_E (see
+    _convolve_value_counts).  The first maximum wins ties.
     """
     ctx = f.ctx
     if fam.kind in RADIAL_KINDS:
-        D = _denominator(f)
-        mult = [sphere_size(ctx, n) for n in range(f.degree + fam.radius + 1)]
-        best = None
-        best_mask = 0
-        for mask, coeffs, size in _sphere_union_sweep(f, fam):
-            res = score_radial(coeffs, mult, D, size)
-            if best is None or res[0] > best[0]:
-                best = res
-                best_mask = mask
+        search = _sphere_union_search if fam.kind == "sphere-unions" else _sweep_best
+        best, best_mask = search(f, fam, score_radial)
         return (best[0], _radial_candidates(fam)[1](best_mask), *best[1:])
 
     D, scaled = _scaled_items(f)
@@ -420,6 +417,94 @@ def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_r
     if best is None:
         raise ValueError("empty candidate family")
     return best
+
+
+def _sweep_best(f: RadialFunction, fam: SetFamily, score):
+    """The first best candidate of a radial family by the full sweep: (score, mask).
+
+    score(coeffs, mult, D, |E|) returns a tuple whose first entry is the
+    value, where mult[n] = |S_n| (see _sphere_union_sweep for coeffs and D).
+    """
+    D = _denominator(f)
+    mult = [sphere_size(f.ctx, n) for n in range(f.degree + fam.radius + 1)]
+    best = None
+    best_mask = 0
+    for mask, coeffs, size in _sphere_union_sweep(f, fam):
+        res = score(coeffs, mult, D, size)
+        if best is None or res[0] > best[0]:
+            best = res
+            best_mask = mask
+    return best, best_mask
+
+
+# relative slack on the prune test, far above the rounding of a score
+_PRUNE_SLACK = 1.0 + 1e-9
+
+
+def _sphere_union_search(f: RadialFunction, fam: SetFamily, score):
+    """_sweep_best of a sphere-unions family, by branch and bound: (score, mask).
+
+    The result is the largest value over the masks 1 .. budget, the
+    smallest such mask on ties, as the sweep's first maximum.  The
+    search decides S_R first, down to S_0.  A node has decided the radii
+    >= r, L of them in; it scores U = L + (the radii < r), with U's
+    columns folded in ascending radius as the sweep folds that mask, so
+    a float f gets the sweep's scores bit for bit.  For f >= 0,
+    f * chi_E grows pointwise with E, so every E with L <= E <= U has
+    value(E) <= value(U) sqrt(|U| / |L|) in both estimators; a node is
+    pruned when that bound, with a relative slack of 1e-9, is below the
+    best value, and every tie survives.  Only radii < budget.bit_length()
+    are searched: no mask <= budget holds a higher sphere.
+    """
+    ctx = f.ctx
+    radius = min(fam.radius, fam.budget.bit_length() - 1)
+    cols = _sphere_columns(f, radius)
+    top = len(cols[-1])
+    D = _denominator(f)
+    mult = [sphere_size(ctx, n) for n in range(top)]
+    sizes = [sphere_size(ctx, r) for r in range(radius + 1)]
+    # balls[r] and ball_sizes[r] are B_{r-1}'s, folded as the sweep folds them
+    balls = [[0] * top]
+    ball_sizes = [0]
+    for r, col in enumerate(cols):
+        balls.append([a + b for a, b in zip(balls[-1], col)])
+        ball_sizes.append(ball_sizes[-1] + sizes[r])
+    best = None
+    best_value = -math.inf
+    best_mask = 0
+
+    # a stack entry (r, L, |L|, value, |U|, scored): value and |U| are of
+    # this node's U when scored, else of its parent's, which has the same L
+    stack = [(radius + 1, 0, 0, 0.0, 0, False)]
+    while stack:
+        r, in_mask, in_size, value, u_size, scored = stack.pop()
+        if in_size and value * math.sqrt(u_size / in_size) * _PRUNE_SLACK < best_value:
+            continue
+        if not scored:
+            mask = in_mask | ((1 << r) - 1)
+            if not mask:
+                continue
+            coeffs = balls[r]
+            for i in range(r, radius + 1):
+                if in_mask >> i & 1:
+                    coeffs = [a + b for a, b in zip(coeffs, cols[i])]
+            u_size = ball_sizes[r] + in_size
+            res = score(coeffs, mult, D, u_size)
+            value = res[0]
+            if mask <= fam.budget and (
+                value > best_value or (value == best_value and mask < best_mask)
+            ):
+                best, best_value, best_mask = res, value, mask
+            if in_size and value * math.sqrt(u_size / in_size) * _PRUNE_SLACK < best_value:
+                continue
+        if not r:
+            continue
+        r -= 1
+        # S_r out, then S_r in, which pops first and keeps U
+        stack.append((r, in_mask, in_size, value, u_size, False))
+        if in_mask | (1 << r) <= fam.budget:
+            stack.append((r, in_mask | (1 << r), in_size + sizes[r], value, u_size, True))
+    return best, best_mask
 
 
 def _best_prefix(runs, e: float, D):

@@ -311,23 +311,26 @@ def a_functional_parts(f: RadialFunction):
 
     Returns (even, odd) with A(f) = even + odd*sqrt(q); both parts are
     exact rationals when the coefficients are, since q^{(n+m)/2} is an
-    integer for even n + m and an integer times sqrt(q) otherwise.
+    integer for even n + m and an integer times sqrt(q) otherwise.  An
+    exact f sums |a_n| |a_m| q^e (1 + min(n, m)) on integers over its
+    integer form (a_n = D f_n, see _scaled_items) and divides once by
+    D^2; a float f runs the same loop on its floats (D = 1), in the same
+    (n, m) order.
     """
     q = f.ctx.q
-    even = Fraction(0)
-    odd = Fraction(0)
-    for n, fn in enumerate(f.coeffs):
-        if not fn:
-            continue
-        for m, fm in enumerate(f.coeffs):
-            if not fm:
-                continue
-            w = abs(fn) * abs(fm) * (1 + min(n, m))
+    D, items = _scaled_items(f)
+    even = 0
+    odd = 0
+    for n, a in items:
+        for m, b in items:
+            w = abs(a) * abs(b) * (1 + min(n, m))
             e, r = divmod(n + m, 2)
             if r:
                 odd = odd + w * q**e
             else:
                 even = even + w * q**e
+    if f.is_exact():
+        return Fraction(even, D * D), Fraction(odd, D * D)
     return even, odd
 
 

@@ -19,7 +19,10 @@ RadialFunction.l2_norm_squared and equals
 convolve_radial(f, chi_m).l2_norm_squared(); thm3 and thm4 divide by D
 once per value, which rounds as float() of the Fraction would; thm5's
 f is float, so D = 1 and h is rearranged as it is through
-lorentz.rearrange_spheres.  The argument checks
+lorentz.rearrange_spheres, and its denominators ||f_n||_(2,s) come from
+one prefix pass over the longest f's runs (lorentz_prefix_norms).  The
+pk and qn verdicts are the column reports' exact ok, passed to check_le
+as holds.  The argument checks
 (require_*) are public, so the CLI can run them before any verifier.
 """
 
@@ -28,10 +31,17 @@ from __future__ import annotations
 import math
 import random
 import statistics
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lorentz import lorentz_norm, rearrange_radial, rearrange_spheres, radial_weighted_sum
+from .lorentz import (
+    lorentz_norm,
+    lorentz_prefix_norms,
+    radial_weighted_sum,
+    rearrange_radial,
+    rearrange_spheres,
+)
 from .operators import (
     SetFamily,
     column_l1_sup,
@@ -78,9 +88,13 @@ class VerificationReport:
     checks: list = field(default_factory=list)
     informational: bool = False
 
-    def check_le(self, check_id, lhs, rhs, rel_tol=0.0, note=None, expected=None):
-        """Record the inequality lhs <= rhs; expected overrides pass/fail."""
-        ok = _holds_le(lhs, rhs, rel_tol)
+    def check_le(self, check_id, lhs, rhs, rel_tol=0.0, note=None, expected=None, holds=None):
+        """Record the inequality lhs <= rhs; expected overrides pass/fail.
+
+        holds, when given, is the verdict, decided exactly by the caller;
+        lhs and rhs are then only rendered.
+        """
+        ok = _holds_le(lhs, rhs, rel_tol) if holds is None else holds
         status = "pass" if ok else "fail"
         if expected is not None:
             status = "informational"
@@ -471,11 +485,21 @@ def require_thm5_indices(s: float, t: float) -> None:
         raise ValueError("need 1 <= s <= 2 <= t")
 
 
-def require_fit_window(n_range) -> list:
-    """The fitted n as a list; a log-log fit needs at least 8 of them."""
+def require_fit_window(ctx: FreeGroupCtx, n_range) -> list:
+    """The fitted n as a list; a log-log fit needs at least 8 of them.
+
+    f_n's coefficients q^{-k/2}, k <= 2n, are floats, so the largest n
+    must keep q^{-n} a normal float: past it f_n loses its tail.
+    """
     ns = [int(n) for n in n_range]
     if len(ns) < 8:
         raise ValueError("degenerate fit: needs at least 8 points")
+    top = max(ns)
+    smallest = float(ctx.q) ** -top
+    if smallest < sys.float_info.min:
+        raise ValueError(
+            f"n = {top} puts f_n's coefficient q^-n = {smallest:.3g} below the normal floats"
+        )
     return ns
 
 
@@ -489,7 +513,7 @@ def thm5_exponent_fit(
     of 1 - 1/s + 1/t.  Entirely on the radial fast path.
     """
     require_thm5_indices(s, t)
-    ns = require_fit_window(n_range)
+    ns = require_fit_window(ctx, n_range)
     q = float(ctx.q)
     expected = 1.0 - 1.0 / s + (0.0 if math.isinf(t) else 1.0 / t)
     report = VerificationReport(
@@ -503,14 +527,17 @@ def thm5_exponent_fit(
             "expected_slope": expected,
         },
     )
+    # f_n's runs are the first 2n + 1 runs of the longest f, so every
+    # denominator comes from one rearrangement
+    coeffs = tuple(q ** (-0.5 * k) for k in range(2 * max(ns) + 1))
+    dens = lorentz_prefix_norms(
+        rearrange_radial(RadialFunction(ctx, coeffs)), (2.0, s), [2 * n + 1 for n in ns]
+    )
     xs = []
     ys = []
-    for n in ns:
-        f = RadialFunction(ctx, tuple(q ** (-0.5 * k) for k in range(2 * n + 1)))
-        _, h = sphere_product(f, n)  # f is float, so D = 1
-        num = lorentz_norm(rearrange_spheres(ctx, h), (2.0, t))
-        den = lorentz_norm(rearrange_radial(f), (2.0, s))
-        ratio = num / den
+    for n, den in zip(ns, dens):
+        _, h = sphere_product(RadialFunction(ctx, coeffs[: 2 * n + 1]), n)  # f is float, so D = 1
+        ratio = lorentz_norm(rearrange_spheres(ctx, h), (2.0, t)) / den
         xs.append(math.log(n))
         ys.append(math.log(ratio * q ** (-0.5 * n)))
         report.info(f"thm5:n={n}", ratio=ratio)
@@ -534,7 +561,11 @@ def verify_p_columns(ctx: FreeGroupCtx, k_max: int, radius: int) -> Verification
         rep = column_l1_sup("P", {"k": k}, radius, ctx)
         bound = q ** (k // 2)
         report.check_le(
-            f"pk:k={k}", rep["sup"], bound, note=f"witness x={rep['witness']!r}"
+            f"pk:k={k}",
+            rep["sup"],
+            bound,
+            holds=rep["ok"],
+            note=f"witness x={rep['witness']!r}",
         )
         if k % 2 == 0:
             report.check_ge(
@@ -565,6 +596,7 @@ def verify_q_columns(ctx: FreeGroupCtx, n_max: int, radius: int) -> Verification
                 f"qn:n={n}:alpha={_fmt(alpha)}",
                 rep["sup"],
                 rep["bound"],
+                holds=rep["ok"],
                 note=f"witness x={rep['witness']!r}",
             )
         for rep in sweep[len(alphas) :]:
@@ -572,6 +604,7 @@ def verify_q_columns(ctx: FreeGroupCtx, n_max: int, radius: int) -> Verification
                 f"qn:n={n}:alpha={n}:full-cancellation",
                 rep["sup"],
                 rep["bound"],
+                holds=rep["ok"],
                 expected=(n < 4),
                 note=f"witness x={rep['witness']!r}; mass >= 1 at alpha = n",
             )

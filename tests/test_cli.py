@@ -21,6 +21,9 @@ Core claims:
       candidate is past the pair budget; an oversized ball still reports
       first
     - thm5 with an infinite target index reports it as "inf"
+    - thm5 and norms run past float-range sphere counts (exit 0); a norm
+      itself past float range exits 2, and so does a thm5 window whose f_n
+      has coefficients below the normal floats, before any verifier runs
     - CSV params render numbers canonically, at most 12 significant digits
     - JSON strings escape '"', backslash, \n, \t, \r and other control
       characters, and pass non-ASCII through
@@ -45,7 +48,7 @@ import pytest
 import fgw
 from fgw.cli import main
 from fgw.reportio import json_dumps
-from fgw.words import FreeGroupCtx
+from fgw.words import FreeGroupCtx, sphere_size
 
 RUNNER = "import sys; from fgw.cli import main; sys.exit(main())"
 # the child imports the same fgw as the tests, installed or not
@@ -137,7 +140,7 @@ def test_search_record_fields(capsys):
 
     from fgw.operators import SetFamily, restricted_weak_estimate
     from fgw.radial import parse_radial_literal
-    from fgw.words import FreeGroupCtx
+    from fgw.words import FreeGroupCtx, sphere_size
 
     ctx = FreeGroupCtx(2)
     direct = restricted_weak_estimate(
@@ -376,6 +379,45 @@ def test_verify_thm5_infinite_target_index(capsys):
     assert summary["status"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "s, t, n_min, n_max",
+    [
+        # (|B_{3n}|)^{t/2} leaves float range: _pow_diff raised OverflowError
+        ("1.5", "3", "153", "160"),
+        # |B_{3n}| itself leaves float range: int too large to convert to float
+        ("2", "2", "393", "400"),
+    ],
+)
+def test_verify_thm5_past_float_counts(capsys, s, t, n_min, n_max):
+    # sphere counts past float range take the log-scaled path; the fitted
+    # slope stays inside the check's tolerance
+    code = main(["verify", "thm5", "--s", s, "--t", t, "--n-min", n_min, "--fit-n-max", n_max])
+    out = capsys.readouterr().out
+    assert code == 0
+    (summary,) = [r for r in json.loads(out) if r.get("kind") == "summary"]
+    assert summary["status"] == "pass"
+    ratios = [r["ratio"] for r in json.loads(out) if r.get("id", "").startswith("thm5:n=")]
+    assert len(ratios) == int(n_max) - int(n_min) + 1
+    assert ratios == sorted(ratios)
+
+
+def test_norms_past_float_counts(capsys):
+    # ||chi_700||_(2,2) = |S_700|^{1/2}, about 1.13e167, though |S_700|
+    # is no float
+    code = main(["norms", "--p", "2", "--s", "2", "--radial", "0," * 700 + "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    (record,) = json.loads(out)
+    want = math.exp(0.5 * math.log(sphere_size(FreeGroupCtx(2), 700)))
+    assert math.isclose(record["value"], want, rel_tol=1e-11)  # 12 rendered digits
+    # a norm itself past float range is a usage error, exit 2
+    code = main(["norms", "--p", "2", "--s", "2", "--radial", "0," * 1400 + "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "out of float range" in captured.err
+
+
 def test_verify_zero_samples_is_a_usage_error(capsys, monkeypatch):
     import fgw.cli
 
@@ -416,6 +458,8 @@ VERIFIERS = (
         (("thm5", "all"), ["--n-min", "38"], "--n-min"),
         (("thm1", "thm4", "all"), ["--f", "1,x"], "--f"),
         (("thm1", "thm4", "all"), ["--f", "-1"], "--f"),
+        # q^-645 is below the normal floats on F_2, q^-644 is not
+        (("thm5", "all"), ["--n-min", "638", "--fit-n-max", "645"], "--fit-n-max"),
     ],
 )
 def test_verify_usage_errors_fire_before_any_verifier(capsys, monkeypatch, targets, args, option):

@@ -11,10 +11,16 @@ Core claims:
     - rearrange_spheres on sphere_product's values equals rearrange_radial
       of the product, on float and mixed f
     - radial_weighted_sum follows the p = 2 and 1 < p < 2 formulas
+    - the prefix pass gives lorentz_norm of every prefix of the runs, float
+      for float, before and past float range
+    - counts past float range take a log-scaled path that agrees with the
+      float path where both apply; a norm itself past float range is a
+      ValueError
 """
 
 import math
 import random
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -24,7 +30,9 @@ from hypothesis import strategies as st
 from fgw.lorentz import (
     LorentzIndex,
     Rearrangement,
+    _log_scaled_norm,
     lorentz_norm,
+    lorentz_prefix_norms,
     radial_weighted_sum,
     rearrange,
     rearrange_radial,
@@ -134,6 +142,68 @@ def _norm_by_definition_two_runs(m):
     # sum_{i<=m} 2 d_i + sum_{m<i<=2m} d_i with d_i = sqrt(i)-sqrt(i-1)
     # telescopes to sqrt(m) + sqrt(2m)
     return math.sqrt(m) + math.sqrt(2 * m)
+
+
+@pytest.mark.parametrize("s", [1.0, 1.25, 1.5, 2.0])
+def test_prefix_norms_equal_lorentz_norm_of_each_prefix(s):
+    # thm5's denominators: f_n = sum_{k<=2n} q^{-k/2} chi_k is a prefix of
+    # f_60, and its norm from the prefix pass is lorentz_norm's, bit for
+    # bit, the single run of f_0 included
+    ctx = FreeGroupCtx(2)
+    coeffs = tuple(3.0 ** (-0.5 * k) for k in range(121))
+    lengths = [2 * n + 1 for n in range(61)]
+    got = lorentz_prefix_norms(rearrange_radial(RadialFunction(ctx, coeffs)), (2.0, s), lengths)
+    want = [
+        lorentz_norm(rearrange_radial(RadialFunction(ctx, coeffs[:n])), (2.0, s))
+        for n in lengths
+    ]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_prefix_norms_past_float_counts():
+    # |B_k| leaves float range near k = 646: later prefixes take the
+    # log-scaled path, as lorentz_norm does on them
+    ctx = FreeGroupCtx(2)
+    r = rearrange_radial(RadialFunction(ctx, tuple(3.0 ** (-0.5 * k) for k in range(801))))
+    lengths = [0, 1, 600, 645, 646, 647, 700, 801]
+    for s in (1.0, 2.0, math.inf):
+        got = lorentz_prefix_norms(r, (2.0, s), lengths)
+        want = [lorentz_norm(Rearrangement(r.pairs[:n]), (2.0, s)) for n in lengths]
+        assert got == want
+        assert all(math.isfinite(x) for x in got)
+
+
+def test_log_scaled_norm_agrees_in_float_range():
+    # the path taken past float range, checked where floats also reach
+    rng = random.Random(8)
+    for _ in range(100):
+        r = _random_rearrangement(rng, max_mult=10**6)
+        for p, s in ((2.0, 1.0), (2.0, 2.0), (1.5, 3.0), (3.0, 1.25)):
+            idx = LorentzIndex(p, s)
+            assert math.isclose(_log_scaled_norm(r.pairs, idx), lorentz_norm(r, idx), rel_tol=1e-12)
+
+
+def test_norms_of_counts_past_float_range():
+    # |S_700| is past float range, its square root is not
+    size = sphere_size(FreeGroupCtx(2), 700)
+    with pytest.raises(OverflowError):
+        float(size)
+    root = float(Decimal(size).sqrt(Context(prec=40)))
+    r = Rearrangement(((Fraction(1), size),))
+    for s in (1.0, 2.0, 3.0):
+        assert math.isclose(lorentz_norm(r, (2.0, s)), root, rel_tol=1e-13)
+    assert math.isclose(weak_norm(r, 2.0), root, rel_tol=1e-13)
+    two = Rearrangement(((Fraction(3), size), (Fraction(1, 7), size)))
+    # telescoping at s = 1: 3 |S|^{1/2} + (1/7) ((2|S|)^{1/2} - |S|^{1/2})
+    want = 3 * root + (math.sqrt(2) * root - root) / 7
+    assert math.isclose(lorentz_norm(two, (2.0, 1.0)), want, rel_tol=1e-12)
+    # and at s = 2: (9 |S| + (1/49) |S|)^{1/2}
+    assert math.isclose(lorentz_norm(two, (2.0, 2.0)), math.sqrt(9 + 1 / 49) * root, rel_tol=1e-12)
+    # the norm itself past float range is an error, not inf
+    with pytest.raises(ValueError, match="out of float range"):
+        lorentz_norm(Rearrangement(((1, size * size),)), (2.0, 2.0))
+    with pytest.raises(ValueError, match="out of float range"):
+        weak_norm(Rearrangement(((1, size * size),)), 2.0)
 
 
 def test_rearrange_radial_matches_expansion():

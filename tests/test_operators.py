@@ -17,6 +17,10 @@ Core claims:
     - the integer sweep reproduces per-set Fraction sums float for float
       on spheres, balls and sphere unions, for exact and float f, under
       any budget, first maximum winning ties
+    - the branch and bound over sphere unions finds the full sweep's best
+      value, label and j, for exact and float f, under any budget; it
+      searches only the radii a mask <= budget can hold, and at thm3's
+      default scale scores about a tenth of the masks
     - radial families convolve once per sphere, never once per candidate,
       in both estimators, lemma1 and r22
     - estimates grow with the candidate budget under a fixed seed
@@ -80,7 +84,7 @@ from fgw.oracle import (
 )
 from fgw.radial import RadialFunction, chi, convolve_radial
 from fgw.reportio import json_dumps
-from fgw.theorems import verify_lemma1, verify_r22
+from fgw.theorems import sample_radial, thm3_equivalence_report, verify_lemma1, verify_r22
 from fgw.words import (
     FreeGroupCtx,
     ReducedWord,
@@ -579,6 +583,82 @@ def test_sphere_union_ties_keep_first_union():
     assert all(row[0] == 1.0 for row in weak)
     assert restricted_weak_estimate(f, fam)["E"] == "U2"
     assert weak_estimate_21_to_2(f, fam)["E"] == "U0"
+
+
+@st.composite
+def _search_cases(draw):
+    coeff = st.one_of(
+        st.fractions(min_value=0, max_value=20, max_denominator=50),
+        st.sampled_from([Fraction(0), Fraction(1)]),
+    )
+    if draw(st.booleans()):
+        coeff = st.one_of(st.floats(min_value=0, max_value=50, allow_nan=False), st.just(1.0))
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=6))
+    fam = _radial_family(draw, "sphere-unions", draw(st.integers(0, 8)))
+    return RadialFunction(CTX, tuple(coeffs)), fam
+
+
+@settings(max_examples=120, deadline=None)
+@given(_search_cases())
+@example((chi(CTX, 0), SetFamily("sphere-unions", 6, 100)))
+@example((RadialFunction(CTX, (1.0, 0.0, 0.25)), SetFamily("sphere-unions", 8, 300)))
+# 0.1 chi_2: U0,2,4's floats depend on the order its columns are folded in
+@example((RadialFunction(CTX, (0.0, 0.0, 0.1)), SetFamily("sphere-unions", 4, 31)))
+def test_sphere_union_search_equals_the_full_sweep(case):
+    # the branch and bound against every mask 1 .. budget: value, label and
+    # j, for exact and float f, budgets below and above 2^(R+1) - 1
+    f, fam = case
+    got_r = restricted_weak_estimate(f, fam)
+    got_w = weak_estimate_21_to_2(f, fam)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "_sphere_union_search", ops._sweep_best)
+        want_r = restricted_weak_estimate(f, fam)
+        want_w = weak_estimate_21_to_2(f, fam)
+    assert json_dumps(got_r) == json_dumps(want_r)
+    assert json_dumps(got_w) == json_dumps(want_w)
+    assert got_r == want_r
+    assert got_w == want_w
+
+
+def test_sphere_union_search_past_any_ball():
+    # masks <= 1000 hold no sphere past S_9, so radius 1500 searches the
+    # same masks as radius 9, builds 10 columns and scores no big sphere
+    f = RadialFunction(CTX, (Fraction(1), Fraction(2, 3), Fraction(0), Fraction(1, 5)))
+    far = SetFamily("sphere-unions", 1500, budget=1000)
+    near = SetFamily("sphere-unions", 9, budget=1000)
+    for estimator in (restricted_weak_estimate, weak_estimate_21_to_2):
+        got, want = estimator(f, far), estimator(f, near)
+        assert got["radius"] == 1500
+        assert {**got, "radius": 9} == want
+
+
+def test_sphere_union_search_scores_few_masks(monkeypatch):
+    # thm3's default run, 100 samples at radius 8: a full sweep scores
+    # 511 masks per sample, the search about a tenth of that
+    counts = []
+    real = ops._sphere_union_search
+
+    def counting(f, fam, score):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return score(*args)
+
+        out = real(f, fam, counted)
+        counts.append(len(calls))
+        return out
+
+    monkeypatch.setattr(ops, "_sphere_union_search", counting)
+    thm3_equivalence_report(CTX)
+    assert len(counts) == 100
+    assert sum(counts) / len(counts) <= 100
+    counts.clear()
+    rng = random.Random(0)
+    fam = SetFamily("sphere-unions", 8)
+    for _ in range(100):
+        weak_estimate_21_to_2(sample_radial(CTX, rng, 6), fam)
+    assert sum(counts) / len(counts) <= 100
 
 
 def test_estimate_report_shape():

@@ -20,6 +20,8 @@ Core claims:
       items equal a fresh recomputation, after +, scalar * and trimming,
       and play no part in equality or hashing
     - a_functional splits exactly into rational + rational * sqrt(q)
+    - a_functional_parts, summed on integers over D^2, equals the plain
+      Fraction double sum, and keeps a float f's floats
     - conjecture_functional follows the stated s = 1 convention and sign flag
     - radial literals round trip through parse/format
 """
@@ -366,6 +368,48 @@ def test_a_functional_exact_parts():
     assert even == Fraction(1 + 2 * q)
     assert odd == Fraction(2)
     assert math.isclose(a_functional(f), float(even) + float(odd) * math.sqrt(q))
+
+
+def _a_parts_by_fraction(f):
+    # the plain double sum, one Fraction (or float) per pair
+    q = f.ctx.q
+    even = odd = Fraction(0)
+    for n, fn in f.nonzero_items():
+        for m, fm in f.nonzero_items():
+            w = abs(fn) * abs(fm) * (1 + min(n, m)) * q ** ((n + m) // 2)
+            if (n + m) % 2:
+                odd = odd + w
+            else:
+                even = even + w
+    return even, odd
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.sampled_from([2, 3]),
+    coeffs=st.lists(
+        st.fractions(min_value=0, max_value=30, max_denominator=10**4), min_size=1, max_size=9
+    ),
+    exact=st.booleans(),
+)
+@example(k=2, coeffs=[Fraction(0)], exact=True)
+def test_a_functional_parts_equal_the_fraction_double_sum(k, coeffs, exact):
+    # exact f: one integer sum over D^2; float f: the same loop on its
+    # floats, in the same (n, m) order, so every float is the same
+    ctx = FreeGroupCtx(k)
+    if not exact:
+        coeffs = [float(c) for c in coeffs]
+    f = RadialFunction(ctx, tuple(coeffs))
+    got = a_functional_parts(f)
+    want = _a_parts_by_fraction(f)
+    assert got == want
+    if exact:
+        assert all(type(x) is Fraction for x in got)
+    else:
+        assert [repr(float(x)) for x in got] == [repr(float(x)) for x in want]
+        assert repr(a_functional(f)) == repr(
+            float(want[0]) + float(want[1]) * math.sqrt(ctx.q) if want[1] else want[0]
+        )
 
 
 def test_a_functional_uses_positive_exponent():

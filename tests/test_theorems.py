@@ -14,6 +14,7 @@ Core claims:
       operators or radial and leaves the family fork to operators
     - the thm4 chain matches a hand-computed case exactly
     - the alpha = n column row documents the expected failure for n >= 4
+    - every pk and qn verdict is the column's exact ok
     - thm5 refuses degenerate fit windows
     - float thm4 and thm5 chains keep their values to the last place
     - thm3's sphere-pair value and thm4's p'-sums, read as integers over
@@ -31,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fgw.theorems
-from fgw.operators import RADIAL_KINDS, SetFamily, candidate_sets
+from fgw.operators import RADIAL_KINDS, SetFamily, candidate_sets, column_l1_sup
 from fgw.oracle import FunctionOnGroup, best_F_ratio, left_convolve, pairing, radial_candidates
 from fgw.radial import RadialFunction, chi, convolve_radial
 from fgw.reportio import CSV_HEADER
@@ -358,6 +359,38 @@ def test_verify_p_columns_equality_at_even_k():
     for k in (0, 2, 4):
         row = rows[f"pk:k={k}:equality"]
         assert row["margin"] == 1.0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_column_verdicts_are_the_exact_ok(k):
+    # every pk and qn verdict is _column_sup's exact ok at radius 8, the
+    # tight qn:n=6:alpha=-0.5 (243 <= 243.0 on F_2) a pass
+    ctx = FreeGroupCtx(k)
+    reps = {}
+    for kk in range(7):
+        reps[f"pk:k={kk}"] = column_l1_sup("P", {"k": kk}, 8, ctx)
+    for n in range(7):
+        alphas = [tw / 2.0 for tw in range(-n, n + 1)]
+        for a in alphas:
+            reps[f"qn:n={n}:alpha={fgw.theorems._fmt(a)}"] = column_l1_sup(
+                "Q", {"n": n, "alpha": a}, 8, ctx
+            )
+        if n >= 1:
+            reps[f"qn:n={n}:alpha={n}:full-cancellation"] = column_l1_sup(
+                "Q", {"n": n, "alpha": float(n)}, 8, ctx
+            )
+    rows = verify_p_columns(ctx, 6, 8).checks + verify_q_columns(ctx, 6, 8).checks
+    checked = [row for row in rows if row["id"] in reps]
+    assert len(checked) == len(reps)
+    for row in checked:
+        ok = reps[row["id"]]["ok"]
+        if row["status"] == "informational":
+            assert row["holds"] is ok
+        else:
+            assert row["status"] == ("pass" if ok else "fail"), row["id"]
+    if k == 2:
+        (tight,) = [row for row in rows if row["id"] == "qn:n=6:alpha=-0.5"]
+        assert (tight["lhs"], tight["rhs"], tight["status"]) == (243, 243.0, "pass")
 
 
 def test_verify_q_columns_documents_alpha_n():
