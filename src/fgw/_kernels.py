@@ -8,12 +8,15 @@ sorts words.  Keys are plain Python integers, so words of any length fit.
 
 Every function here serves a certifier path: the sphere odometer, key
 encoding and inversion, and the pair kernels of the explicit families,
-prod_len_hist (pairings) and convolve_sphere_set (estimators and r22).
-The kernels return raw counts; lorentz.runs rearranges them.
+prod_len_hist (pairings), and sphere_image, one word's image under S_n,
+which count_images counts for every set (estimators and r22).  The
+kernels return raw counts; lorentz.runs rearranges them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import Iterator
 
 
@@ -107,21 +110,23 @@ def prod_len_hist(two_k: int, akeys, bkeys) -> list[int]:
     return hist
 
 
-def convolve_sphere_set(two_k: int, n: int, xkeys) -> dict[int, int]:
-    """Counts of z = w*x over w in S_n, x in the key list (chi_n * chi_E)."""
-    out: dict[int, int] = {}
-    xs = [(kx, decode_word(two_k, kx)) for kx in xkeys]
-    maxlen = max((len(x) for _, x in xs), default=0)
-    powers = [two_k**i for i in range(maxlen + 1)]
-    for kw in sphere_keys(two_k, n):
-        for kx, xl in xs:
-            k = kw
-            i = 0
-            m = len(xl)
-            while k > 1 and i < m and k % two_k == xl[i] ^ 1:
-                k //= two_k
-                i += 1
-            rem = m - i
-            z = k * powers[rem] + kx % powers[rem]
-            out[z] = out.get(z, 0) + 1
+def sphere_image(two_k: int, wkeys, kx: int) -> list[int]:
+    """Keys of z = w*x for w in the key list wkeys, in its order: x's image under S_n."""
+    xl = decode_word(two_k, kx)
+    m = len(xl)
+    powers = [two_k**i for i in range(m + 1)]
+    out = []
+    for kw in wkeys:
+        k = kw
+        i = 0
+        while k > 1 and i < m and k % two_k == xl[i] ^ 1:
+            k //= two_k
+            i += 1
+        out.append(k * powers[m - i] + kx % powers[m - i])
     return out
+
+
+def count_images(images) -> Counter:
+    """Counts of z = w*x over the x's images (chi_n * chi_E), interleaved w-major,
+    so keys are inserted in the pair loop's order `for w: for x:`."""
+    return Counter(chain.from_iterable(zip(*images)))

@@ -5,12 +5,12 @@ searching over families of finite sets E (and implicitly F).  Each kind
 of family has one representation:
 
 * an ElementSet is an explicit set: the sorted integer keys of its words
-  (see _kernels), which go through the enumeration kernels (cost |E| x
-  sphere sizes); words become ReducedWords only at the API boundary
-  (explicit_set, iter_words).  The estimators see f * chi_E as integers
-  over D = lcm(denominators of f) (_convolve_value_counts) and divide
-  once per candidate, in _best_prefix or the square sum, and pairings
-  read one length histogram of the products (chi_pairing_profile);
+  (see _kernels), which become ReducedWords only at the API boundary.
+  Each word's image under S_n is built once per call (_SphereImages),
+  and each set counts f * chi_E from its words' images, as integers
+  over D = lcm(denominators of f) (_convolve_value_counts); estimators
+  divide once per candidate, in _best_prefix or the square sum, and
+  pairings read one length histogram of products (chi_pairing_profile);
 * a radial family (unions of spheres) is never an ElementSet: its
   candidates are masks over the spheres S_0 .. S_radius, and f * chi_E
   is a sum of the columns D (f * chi_r), so radii far beyond any
@@ -242,17 +242,41 @@ def _check_convolution_work(ctx: FreeGroupCtx, scaled, set_size: int) -> None:
         raise BudgetExceededError("convolution enumeration", work, PAIR_BUDGET)
 
 
-def _convolve_value_counts(ctx: FreeGroupCtx, scaled, keys) -> dict:
+class _SphereImages:
+    """A memo (n, x) -> _kernels.sphere_image for one estimator or prefix_sups call.
+
+    It stores at most PAIR_BUDGET keys, the bound on one set's work, and rebuilds the rest.
+    """
+
+    def __init__(self, tk: int):
+        self.tk, self.spheres, self.images, self.room = tk, {}, {}, PAIR_BUDGET
+
+    def counts(self, n: int, keys) -> Counter:
+        """Counts of z = w*x over w in S_n, x in keys, in the pair loop's order."""
+        if n not in self.spheres:
+            self.spheres[n] = _kernels.sphere_keys(self.tk, n)
+        images = []
+        for kx in keys:
+            image = self.images.get((n, kx))
+            if image is None:
+                image = _kernels.sphere_image(self.tk, self.spheres[n], kx)
+                if len(image) <= self.room:
+                    self.images[n, kx] = image
+                    self.room -= len(image)
+            images.append(image)
+        return _kernels.count_images(images)
+
+
+def _convolve_value_counts(ctx: FreeGroupCtx, scaled, keys, images: _SphereImages) -> dict:
     """Sparse key -> D * value map of f * chi_X for an explicit key list X.
 
     scaled holds the (n, D * f_n) pairs of _scaled_items(f); values are
-    accumulated in n ascending, then in the kernel's z order.
+    accumulated in n ascending, then in the pair loop's z order.
     """
-    tk = ctx.alphabet
     _check_convolution_work(ctx, scaled, len(keys))
     out: dict = {}
     for n, fn in scaled:
-        for zkey, count in _kernels.convolve_sphere_set(tk, n, keys).items():
+        for zkey, count in images.counts(n, keys).items():
             prev = out.get(zkey)
             out[zkey] = fn * count if prev is None else prev + fn * count
     return out
@@ -354,7 +378,8 @@ def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
     Each sup is the best prefix of the runs of chi_n * chi_E, whose values
     are integers: radial sweep coefficients, or the kernel's pair counts.
     random-subsets checks every draw's |S_n| |E| pairs, n <= n_max,
-    before the ball is built.
+    before the ball is built, and each E is checked before any work.  An
+    n replays the family, so only S_n's images are held at a time.
     """
     if fam.kind in RADIAL_KINDS:
         mult = [sphere_size(ctx, l) for l in range(n_max + fam.radius + 1)]
@@ -368,15 +393,16 @@ def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
 
     if fam.kind == "random-subsets":
         _check_draws(ctx, fam, check)
-    tk = ctx.alphabet
+    rows = []
     for E in candidate_sets(ctx, fam):
-        keys = E.keys()
-        check(len(keys))
-        sups = []
-        for n in range(n_max + 1):
-            counts = Counter(_kernels.convolve_sphere_set(tk, n, keys).values())
+        check(E.size)
+        rows.append((E.label, E.size, []))
+    for n in range(n_max + 1):
+        images = _SphereImages(ctx.alphabet)
+        for (_, _, sups), E in zip(rows, candidate_sets(ctx, fam)):
+            counts = Counter(images.counts(n, E.keys()).values())
             sups.append(_best_prefix(runs(counts.items()), 0.5, 1)[0])
-        yield E.label, E.size, sups
+    yield from rows
 
 
 def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_radial):
@@ -395,9 +421,10 @@ def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_r
         return (best[0], _radial_candidates(fam)[1](best_mask), *best[1:])
 
     D, scaled = _scaled_items(f)
+    images = _SphereImages(ctx.alphabet)
 
     def objective(E: ElementSet):
-        return reduce_set(_convolve_value_counts(ctx, scaled, E.keys()), D, E.size, E.label)
+        return reduce_set(_convolve_value_counts(ctx, scaled, E.keys(), images), D, E.size, E.label)
 
     # work known before the ball is built is checked first: greedy's first
     # candidate is one word, and random-subsets' seeded draws replay; the

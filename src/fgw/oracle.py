@@ -2,13 +2,14 @@
 
 No verifier calls this module; the command line reaches it only through
 `fgw convolve --oracle`.  Each function computes by brute force what a
-certifier obtains in closed form or by an integer sweep: products and
-pairings on explicit supports (left_convolve, pairing), truncated
-columns and their length histograms (truncated_column, column_row),
-chi_n * chi_m (oracle_convolve) and a radial family's candidates as
-lists of radii (radial_candidates), with truncated_column testing each
-word by its own column rule (column_accepts).  best_F_ratio runs the
-estimators' own _best_prefix, so its floats are theirs bit for bit.
+certifier obtains in closed form or by an integer sweep: products on
+explicit supports, counted from each word's sphere image in one pass
+(left_convolve), pairings, truncated columns and their length
+histograms (truncated_column, column_row), chi_n * chi_m
+(oracle_convolve) and a radial family's candidates as lists of radii
+(radial_candidates), with truncated_column testing each word by its
+own column rule (column_accepts).  best_F_ratio runs the estimators'
+own _best_prefix, so its floats are theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -77,7 +78,9 @@ def left_convolve(f: RadialFunction, g: FunctionOnGroup) -> FunctionOnGroup:
     for v, keys in by_value.items():
         for n, fn in f.nonzero_items():
             scale = fn * v
-            for zkey, count in _kernels.convolve_sphere_set(tk, n, keys).items():
+            wkeys = _kernels.sphere_keys(tk, n)
+            images = [_kernels.sphere_image(tk, wkeys, kx) for kx in keys]
+            for zkey, count in _kernels.count_images(images).items():
                 acc[zkey] = acc.get(zkey, Fraction(0)) + scale * count
     entries = {
         ReducedWord(ctx, _kernels.decode_word(tk, zkey)): val

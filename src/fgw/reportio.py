@@ -105,11 +105,15 @@ CSV_HEADER = ("id", "params", "lhs", "rhs", "margin", "status")
 
 
 def _csv_cell(x) -> str:
+    # exact types first, as in json_dumps; the rest takes render_number's chain
+    t = type(x)
+    if t is float:
+        return _render_float(x)
+    if t is str or t is int:
+        return str(x)
     if x is None:
         return ""
-    if isinstance(x, str):
-        return x
-    return render_number(x)
+    return x if isinstance(x, str) else render_number(x)
 
 
 def write_csv(stream, rows, header=CSV_HEADER) -> None:

@@ -199,9 +199,10 @@ def _param_text(v) -> str:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, int):
+    # exact types first, as in reportio.json_dumps: the Fraction isinstance is an ABC check
+    if type(x) is float:
+        return "%.12g" % x
+    if type(x) is int or isinstance(x, (Fraction, int)):
         return str(x)
     return "%.12g" % float(x)
 

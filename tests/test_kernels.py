@@ -5,14 +5,19 @@ Core claims:
     - the one sphere odometer lists every reduced word once, in lex order
     - inv/len on keys agree with the ReducedWord layer
     - prod_len_hist matches a brute-force double loop over ReducedWord mul
-    - convolve_sphere_set matches brute force and conserves total mass
-      (r22 reads its rearrangement off these counts; test_theorems checks
-      that against fgw.oracle's best_F_ratio of left_convolve)
+    - counting sphere_image's images (count_images) matches brute force
+      and conserves total mass (r22 reads its rearrangement off these
+      counts; test_theorems checks that against fgw.oracle's best_F_ratio
+      of left_convolve), and inserts the keys in the order of the w-major
+      pair loop, for every key list
 """
 
 import itertools
 import random
 from collections import Counter
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fgw import _kernels
 from fgw._kernels import decode_word, encode_word
@@ -95,7 +100,34 @@ def test_convolve_sphere_set_matches_brute_force():
         for w in sphere_stream(ctx, n):
             for kx in xs:
                 want[encode_word(tk, mul(w, _word(ctx, kx)).letters)] += 1
-        got = _kernels.convolve_sphere_set(tk, n, xs)
+        wkeys = _kernels.sphere_keys(tk, n)
+        got = _kernels.count_images([_kernels.sphere_image(tk, wkeys, kx) for kx in xs])
         assert got == dict(want)
         assert sum(got.values()) == len(xs) * len(list(sphere_stream(ctx, n)))
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((2, 3)),
+    st.integers(0, 4),
+    st.lists(st.lists(st.integers(0, 5), max_size=5), max_size=8),
+)
+@example(2, 0, [[0, 2], [], [1]])
+@example(3, 2, [])
+@example(3, 3, [[], [4, 5], [2, 0, 1]])
+def test_count_images_inserts_keys_in_pair_loop_order(k, n, letter_lists):
+    # the weak estimator sums a float f's squares in the dict's order, so
+    # counting the images must insert keys as the w-major pair loop does;
+    # [4, 5] reduces to the identity word, which the lists may hold twice
+    ctx = FreeGroupCtx(k)
+    tk = ctx.alphabet
+    xs = [encode_word(tk, normalize(ctx, [c % tk for c in ls]).letters) for ls in letter_lists]
+    want = {}
+    for w in sphere_stream(ctx, n):
+        for kx in xs:
+            z = encode_word(tk, mul(w, _word(ctx, kx)).letters)
+            want[z] = want.get(z, 0) + 1
+    wkeys = _kernels.sphere_keys(tk, n)
+    got = _kernels.count_images([_kernels.sphere_image(tk, wkeys, kx) for kx in xs])
+    assert list(got.items()) == list(want.items())

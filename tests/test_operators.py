@@ -28,6 +28,9 @@ Core claims:
     - the explicit families' integer estimates equal the exact reference
       of left_convolve exactly, and float f keeps its estimates to the
       last place
+    - explicit families build each word's sphere image once per call: the
+      memo stores at most PAIR_BUDGET keys and, once full, changes no
+      estimate; r22's explicit rows keep their (E, n) order
     - explicit sets store sorted integer keys, which is the (length, lex)
       order of their words, and refuse words of another group; the
       explicit families build no ReducedWord
@@ -49,6 +52,7 @@ Core claims:
 import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -783,6 +787,29 @@ def test_float_explicit_estimates_pinned(b, kind, estimator, want):
     assert repr(est(f, fam)["estimate"]) == want
 
 
+def _prefix_sups_set_by_set(ctx, fam, n_max):
+    # rows as a set-by-set loop makes them: each E, then each n, with
+    # chi_n * chi_E counted word by word
+    rows = []
+    for E in candidate_sets(ctx, fam):
+        sups = []
+        for n in range(n_max + 1):
+            counts = Counter(mul(w, x) for w in sphere_stream(ctx, n) for x in E.iter_words())
+            sups.append(best_F_ratio(counts, 2)[0])
+        rows.append((E.label, E.size, sups))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [SetFamily("ball-subsets", radius=1, budget=32), SetFamily("random-subsets", 2, 10, seed=4)],
+    ids=["ball-subsets", "random-subsets"],
+)
+def test_prefix_sups_rows_in_set_then_sphere_order(fam):
+    # the explicit path goes sphere by sphere and still yields (E, n) rows
+    assert list(ops.prefix_sups(CTX, fam, 3)) == _prefix_sups_set_by_set(CTX, fam, 3)
+
+
 # -- Truncated columns -------------------------------------------------------
 
 
@@ -922,3 +949,63 @@ def test_pair_budget_enforced(monkeypatch):
     # r22 checks |S_n| |E| before each chi_n * chi_E: sub1 = {e} at n = 2
     with pytest.raises(BudgetExceededError, match="convolution enumeration needs 12, cap is 10$"):
         verify_r22(CTX, SetFamily("ball-subsets", radius=1, budget=64), 2)
+
+
+def _spy_on_image_memos(monkeypatch):
+    """Record every image memo made, and the (n, x) images each was asked for."""
+    memos = []
+
+    class Spy(ops._SphereImages):
+        def __init__(self, tk):
+            super().__init__(tk)
+            self.asked = set()
+            memos.append(self)
+
+        def counts(self, n, keys):
+            self.asked.update((n, kx) for kx in keys)
+            return super().counts(n, keys)
+
+    monkeypatch.setattr(ops, "_SphereImages", Spy)
+    return memos
+
+
+MEMO_F = RadialFunction(CTX, (Fraction(1), Fraction(1, 2), Fraction(1, 4)))
+MEMO_CASES = [
+    ("estimators", SetFamily("random-subsets", radius=3, budget=12, seed=3)),
+    ("estimators", SetFamily("greedy", radius=2, budget=4)),
+    ("r22", SetFamily("random-subsets", radius=3, budget=10, seed=4)),
+]
+
+
+@pytest.mark.parametrize("call, fam", MEMO_CASES, ids=[f"{c}-{f.kind}" for c, f in MEMO_CASES])
+def test_image_memo_holds_at_most_the_pair_budget(monkeypatch, call, fam):
+    # PAIR_BUDGET set between the largest set's work and the family's
+    # total: every set passes its budget check, the memo fills up and
+    # rebuilds the images it cannot store, and no estimate moves.  (No
+    # ball-subsets case: its family holds the whole ball, so the largest
+    # set's work is the total.)
+    if call == "estimators":
+        def run():
+            return [est(MEMO_F, fam) for est in (restricted_weak_estimate, weak_estimate_21_to_2)]
+
+        sphere_work = sum(sphere_size(CTX, n) for n in range(3))
+    else:
+        def run():
+            return list(ops.prefix_sups(CTX, fam, 3))
+
+        sphere_work = sphere_size(CTX, 3)
+    if fam.kind == "greedy":
+        largest = fam.budget
+    else:
+        largest = max(E.size for E in candidate_sets(CTX, fam))
+    want = run()
+    cap = sphere_work * largest
+    monkeypatch.setattr(ops, "PAIR_BUDGET", cap)
+    memos = _spy_on_image_memos(monkeypatch)
+    assert run() == want
+    for memo in memos:
+        stored = sum(len(image) for image in memo.images.values())
+        assert stored <= cap
+        assert memo.room == cap - stored
+    # some image was asked for and not stored, so the cap was reached
+    assert any(len(memo.asked) > len(memo.images) for memo in memos)
