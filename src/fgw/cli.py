@@ -16,7 +16,13 @@ import sys
 
 from .errors import BudgetExceededError
 from .lorentz import LorentzIndex, lorentz_norm, rearrange_radial
-from .operators import FAMILY_KINDS, SetFamily, default_radius
+from .operators import (
+    FAMILY_KINDS,
+    SetFamily,
+    default_radius,
+    restricted_weak_estimate,
+    weak_estimate_21_to_2,
+)
 from .oracle import oracle_convolve
 from .radial import chi, convolve_radial, format_radial_literal, parse_radial_literal
 from .reportio import json_dumps, write_csv, write_json
@@ -194,8 +200,6 @@ def cmd_norms(args) -> int:
 
 
 def cmd_search(args) -> int:
-    from .operators import restricted_weak_estimate, weak_estimate_21_to_2
-
     ctx = _ctx(args)
     fam = _family(args, ctx)
     f = parse_radial_literal(ctx, args.f)
@@ -284,12 +288,10 @@ def _verify_reports(args, ctx: FreeGroupCtx, target: str) -> list:
             reports.append(thm5_exponent_fit(ctx, s, t, n_range))
     if target in ("pk", "all"):
         k_max = args.k_max if args.k_max is not None else 6
-        radius = args.radius if args.radius is not None else default_radius(ctx)
-        reports.append(verify_p_columns(ctx, k_max, radius))
+        reports.append(verify_p_columns(ctx, k_max, fam.radius))
     if target in ("qn", "all"):
         n_max = args.n_max if args.n_max is not None else 6
-        radius = args.radius if args.radius is not None else default_radius(ctx)
-        reports.append(verify_q_columns(ctx, n_max, radius))
+        reports.append(verify_q_columns(ctx, n_max, fam.radius))
     if target in ("display", "all"):
         reports.append(verify_display_majorization(ctx))
     return reports

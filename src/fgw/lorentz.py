@@ -155,8 +155,8 @@ def _as_index(idx) -> LorentzIndex:
 def _run_terms(pairs, idx: LorentzIndex) -> list:
     """The terms v^s ((c+m)^{s/p} - c^{s/p}) of the runs, c the count before each.
 
-    lorentz_norm sums them; the list stops at the first term whose
-    float evaluation overflows.
+    lorentz_prefix_norms sums them; the list stops at the first term
+    whose float evaluation overflows.
     """
     e = idx.s / idx.p
     cum = 0
@@ -207,26 +207,18 @@ def _log_scaled_norm(pairs, idx: LorentzIndex) -> float:
 
 
 def lorentz_norm(r: Rearrangement, idx) -> float:
-    """||f||_{p,s} evaluated blockwise on the rearrangement runs.
-
-    Runs whose counts or terms overflow a float take a log-scaled path;
-    everything in float range is evaluated in floats.
-    """
-    idx = _as_index(idx)
-    if math.isinf(idx.s):
-        return weak_norm(r, idx.p)
-    if not r.pairs:
-        return 0.0
-    value = _float_norm(r.pairs, _run_terms(r.pairs, idx), idx)
-    return _log_scaled_norm(r.pairs, idx) if value is None else value
+    """||f||_{p,s}: lorentz_prefix_norms of all of r's runs."""
+    return lorentz_prefix_norms(r, idx, [len(r.pairs)])[0]
 
 
 def lorentz_prefix_norms(r: Rearrangement, idx, lengths) -> list:
-    """lorentz_norm of the runs r.pairs[:n] for each n in lengths, float for float.
+    """||.||_{p,s} of the runs r.pairs[:n] for each n in lengths, evaluated blockwise.
 
-    The run terms are computed once, for r; a prefix's terms are a
-    prefix of them, and fsum is correctly rounded, so the fsum of a
-    prefix is the sum lorentz_norm takes on that prefix alone.
+    Runs whose counts or terms overflow a float take a log-scaled path;
+    everything in float range is evaluated in floats.  The run terms are
+    computed once, for r; a prefix's terms are a prefix of them, and
+    fsum is correctly rounded, so each prefix's norm is, float for
+    float, the norm of that prefix alone.
     """
     idx = _as_index(idx)
     if math.isinf(idx.s):

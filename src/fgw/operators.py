@@ -435,12 +435,8 @@ def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_r
         return _greedy_search(objective, ctx, fam)
     if fam.kind == "random-subsets":
         _check_draws(ctx, fam, lambda size: _check_convolution_work(ctx, scaled, size))
-    best = None
-    for E in candidate_sets(ctx, fam):
-        if E.size > 0:
-            res = objective(E)
-            if best is None or res[0] > best[0]:
-                best = res
+    results = (objective(E) for E in candidate_sets(ctx, fam) if E.size > 0)
+    best = max(results, key=lambda res: res[0], default=None)
     if best is None:
         raise ValueError("empty candidate family")
     return best
@@ -454,14 +450,10 @@ def _sweep_best(f: RadialFunction, fam: SetFamily, score):
     """
     D = _denominator(f)
     mult = [sphere_size(f.ctx, n) for n in range(f.degree + fam.radius + 1)]
-    best = None
-    best_mask = 0
-    for mask, coeffs, size in _sphere_union_sweep(f, fam):
-        res = score(coeffs, mult, D, size)
-        if best is None or res[0] > best[0]:
-            best = res
-            best_mask = mask
-    return best, best_mask
+    scored = (
+        (score(coeffs, mult, D, size), mask) for mask, coeffs, size in _sphere_union_sweep(f, fam)
+    )
+    return max(scored, key=lambda pair: pair[0][0], default=(None, 0))
 
 
 # relative slack on the prune test, far above the rounding of a score

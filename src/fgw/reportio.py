@@ -1,9 +1,10 @@
-"""Deterministic report serialization.
+"""Deterministic report serialization, and the one rule for report text.
 
-Floats are printed with 12 significant digits, exact rationals as
-"p/q" strings (plain "n" when integral), so identical runs emit
-byte-identical JSON and CSV.  Non-finite floats are rejected: a report
-with an infinity in it is a bug upstream.
+render_number writes every number a report shows, in JSON, CSV, CSV
+parameter blocks and check texts: floats with 12 significant digits,
+exact rationals as "p/q" strings (plain "n" when integral), so identical
+runs emit byte-identical reports.  Non-finite floats are rejected: a
+report with an infinity in it is a bug upstream.
 """
 
 from __future__ import annotations
@@ -21,17 +22,31 @@ def _render_float(x: float) -> str:
 
 
 def render_number(x) -> str:
-    """Canonical text form of a report number."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, float):
+    """Canonical text form of a report number; exact types are tested first, by identity."""
+    t = type(x)
+    if t is float:
         return _render_float(x)
-    # Fraction last: its metaclass is ABCMeta, so this isinstance is the slow one
-    if isinstance(x, Fraction):
+    if t is int:
         return str(x)
+    if t is bool:
+        return "true" if x else "false"
+    if t is Fraction:
+        return str(x)
+    # a numeric subclass (a numpy float64, say) renders as its base type;
+    # Fraction last: its metaclass is ABCMeta, so this isinstance is the slow one
+    for base in (float, int, Fraction):
+        if isinstance(x, base):
+            return render_number(base(x))
     raise TypeError(f"not a report number: {x!r}")
+
+
+def render_param(v) -> str:
+    """Canonical text of a parameter: strings verbatim, lists bracketed, numbers rendered."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(render_param(x) for x in v) + "]"
+    return render_number(v)
 
 
 def json_dumps(obj, indent: int = 0) -> str:
@@ -42,10 +57,9 @@ def json_dumps(obj, indent: int = 0) -> str:
     as \\u00xx, everything else, non-ASCII included, verbatim.  (It also
     writes \\b and \\f as short escapes; no report string holds either.)
 
-    The exact types that fill reports (float, str, dict, list, tuple)
-    are tested first by identity; anything else (None, bool, int,
-    Fraction, subclasses) takes the isinstance chain below, in which
-    Fraction comes last because its metaclass is ABCMeta.
+    The containers and strings are told apart by exact type; every other
+    leaf but None is a number, written by render_number, a Fraction as
+    its quoted "p/q" string.
     """
     t = type(obj)
     if t is float:
@@ -58,22 +72,11 @@ def json_dumps(obj, indent: int = 0) -> str:
         return _dumps_list(obj, indent)
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return render_number(obj)
-    if isinstance(obj, str):
-        return encode_basestring(obj)
-    if isinstance(obj, (list, tuple)):
-        return _dumps_list(obj, indent)
-    if isinstance(obj, dict):
-        return _dumps_dict(obj, indent)
-    # Fraction last, as in render_number
-    if isinstance(obj, Fraction):
-        return encode_basestring(str(obj))
-    raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
+    text = render_number(obj)
+    # an exact int skips the Fraction isinstance, an ABC check
+    if t is int or not isinstance(obj, Fraction):
+        return text
+    return encode_basestring(text)
 
 
 def _dumps_list(obj, indent: int) -> str:
@@ -105,20 +108,14 @@ CSV_HEADER = ("id", "params", "lhs", "rhs", "margin", "status")
 
 
 def _csv_cell(x) -> str:
-    # exact types first, as in json_dumps; the rest takes render_number's chain
-    t = type(x)
-    if t is float:
-        return _render_float(x)
-    if t is str or t is int:
-        return str(x)
     if x is None:
         return ""
     return x if isinstance(x, str) else render_number(x)
 
 
-def write_csv(stream, rows, header=CSV_HEADER) -> None:
-    """Write rows with the mandatory header; one row per tested instance."""
+def write_csv(stream, rows) -> None:
+    """Write rows under CSV_HEADER; one row per tested instance."""
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(CSV_HEADER)
     for row in rows:
         writer.writerow([_csv_cell(c) for c in row])

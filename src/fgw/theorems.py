@@ -24,6 +24,8 @@ one prefix pass over the longest f's runs (lorentz_prefix_norms).  The
 pk and qn verdicts are the column reports' exact ok, passed to check_le
 as holds.  The argument checks
 (require_*) are public, so the CLI can run them before any verifier.
+Numbers in check ids, inequality texts and CSV parameter blocks are
+written by reportio (render_number, render_param).
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from .radial import (
     sphere_product_norm_squared,
     structure_constant,
 )
-from .reportio import render_number
+from .reportio import render_number, render_param
 from .words import FreeGroupCtx, sphere_size
 
 
@@ -92,7 +94,8 @@ class VerificationReport:
         """Record the inequality lhs <= rhs; expected overrides pass/fail.
 
         holds, when given, is the verdict, decided exactly by the caller;
-        lhs and rhs are then only rendered.
+        lhs and rhs are then only rendered.  A non-finite side raises
+        ValueError here, as reportio.render_number refuses it.
         """
         ok = _holds_le(lhs, rhs, rel_tol) if holds is None else holds
         status = "pass" if ok else "fail"
@@ -100,7 +103,7 @@ class VerificationReport:
             status = "informational"
         row = {
             "id": check_id,
-            "inequality": f"{_fmt(lhs)} <= {_fmt(rhs)}",
+            "inequality": f"{render_number(lhs)} <= {render_number(rhs)}",
             "lhs": lhs,
             "rhs": rhs,
             "margin": _margin(lhs, rhs),
@@ -173,7 +176,7 @@ class VerificationReport:
         return objs
 
     def csv_rows(self) -> list:
-        params_text = " ".join(f"{k}={_param_text(v)}" for k, v in self.params.items())
+        params_text = " ".join(f"{k}={render_param(v)}" for k, v in self.params.items())
         rows = []
         for c in self.checks:
             rows.append(
@@ -187,24 +190,6 @@ class VerificationReport:
                 )
             )
         return rows
-
-
-def _param_text(v) -> str:
-    """Canonical CSV text of a parameter: numbers as reportio renders them."""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_param_text(x) for x in v) + "]"
-    return render_number(v)
-
-
-def _fmt(x) -> str:
-    # exact types first, as in reportio.json_dumps: the Fraction isinstance is an ABC check
-    if type(x) is float:
-        return "%.12g" % x
-    if type(x) is int or isinstance(x, (Fraction, int)):
-        return str(x)
-    return "%.12g" % float(x)
 
 
 def require_nonnegative(f: RadialFunction) -> None:
@@ -545,7 +530,7 @@ def thm5_exponent_fit(
     slope = statistics.linear_regression(xs, ys).slope
     report.params["fitted_slope"] = slope
     report.check_le(
-        f"thm5:slope:s={_fmt(s)},t={_fmt(t)}",
+        f"thm5:slope:s={render_number(s)},t={render_param(report.params['t'])}",
         abs(slope - expected),
         0.15,
         note=f"fitted {slope:.6f} vs expected {expected:.6f}",
@@ -594,7 +579,7 @@ def verify_q_columns(ctx: FreeGroupCtx, n_max: int, radius: int) -> Verification
         for rep in sweep[: len(alphas)]:
             alpha = rep["params"]["alpha"]
             report.check_le(
-                f"qn:n={n}:alpha={_fmt(alpha)}",
+                f"qn:n={n}:alpha={render_number(alpha)}",
                 rep["sup"],
                 rep["bound"],
                 holds=rep["ok"],
@@ -651,7 +636,7 @@ def conjecture_scan(ctx: FreeGroupCtx, s_grid=None, fam: SetFamily = None) -> Ve
         for s in s_grid:
             pos = conjecture_functional(f, s, exponent_sign=1)
             report.info(
-                f"conjecture:{label}:s={_fmt(s)}",
+                f"conjecture:{label}:s={render_number(s)}",
                 estimate_sq=est_sq,
                 functional=pos,
                 functional_negative_sign=conjecture_functional(f, s, exponent_sign=-1),

@@ -3,8 +3,11 @@
 Core claims:
     - json_dumps writes the same text as the isinstance chain it replaced
       (kept below as the reference) on random report trees of dicts,
-      lists and tuples holding None, bool, int, float, str and Fraction
-    - it refuses non-finite floats and unknown types as before
+      lists and tuples holding None, bool, int, float, str and Fraction,
+      and subclasses of float, int and Fraction, which render_number
+      writes as their base type
+    - it refuses non-finite floats and unknown types as before, and
+      render_number refuses anything that is not a number
 """
 
 import math
@@ -50,7 +53,22 @@ def _reference_json_dumps(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
 
 
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
 _LEAVES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(_Float),
+    st.integers().map(_Int),
+    st.fractions(max_denominator=10**6).map(_Fraction),
     st.none(),
     st.booleans(),
     st.integers(),
@@ -82,3 +100,12 @@ def test_json_dumps_refuses_what_it_refused():
     for bad in (object(), {"x": {1, 2}}, [b"bytes"]):
         with pytest.raises(TypeError):
             json_dumps(bad)
+
+
+def test_render_number_refuses_what_is_not_a_number():
+    for bad in ("1", None, [1], b"1", 1j):
+        with pytest.raises(TypeError):
+            render_number(bad)
+    for bad in (math.inf, _Float(-math.inf), math.nan):
+        with pytest.raises(ValueError):
+            render_number(bad)

@@ -4,6 +4,7 @@ Core claims:
     - check rows carry the pass/fail status, margin, and rendered inequality
     - expected-outcome rows are informational and never fail a report
     - report status is fail > informational > pass; csv rows match the header
+    - a check with a non-finite side is refused when it is recorded
     - a vanishing left side reports the right side as its margin
     - the weak-type upper/lower certificate passes on sample functions
     - lemma1, r22, thm3, thm4, thm5, column, and majorization verifiers pass
@@ -85,6 +86,16 @@ def test_rel_tol_applies_to_floats():
     rep = VerificationReport("t", {})
     assert rep.check_le("close", 1.0 + 1e-12, 1.0, rel_tol=1e-9)
     assert not rep.check_le("far", 1.1, 1.0, rel_tol=1e-9)
+
+
+def test_check_with_a_non_finite_side_is_refused_when_recorded():
+    rep = VerificationReport("t", {"k": 2})
+    for lhs, rhs in ((math.inf, 1), (1, math.inf), (math.nan, 1.0), (0.5, -math.inf)):
+        with pytest.raises(ValueError, match="non-finite float in report"):
+            rep.check_le("x", lhs, rhs)
+        with pytest.raises(ValueError, match="non-finite float in report"):
+            rep.check_ge("x", rhs, lhs)
+    assert rep.checks == []
 
 
 def test_expected_rows_are_informational():
@@ -372,7 +383,7 @@ def test_column_verdicts_are_the_exact_ok(k):
     for n in range(7):
         alphas = [tw / 2.0 for tw in range(-n, n + 1)]
         for a in alphas:
-            reps[f"qn:n={n}:alpha={fgw.theorems._fmt(a)}"] = column_l1_sup(
+            reps[f"qn:n={n}:alpha={fgw.reportio.render_number(a)}"] = column_l1_sup(
                 "Q", {"n": n, "alpha": a}, 8, ctx
             )
         if n >= 1:
