@@ -84,7 +84,8 @@ def runs(pairs) -> list:
     for v, m in pairs:
         if v:
             a = abs(v)
-            counts[a] = counts.get(a, 0) + m
+            # an unmerged run keeps m itself, often a cached sphere size
+            counts[a] = counts[a] + m if a in counts else m
     return sorted(counts.items(), reverse=True)
 
 
@@ -129,13 +130,17 @@ def _log(x) -> float:
     return math.log(x)
 
 
-def _log_pow_diff(c: int, m: int, e: float) -> float:
-    """log((c+m)^e - c^e) for counts of any size; math.log takes big ints."""
+def _log_pow_diff_root(c: int, m: int, p: float, s: float) -> float:
+    """log((c+m)^{s/p} - c^{s/p}) / s for counts of any size.
+
+    Divided by s term by term, so no product s * log c is formed and s
+    may be as large as the float maximum; math.log takes big ints.
+    """
     if c == 0:
-        return e * math.log(m)
-    y = e * (math.log1p(m / c) if m <= c else math.log(c + m) - math.log(c))
+        return math.log(m) / p
+    lr = math.log1p(m / c) if m <= c else math.log(c + m) - math.log(c)
     # log(expm1(y)) = y + log(1 - e^{-y}), which overflows for no y
-    return e * math.log(c) + y + math.log(-math.expm1(-y))
+    return math.log(c) / p + lr / p + math.log(-math.expm1(-(s / p) * lr)) / s
 
 
 def _exp_in_range(log_value: float, what: str) -> float:
@@ -191,19 +196,19 @@ def _float_norm(pairs, terms, idx: LorentzIndex):
 def _log_scaled_norm(pairs, idx: LorentzIndex) -> float:
     """||.||_{p,s} on runs whose counts or terms leave float range.
 
-    Each term is taken as a logarithm and the terms are scaled by the
-    largest before they are summed; ValueError when the norm itself is
-    out of float range.
+    Each term's logarithm is taken divided by s, L = log v + log((c+m)^{s/p}
+    - c^{s/p}) / s, and the norm is top + log(sum e^{s (L - top)}) / s with
+    top the largest L; ValueError when the norm itself is out of float
+    range.
     """
-    e = idx.s / idx.p
     logs = []
     cum = 0
     for v, m in pairs:
-        logs.append(idx.s * _log(v) + _log_pow_diff(cum, m, e))
+        logs.append(_log(v) + _log_pow_diff_root(cum, m, idx.p, idx.s))
         cum += m
     top = max(logs)
-    total = top + math.log(math.fsum(math.exp(t - top) for t in logs))
-    return _exp_in_range(total / idx.s, "the Lorentz norm")
+    total = top + math.log(math.fsum(math.exp(idx.s * (t - top)) for t in logs)) / idx.s
+    return _exp_in_range(total, "the Lorentz norm")
 
 
 def lorentz_norm(r: Rearrangement, idx) -> float:

@@ -13,14 +13,16 @@ Core claims:
     - bad --samples, --max-degree, --p, --s, --t, --f and fit windows
       exit 2 with a message naming the option, before any verifier runs
     - verify all leaves the chi, sphere_size and product-row caches holding
-      only the indices it used, so repeated runs do not grow them
+      only the indices it used, and thm5's memo holding its one fit window,
+      so repeated runs do not grow them
     - a ball-subsets family past its budget exits 2 and states its need as
       a power of two, however large the ball
     - random-subsets and greedy searches, and lemma1 and r22 on
       random-subsets, exit 2 before the ball is enumerated when the first
       candidate is past the pair budget; an oversized ball still reports
       first
-    - thm5 with an infinite target index reports it as "inf"
+    - thm5 with an infinite target index reports it as "inf", and one
+      near the float maximum (t = 1e307) exits 0
     - thm5 and norms run past float-range sphere counts (exit 0); a norm
       itself past float range exits 2, and so does a thm5 window whose f_n
       has coefficients below the normal floats, before any verifier runs
@@ -379,6 +381,15 @@ def test_verify_thm5_infinite_target_index(capsys):
     assert summary["status"] == "pass"
 
 
+def test_verify_thm5_target_index_near_float_maximum(capsys):
+    # t * log(count) overflowed and made the numerator's norm nan
+    code = main(["verify", "thm5", "--s", "1", "--t", "1e307"])
+    out = capsys.readouterr().out
+    assert code == 0
+    (summary,) = [r for r in json.loads(out) if r.get("kind") == "summary"]
+    assert summary["status"] == "pass"
+
+
 @pytest.mark.parametrize(
     "s, t, n_min, n_max",
     [
@@ -481,7 +492,7 @@ def test_verify_usage_errors_fire_before_any_verifier(capsys, monkeypatch, targe
 
 
 def test_verify_all_caches_hold_only_used_indices():
-    from fgw import radial, words
+    from fgw import radial, theorems, words
 
     caches = (radial.chi, words._sphere_size, radial._product_row)
     for cache in caches:
@@ -495,6 +506,11 @@ def test_verify_all_caches_hold_only_used_indices():
         # indices come from thm5: f of degree 2n times chi_n for n <= 40
         # (--fit-n-max), so rows lo <= 40 and spheres up to 3 * 40
         assert [c.cache_info().currsize for c in caches] == [9, 121, 82]
+    # thm5's memo holds the one fit window its five (s, t) pairs share
+    assert theorems._thm5_runs.cache_info().currsize == 1
+    hits = theorems._thm5_runs.cache_info().hits
+    theorems._thm5_runs(ctx, tuple(range(4, 41)))
+    assert theorems._thm5_runs.cache_info().hits == hits + 1
     misses = [c.cache_info().misses for c in caches]
     for n in range(9):
         radial.chi(ctx, n)

@@ -14,8 +14,10 @@ Core claims:
     - the prefix pass gives lorentz_norm of every prefix of the runs, float
       for float, before and past float range
     - counts past float range take a log-scaled path that agrees with the
-      float path where both apply; a norm itself past float range is a
-      ValueError
+      float path where both apply, and stays finite for a second index s up
+      to the float maximum; a norm itself past float range is a ValueError
+    - a run no other run merges into keeps its multiplicity object, the
+      cached sphere size
 """
 
 import math
@@ -181,6 +183,31 @@ def test_log_scaled_norm_agrees_in_float_range():
         for p, s in ((2.0, 1.0), (2.0, 2.0), (1.5, 3.0), (3.0, 1.25)):
             idx = LorentzIndex(p, s)
             assert math.isclose(_log_scaled_norm(r.pairs, idx), lorentz_norm(r, idx), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("s", [1e307, 1e308, 1.7976931348623157e308])
+def test_norm_near_the_float_maximum_index_is_finite(s):
+    # s * log v and (s/p) * log c overflow to opposite infinities, which
+    # once made the log-scaled sum nan; the norm tends to the weak norm
+    f = RadialFunction(FreeGroupCtx(2), tuple(3.0 ** (-0.5 * k) for k in range(9)))
+    r = rearrange_radial(f)
+    got = lorentz_norm(r, (2.0, s))
+    assert math.isfinite(got)
+    assert math.isclose(got, weak_norm(r, 2.0), rel_tol=1e-9)
+    assert abs(got - 1.41416) < 1e-5
+
+
+def test_unmerged_runs_keep_the_cached_sphere_sizes():
+    # sizes past the small-int cache, so identity shows no int was rebuilt
+    ctx = FreeGroupCtx(2)
+    r = rearrange_spheres(ctx, [0.0] * 60 + [3.0, 2.0, 1.0, 2.0])
+    assert [m for _, m in r.pairs] == [
+        sphere_size(ctx, 60),
+        sphere_size(ctx, 61) + sphere_size(ctx, 63),
+        sphere_size(ctx, 62),
+    ]
+    assert r.pairs[0][1] is sphere_size(ctx, 60)
+    assert r.pairs[2][1] is sphere_size(ctx, 62)
 
 
 def test_norms_of_counts_past_float_range():

@@ -17,6 +17,9 @@ Core claims:
     - the alpha = n column row documents the expected failure for n >= 4
     - every pk and qn verdict is the column's exact ok
     - thm5 refuses degenerate fit windows
+    - thm5's memoized runs equal fresh rearrangements of f_n * chi_n, float
+      for float, and a report's bytes do not depend on which windows and
+      groups were fitted before it
     - float thm4 and thm5 chains keep their values to the last place
     - thm3's sphere-pair value and thm4's p'-sums, read as integers over
       D, equal their values through Fraction products exactly, on exact,
@@ -33,13 +36,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fgw.theorems
+from fgw.cli import THM5_PAIRS
+from fgw.lorentz import rearrange_radial, rearrange_spheres
 from fgw.operators import RADIAL_KINDS, SetFamily, candidate_sets, column_l1_sup
 from fgw.oracle import FunctionOnGroup, best_F_ratio, left_convolve, pairing, radial_candidates
-from fgw.radial import RadialFunction, chi, convolve_radial
-from fgw.reportio import CSV_HEADER
+from fgw.radial import RadialFunction, chi, convolve_radial, sphere_product
+from fgw.reportio import CSV_HEADER, json_dumps
 from fgw.theorems import (
     VerificationReport,
     _sphere_pair_best,
+    _thm5_runs,
     build_thm1_suite,
     conjecture_scan,
     sample_radial,
@@ -361,6 +367,53 @@ def test_thm5_rejects_degenerate_window():
         thm5_exponent_fit(CTX, 1.0, 2.0, n_range=range(4, 10))
     with pytest.raises(ValueError):
         thm5_exponent_fit(CTX, 3.0, 2.0)
+
+
+def _hex_runs(r):
+    return [(v.hex(), m) for v, m in r.pairs]
+
+
+@pytest.mark.parametrize("k, ns", [(2, range(4, 41)), (3, range(10, 61))])
+def test_thm5_runs_equal_fresh_rearrangements(k, ns):
+    ctx = FreeGroupCtx(k)
+    q = float(ctx.q)
+    coeffs = tuple(q ** (-0.5 * j) for j in range(2 * max(ns) + 1))
+    _thm5_runs.cache_clear()
+    longest, products = _thm5_runs(ctx, tuple(ns))
+    assert _hex_runs(longest) == _hex_runs(rearrange_radial(RadialFunction(ctx, coeffs)))
+    assert len(products) == len(ns)
+    for n, got in zip(ns, products):
+        _, h = sphere_product(RadialFunction(ctx, coeffs[: 2 * n + 1]), n)
+        assert _hex_runs(got) == _hex_runs(rearrange_spheres(ctx, h)), n
+
+
+def _thm5_bytes(k, s, t, ns):
+    return json_dumps(thm5_exponent_fit(FreeGroupCtx(k), s, t, n_range=ns).json_objects())
+
+
+def test_thm5_reports_do_not_depend_on_earlier_windows():
+    # a memo keyed without the window or without the group would hand
+    # one call the runs of another: interleave both kinds of change
+    default = range(4, 41)
+    calls = [(2, s, t, default) for s, t in THM5_PAIRS]
+    calls += [(2, s, t, default) for s, t in reversed(THM5_PAIRS)]
+    calls += [
+        (2, 2.0, 2.0, default),
+        (3, 2.0, 2.0, default),
+        (2, 1.5, 3.0, default),
+        (2, 1.5, 3.0, range(10, 61)),
+        (2, 1.0, math.inf, default),
+        (3, 1.5, 3.0, range(10, 61)),
+        (2, 1.0, 2.0, range(10, 61)),
+        (2, 1.0, 2.0, default),
+    ]
+    got = [_thm5_bytes(*call) for call in calls]
+    want = []
+    for call in calls:
+        _thm5_runs.cache_clear()
+        want.append(_thm5_bytes(*call))
+    assert got == want
+    assert _thm5_runs.cache_info().currsize == 1
 
 
 def test_verify_p_columns_equality_at_even_k():
