@@ -148,12 +148,10 @@ def _emit(args, objects, csv_rows) -> None:
 
 
 def _finish(args, reports) -> int:
-    objects = []
-    rows = []
-    for rep in reports:
-        objects.extend(rep.json_objects())
-        rows.extend(rep.csv_rows())
-    _emit(args, objects, rows)
+    if args.format == "csv":
+        _emit(args, None, [row for rep in reports for row in rep.csv_rows()])
+    else:
+        _emit(args, [obj for rep in reports for obj in rep.json_objects()], None)
     failures = [c for rep in reports for c in rep.failures()]
     if failures:
         worst = failures[0]

@@ -100,9 +100,9 @@ def _as_coeff(x):
 class RadialFunction:
     """Finitely supported radial function sum_n coeffs[n] * chi_n.
 
-    Immutable: its exactness is fixed in __post_init__ and its integer
-    form (_scaled_items) is computed on first use and kept.  Neither is
-    a field, so equality and hashing read ctx and coeffs only.
+    Immutable: its exactness and sign are fixed in __post_init__ and its
+    integer form (_scaled_items) is computed on first use and kept.  None
+    is a field, so equality and hashing read ctx and coeffs only.
     """
 
     ctx: FreeGroupCtx
@@ -113,8 +113,18 @@ class RadialFunction:
         while vals and not vals[-1]:
             vals.pop()
         object.__setattr__(self, "coeffs", tuple(vals))
-        # every value is now a Fraction or a float
-        object.__setattr__(self, "_exact", not any(isinstance(c, float) for c in vals))
+        # every value is now a Fraction or a float; an exact Fraction's
+        # sign is its numerator's, which skips Fraction's comparison
+        exact = nonnegative = True
+        for c in vals:
+            if type(c) is Fraction:
+                c = c.numerator
+            elif isinstance(c, float):
+                exact = False
+            if not c >= 0:
+                nonnegative = False
+        object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, "_nonnegative", nonnegative)
         object.__setattr__(self, "_scaled", None)
 
     @property
@@ -131,7 +141,7 @@ class RadialFunction:
         return not self.coeffs
 
     def is_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
+        return self._nonnegative
 
     def is_exact(self) -> bool:
         return self._exact

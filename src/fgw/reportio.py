@@ -5,11 +5,14 @@ parameter blocks and check texts: floats with 12 significant digits,
 exact rationals as "p/q" strings (plain "n" when integral), so identical
 runs emit byte-identical reports.  Non-finite floats are rejected: a
 report with an infinity in it is a bug upstream.
+
+CSV is written here too, without the csv module, so its bytes do not
+depend on the Python version: a cell holding ',', '"', \\n or \\r is
+quoted, its '"' doubled, and a row of one empty cell is written as "".
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring
@@ -49,6 +52,17 @@ def render_param(v) -> str:
     return render_number(v)
 
 
+# the leaf writers of json_dumps, keyed by exact type
+_LEAVES = {
+    float: _render_float,
+    str: encode_basestring,
+    int: int.__repr__,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+    Fraction: lambda x: encode_basestring(str(x)),
+}
+
+
 def json_dumps(obj, indent: int = 0) -> str:
     """Serialize a report object tree; key order is insertion order.
 
@@ -57,33 +71,29 @@ def json_dumps(obj, indent: int = 0) -> str:
     as \\u00xx, everything else, non-ASCII included, verbatim.  (It also
     writes \\b and \\f as short escapes; no report string holds either.)
 
-    The containers and strings are told apart by exact type; every other
-    leaf but None is a number, written by render_number, a Fraction as
-    its quoted "p/q" string.
+    Leaves and containers are told apart by exact type, leaves through
+    _LEAVES: None, bool, int, float, str, and a Fraction as its quoted
+    "p/q" string.  A subclass of float, int or Fraction is written by
+    render_number as its base type; anything else is refused.
     """
     t = type(obj)
-    if t is float:
-        return _render_float(obj)
-    if t is str:
-        return encode_basestring(obj)
+    leaf = _LEAVES.get(t)
+    if leaf is not None:
+        return leaf(obj)
     if t is dict:
         return _dumps_dict(obj, indent)
     if t is list or t is tuple:
         return _dumps_list(obj, indent)
-    if obj is None:
-        return "null"
     text = render_number(obj)
-    # an exact int skips the Fraction isinstance, an ABC check
-    if t is int or not isinstance(obj, Fraction):
-        return text
-    return encode_basestring(text)
+    return encode_basestring(text) if isinstance(obj, Fraction) else text
 
 
 def _dumps_list(obj, indent: int) -> str:
     if not obj:
         return "[]"
     inner = " " * (indent + 2)
-    items = [inner + json_dumps(x, indent + 2) for x in obj]
+    get = _LEAVES.get
+    items = [inner + (leaf(x) if (leaf := get(type(x))) else json_dumps(x, indent + 2)) for x in obj]
     return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
 
 
@@ -91,8 +101,10 @@ def _dumps_dict(obj, indent: int) -> str:
     if not obj:
         return "{}"
     inner = " " * (indent + 2)
+    get = _LEAVES.get
     items = [
-        inner + encode_basestring(str(k)) + ": " + json_dumps(v, indent + 2)
+        inner + encode_basestring(str(k)) + ": "
+        + (leaf(v) if (leaf := get(type(v))) else json_dumps(v, indent + 2))
         for k, v in obj.items()
     ]
     return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
@@ -110,12 +122,20 @@ CSV_HEADER = ("id", "params", "lhs", "rhs", "margin", "status")
 def _csv_cell(x) -> str:
     if x is None:
         return ""
-    return x if isinstance(x, str) else render_number(x)
+    if not isinstance(x, str):
+        return render_number(x)
+    if "," in x or '"' in x or "\n" in x or "\r" in x:
+        return '"' + x.replace('"', '""') + '"'
+    return x
 
 
 def write_csv(stream, rows) -> None:
     """Write rows under CSV_HEADER; one row per tested instance."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    write = stream.write
+    write(",".join(CSV_HEADER) + "\n")
     for row in rows:
-        writer.writerow([_csv_cell(c) for c in row])
+        line = ",".join([_csv_cell(c) for c in row])
+        # a lone empty cell is quoted, or the row would read as no cells
+        if not line and len(row) == 1:
+            line = '""'
+        write(line + "\n")

@@ -170,12 +170,7 @@ class VerificationReport:
         return out
 
     def json_objects(self) -> list:
-        objs = [self.summary()]
-        for c in self.checks:
-            row = {"kind": "check"}
-            row.update(c)
-            objs.append(row)
-        return objs
+        return [self.summary()] + [{"kind": "check", **c} for c in self.checks]
 
     def csv_rows(self) -> list:
         params_text = " ".join(f"{k}={render_param(v)}" for k, v in self.params.items())

@@ -4,7 +4,8 @@ Core claims:
     - convolve emits the exact coefficient table and the oracle cross-check
     - norms evaluates Lorentz norms of radial literals
     - search reports the estimator record with the witness set label
-    - verify emits CSV with the fixed header and JSON row objects
+    - verify emits CSV with the fixed header and JSON row objects, and
+      builds only the format it writes
     - a violated inequality is printed to stderr and exits 1
     - verify all exits 1 at the documented qn violation, and qn runs past
       the radius the old column scan was capped at
@@ -296,6 +297,22 @@ def test_verify_csv_header_and_rows(capsys):
     assert lines[0] == "id,params,lhs,rhs,margin,status"
     assert len(lines) > 1
     assert all(line.split(",")[-1] == "pass" for line in lines[1:])
+
+
+@pytest.mark.parametrize("fmt, unbuilt", [("csv", "json_objects"), ("json", "csv_rows")])
+def test_verify_builds_only_the_format_it_writes(capsys, monkeypatch, fmt, unbuilt):
+    import fgw.theorems
+
+    args = ["verify", "lemma1", "--k-max", "3", "--radius", "3", "--format", fmt]
+    assert main(args) == 0
+    expected = capsys.readouterr().out
+
+    def not_written(self):
+        raise RuntimeError(f"{unbuilt} built for --format {fmt}")
+
+    monkeypatch.setattr(fgw.theorems.VerificationReport, unbuilt, not_written)
+    assert main(args) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_verify_violation_exits_1_with_witness(capsys):

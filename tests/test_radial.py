@@ -16,6 +16,9 @@ Core claims:
     - the display coefficient majorizes the exact one within a factor 2
     - the algebra is commutative and associative with unit chi_0
     - exact rational coefficients survive arithmetic; floats stay floats
+    - is_nonnegative, fixed at construction, equals all(c >= 0) over the
+      coefficients, on mixed tuples of -0.0, tiny and negative floats,
+      negative Fractions and Fraction subclasses
     - each function's cached exactness, common denominator and scaled
       items equal a fresh recomputation, after +, scalar * and trimming,
       and play no part in equality or hashing
@@ -305,6 +308,28 @@ def test_exactness_tracking():
     g = RadialFunction(ctx, (0.5, 1.0))
     assert not g.is_exact()
     assert not (f + g).is_exact()
+
+
+class _Fraction(Fraction):
+    pass
+
+
+_SIGNED = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-300, math.nan, Fraction(-1, 10**12)]),
+    st.floats(allow_infinity=False),
+    st.fractions(max_denominator=10**6),
+    st.fractions(max_denominator=10**6).map(_Fraction),
+    st.integers(-3, 3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SIGNED, max_size=6))
+@example([_Fraction(-1, 3), 1.0])
+@example([Fraction(1, 2), -0.0, 1.0])
+def test_is_nonnegative_equals_the_coefficient_test(coeffs):
+    f = RadialFunction(FreeGroupCtx(2), tuple(coeffs))
+    assert f.is_nonnegative() == all(c >= 0 for c in f.coeffs)
 
 
 def _fresh_integer_form(f):

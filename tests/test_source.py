@@ -10,6 +10,8 @@ Core claims:
       convolve --oracle) and __init__ (which re-exports) import oracle
     - every top-level function of _kernels is called in fgw outside
       oracle, so no kernel is kept alive by the oracle or the tests alone
+    - report text has one writer: no module of fgw imports csv, and only
+      reportio imports from json
 
 No linter ships with the test dependencies, so the check is made here
 with the standard library's ast.
@@ -110,3 +112,25 @@ def test_every_kernel_is_called_outside_the_oracle():
         if path.name != "oracle.py":
             called |= called_names(path.read_text(encoding="utf-8"))
     assert sorted(kernels - called) == []
+
+
+def absolute_imports(source: str) -> set:
+    """First components of the absolute modules that source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_absolute_imports_are_found():
+    source = "import a.b\nfrom .c import d\nfrom . import e\nfrom f.g import h as i\nimport j as k\n"
+    assert absolute_imports(source) == {"a", "f", "j"}
+
+
+def test_only_reportio_writes_report_text():
+    sources = {p.name: absolute_imports(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    importers = {mod: [name for name, mods in sources.items() if mod in mods] for mod in ("csv", "json")}
+    assert importers == {"csv": [], "json": ["reportio.py"]}
