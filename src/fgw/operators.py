@@ -1,8 +1,9 @@
 """Set-search estimators, the family sweeps of lemma1 and r22, and column sups.
 
 The left convolution by a radial function f is probed from below by
-searching over families of finite sets E (and implicitly F).  Each kind
-of family has one representation:
+searching over families of finite sets E (and implicitly F), which
+every report records by SetFamily.report_fields.  Each kind of family
+has one representation:
 
 * an ElementSet is an explicit set: the sorted integer keys of its words
   (see _kernels), which become ReducedWords only at the API boundary.
@@ -12,12 +13,14 @@ of family has one representation:
   divide once per candidate, in _best_prefix or the square sum, and
   pairings read one length histogram of products (chi_pairing_profile);
 * a radial family (unions of spheres) is never an ElementSet: its
-  candidates are masks over the spheres S_0 .. S_radius, and f * chi_E
-  is a sum of the columns D (f * chi_r), so radii far beyond any
-  enumerable ball remain cheap.  One integer sweep (_sphere_union_sweep)
-  builds it for every mask, for the spheres and balls families and for
-  lemma1 and r22, which report every candidate.  The estimators find
-  the best sphere union by an exact branch and bound
+  candidates are masks over the spheres S_0 .. S_R, where R =
+  _sweep_radius is the highest sphere a mask within the budget holds,
+  and f * chi_E is a sum of the columns D (f * chi_r), so radii far
+  beyond any enumerable ball remain cheap.  One integer sweep
+  (_sphere_union_sweep) folds every function of a call from one table of
+  parents, for the spheres and balls families and for lemma1 and r22
+  (chi_0 .. chi_k at once), which report every candidate.  The
+  estimators find the best sphere union by an exact branch and bound
   (_sphere_union_search), which decides S_R first, scores a few dozen
   masks instead of 2^(R+1) - 1, and returns the sweep's first maximum.
   The columns come straight from radial.sphere_product, the radial
@@ -131,6 +134,10 @@ class SetFamily:
         if self.budget < 1:
             raise ValueError("budget must be positive")
 
+    def report_fields(self) -> dict:
+        """The family as every report records it: kind, radius, seed and budget."""
+        return dict(family=self.kind, radius=self.radius, seed=self.seed, budget=self.budget)
+
 
 def _mask_radii(mask: int) -> list:
     return [r for r in range(mask.bit_length()) if mask >> r & 1]
@@ -154,6 +161,11 @@ def _radial_candidates(fam: SetFamily):
     if fam.kind == "balls":
         return [(2 << n) - 1 for n in range(count)], lambda mask: f"B{mask.bit_length() - 1}"
     return range(1, min(2 << fam.radius, fam.budget + 1)), _union_label
+
+
+def _sweep_radius(fam: SetFamily) -> int:
+    """The highest sphere a radial candidate holds: the top bit of the last (largest) mask."""
+    return _radial_candidates(fam)[0][-1].bit_length() - 1
 
 
 def _capped_ball_size(ctx: FreeGroupCtx, radius: int) -> int:
@@ -189,12 +201,14 @@ def _random_draws(fam: SetFamily, population, check=None):
 def _check_draws(ctx: FreeGroupCtx, fam: SetFamily, check) -> None:
     """Run check(|E|) on random-subsets' draws, in order, before the ball is built.
 
-    check raises BudgetExceededError and grows with |E|.  The ball's
-    SPHERE_CAP check comes first; when a draw of the whole ball passes,
-    every draw does and nothing is replayed.  Otherwise the draws of
-    _random_draws are replayed on their own generator, and the first
+    Other families are not checked.  check raises BudgetExceededError and
+    grows with |E|.  The ball's SPHERE_CAP check comes first; when a draw
+    of the whole ball passes, every draw does and nothing is replayed.
+    Otherwise the draws of _random_draws are replayed on their own generator, and the first
     oversized one fails with the message its own candidate would give.
     """
+    if fam.kind != "random-subsets":
+        return
     ball = _capped_ball_size(ctx, fam.radius)
     try:
         check(ball)
@@ -297,31 +311,31 @@ def _sphere_columns(f: RadialFunction, radius: int) -> list:
     return cols
 
 
-def _sphere_union_sweep(f: RadialFunction, fam: SetFamily):
-    """Yield (mask, coeffs, |E|) for each candidate of a radial family.
+def _sphere_union_sweep(ctx: FreeGroupCtx, fs, fam: SetFamily):
+    """Yield (mask, [coeffs of g for g in fs], |E|) for each candidate of a radial family.
 
-    coeffs[n] / D, with D = _denominator(f), is the coefficient of
-    chi_n in f * chi_E: integers for an exact f, floats (D = 1) for a
-    float f.  A radial indicator is a sum of chi_r, so the columns
-    D (f * chi_r) are built once by _sphere_columns, on integers with no
-    Fraction in between, and each candidate's coefficients are its
-    parent's (the mask without its highest bit) plus one column; radii
-    are summed in ascending order.  All coeffs lists share one length,
-    deg f + radius + 1.
+    coeffs[n] / D, with D = _denominator(g), is the coefficient of chi_n
+    in g * chi_E: integers for an exact g, floats (D = 1) for a float g.
+    A radial indicator is a sum of chi_r, so the columns D (g * chi_r)
+    are built once per g by _sphere_columns, on integers with no Fraction
+    in between, for r <= R = _sweep_radius(fam).  One table of parents
+    serves every g: a candidate's coefficients are its parent's (the mask
+    without its highest bit) plus one column, so radii are summed in
+    ascending order.  g's lists have length deg g + R + 1; an empty fs
+    yields every candidate with no coefficients.
     """
-    ctx = f.ctx
-    cols = _sphere_columns(f, fam.radius)
-    top = len(cols[-1])
-    # sums[mask] = (coeffs, |E|); mask 0 is the empty set, and masks
+    radius = _sweep_radius(fam)
+    cols = [_sphere_columns(g, radius) for g in fs]
+    # sums[mask] = (coeffs per g, |E|); mask 0 is the empty set, and masks
     # holding the top radius are never parents, so they are not kept
-    sums = {0: ([0] * top, 0)}
-    sizes = [sphere_size(ctx, r) for r in range(fam.radius + 1)]
+    sums = {0: ([[0] * len(g_cols[0]) for g_cols in cols], 0)}
+    sizes = [sphere_size(ctx, r) for r in range(radius + 1)]
     for mask in _radial_candidates(fam)[0]:
         r = mask.bit_length() - 1
-        parent, parent_size = sums[mask ^ (1 << r)]
-        coeffs = [a + b for a, b in zip(parent, cols[r])]
+        parents, parent_size = sums[mask ^ (1 << r)]
+        coeffs = [[a + b for a, b in zip(p, g_cols[r])] for p, g_cols in zip(parents, cols)]
         size = parent_size + sizes[r]
-        if r < fam.radius:
+        if r < radius:
             sums[mask] = (coeffs, size)
         yield mask, coeffs, size
 
@@ -340,33 +354,24 @@ def chi_pairing_profile(E: ElementSet, F: ElementSet) -> list:
     return [Fraction(t) for t in _kernels.prod_len_hist(tk, F.keys(), ekeys_inv)]
 
 
-def _chi_sweeps(ctx: FreeGroupCtx, fam: SetFamily, top: int):
-    """Per radial candidate E: label, |E|, radii and chi_i * chi_E for i <= top.
-
-    One _sphere_union_sweep per sphere index i, run in lockstep.  The
-    coefficient lists of chi_i * chi_E are integers (D = 1), since the
-    structure constants are.
-    """
-    label = _radial_candidates(fam)[1]
-    for row in zip(*(_sphere_union_sweep(chi(ctx, i), fam) for i in range(top + 1))):
-        mask, _, size = row[0]
-        yield label(mask), size, _mask_radii(mask), [coeffs for _, coeffs, _ in row]
-
-
 def self_pairings(ctx: FreeGroupCtx, fam: SetFamily, k_max: int):
     """Yield (label, |E|, [<chi_k * chi_E, chi_E> for k <= k_max]) per candidate E, exactly.
 
-    A radial E sums (chi_k * chi_E)_r |S_r| over its spheres r; an explicit
-    E reads chi_pairing_profile(E, E), padded or cut to k_max + 1 entries.
-    random-subsets checks every draw's |E|^2 pairs before the ball is
-    built.
+    A radial E sums (chi_k * chi_E)_r |S_r| over its spheres r, from one
+    sweep of chi_0 .. chi_k_max, whose coefficients are integers (D = 1);
+    an explicit E reads chi_pairing_profile(E, E), padded or cut to
+    k_max + 1 entries.  random-subsets checks every draw's |E|^2 pairs
+    before the ball is built.
     """
     if fam.kind in RADIAL_KINDS:
-        for label, size, radii, hs in _chi_sweeps(ctx, fam, k_max):
-            yield label, size, [Fraction(sum(h[r] * sphere_size(ctx, r) for r in radii)) for h in hs]
+        label = _radial_candidates(fam)[1]
+        chis = [chi(ctx, k) for k in range(k_max + 1)]
+        for mask, hs, size in _sphere_union_sweep(ctx, chis, fam):
+            radii = _mask_radii(mask)
+            pairs = [Fraction(sum(h[r] * sphere_size(ctx, r) for r in radii)) for h in hs]
+            yield label(mask), size, pairs
         return
-    if fam.kind == "random-subsets":
-        _check_draws(ctx, fam, lambda size: _check_pair_work(size, size))
+    _check_draws(ctx, fam, lambda size: _check_pair_work(size, size))
     for E in candidate_sets(ctx, fam):
         profile = chi_pairing_profile(E, E)[: k_max + 1]
         yield E.label, E.size, profile + [Fraction(0)] * (k_max + 1 - len(profile))
@@ -382,17 +387,18 @@ def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
     n replays the family, so only S_n's images are held at a time.
     """
     if fam.kind in RADIAL_KINDS:
-        mult = [sphere_size(ctx, l) for l in range(n_max + fam.radius + 1)]
-        for label, size, _, hs in _chi_sweeps(ctx, fam, n_max):
-            yield label, size, [_best_prefix(runs(zip(h, mult)), 0.5, 1)[0] for h in hs]
+        label = _radial_candidates(fam)[1]
+        chis = [chi(ctx, n) for n in range(n_max + 1)]
+        mult = [sphere_size(ctx, l) for l in range(n_max + _sweep_radius(fam) + 1)]
+        for mask, hs, size in _sphere_union_sweep(ctx, chis, fam):
+            yield label(mask), size, [_best_prefix(runs(zip(h, mult)), 0.5, 1)[0] for h in hs]
         return
     # ((n, 1),) is chi_n's scaled form: the check counts |S_n| |E| pairs
     def check(size):
         for n in range(n_max + 1):
             _check_convolution_work(ctx, ((n, 1),), size)
 
-    if fam.kind == "random-subsets":
-        _check_draws(ctx, fam, check)
+    _check_draws(ctx, fam, check)
     rows = []
     for E in candidate_sets(ctx, fam):
         check(E.size)
@@ -433,8 +439,7 @@ def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_r
         _capped_ball_size(ctx, fam.radius)
         _check_convolution_work(ctx, scaled, 1)
         return _greedy_search(objective, ctx, fam)
-    if fam.kind == "random-subsets":
-        _check_draws(ctx, fam, lambda size: _check_convolution_work(ctx, scaled, size))
+    _check_draws(ctx, fam, lambda size: _check_convolution_work(ctx, scaled, size))
     results = (objective(E) for E in candidate_sets(ctx, fam) if E.size > 0)
     best = max(results, key=lambda res: res[0], default=None)
     if best is None:
@@ -449,11 +454,12 @@ def _sweep_best(f: RadialFunction, fam: SetFamily, score):
     value, where mult[n] = |S_n| (see _sphere_union_sweep for coeffs and D).
     """
     D = _denominator(f)
-    mult = [sphere_size(f.ctx, n) for n in range(f.degree + fam.radius + 1)]
+    mult = [sphere_size(f.ctx, n) for n in range(f.degree + _sweep_radius(fam) + 1)]
     scored = (
-        (score(coeffs, mult, D, size), mask) for mask, coeffs, size in _sphere_union_sweep(f, fam)
+        (score(coeffs, mult, D, size), mask)
+        for mask, (coeffs,), size in _sphere_union_sweep(f.ctx, [f], fam)
     )
-    return max(scored, key=lambda pair: pair[0][0], default=(None, 0))
+    return max(scored, key=lambda pair: pair[0][0])
 
 
 # relative slack on the prune test, far above the rounding of a score
@@ -472,11 +478,12 @@ def _sphere_union_search(f: RadialFunction, fam: SetFamily, score):
     f * chi_E grows pointwise with E, so every E with L <= E <= U has
     value(E) <= value(U) sqrt(|U| / |L|) in both estimators; a node is
     pruned when that bound, with a relative slack of 1e-9, is below the
-    best value, and every tie survives.  Only radii < budget.bit_length()
-    are searched: no mask <= budget holds a higher sphere.
+    best value, and every tie survives.  Only radii up to
+    _sweep_radius(fam) are searched: no mask <= budget holds a higher
+    sphere.
     """
     ctx = f.ctx
-    radius = min(fam.radius, fam.budget.bit_length() - 1)
+    radius = _sweep_radius(fam)
     cols = _sphere_columns(f, radius)
     top = len(cols[-1])
     D = _denominator(f)
@@ -550,15 +557,6 @@ def _best_prefix(runs, e: float, D):
     return best, best_j
 
 
-def _family_report(fam: SetFamily, best: float, label: str, extra: dict) -> dict:
-    report = {"estimate": best, "E": label}
-    report.update(extra)
-    report.update(
-        {"family": fam.kind, "radius": fam.radius, "seed": fam.seed, "budget": fam.budget}
-    )
-    return report
-
-
 def _greedy_search(objective, ctx: FreeGroupCtx, fam: SetFamily):
     """Grow one set a word at a time, keeping the best set seen."""
     pool = _ball_keys(ctx, fam.radius)
@@ -607,7 +605,7 @@ def restricted_weak_estimate(f: RadialFunction, fam: SetFamily) -> dict:
         return value / math.sqrt(size), j
 
     value, label, j = _estimate_over_family(f, fam, reduce_set, score_radial)
-    return _family_report(fam, value, label, {"j": j})
+    return {"estimate": value, "E": label, "j": j, **fam.report_fields()}
 
 
 def weak_estimate_21_to_2(f: RadialFunction, fam: SetFamily) -> dict:
@@ -629,7 +627,7 @@ def weak_estimate_21_to_2(f: RadialFunction, fam: SetFamily) -> dict:
         return (math.sqrt(sq / (D * D) / size),)
 
     value, label = _estimate_over_family(f, fam, reduce_set, score_radial)
-    return _family_report(fam, value, label, {})
+    return {"estimate": value, "E": label, **fam.report_fields()}
 
 
 def _accepted_cutoff(q: int, alpha: float, m: int, top: int) -> int:

@@ -205,17 +205,7 @@ def verify_thm1(f: RadialFunction, fam: SetFamily) -> VerificationReport:
     """
     require_nonnegative(f)
     ctx = f.ctx
-    report = VerificationReport(
-        "thm1",
-        {
-            "k": ctx.k,
-            "f": str(f),
-            "family": fam.kind,
-            "radius": fam.radius,
-            "seed": fam.seed,
-            "budget": fam.budget,
-        },
-    )
+    report = VerificationReport("thm1", {"k": ctx.k, "f": str(f), **fam.report_fields()})
     if f.is_zero():
         report.info("thm1:zero", note="zero function; nothing to check")
         return report
@@ -247,17 +237,7 @@ def verify_thm1(f: RadialFunction, fam: SetFamily) -> VerificationReport:
 def verify_lemma1(ctx: FreeGroupCtx, fam: SetFamily, k_max: int) -> VerificationReport:
     """<chi_k * chi_E, chi_E> <= 2 q^{[k/2]} |E| over the family, k <= k_max."""
     q = ctx.q
-    report = VerificationReport(
-        "lemma1",
-        {
-            "k": ctx.k,
-            "k_max": k_max,
-            "family": fam.kind,
-            "radius": fam.radius,
-            "seed": fam.seed,
-            "budget": fam.budget,
-        },
-    )
+    report = VerificationReport("lemma1", {"k": ctx.k, "k_max": k_max, **fam.report_fields()})
     for label, size, profile in self_pairings(ctx, fam, k_max):
         for k, lhs in enumerate(profile):
             report.check_le(f"lemma1:k={k}:E={label}", lhs, 2 * q ** (k // 2) * size)
@@ -271,17 +251,7 @@ def verify_r22(ctx: FreeGroupCtx, fam: SetFamily, n_max: int) -> VerificationRep
     covers every F, not just family members.
     """
     q = ctx.q
-    report = VerificationReport(
-        "r22",
-        {
-            "k": ctx.k,
-            "n_max": n_max,
-            "family": fam.kind,
-            "radius": fam.radius,
-            "seed": fam.seed,
-            "budget": fam.budget,
-        },
-    )
+    report = VerificationReport("r22", {"k": ctx.k, "n_max": n_max, **fam.report_fields()})
     for label, size, sups in prefix_sups(ctx, fam, n_max):
         for n, sup_f in enumerate(sups):
             rhs = 2.0 * float(q) ** (1.5 + 0.5 * n) * math.sqrt(size)
@@ -334,18 +304,9 @@ def thm3_equivalence_report(
     if fam is None:
         fam = SetFamily("sphere-unions", default_radius(ctx), seed=seed)
     q = ctx.q
-    report = VerificationReport(
-        "thm3",
-        {
-            "k": ctx.k,
-            "samples": samples,
-            "max_degree": max_degree,
-            "family": fam.kind,
-            "radius": fam.radius,
-            "seed": seed,
-            "budget": fam.budget,
-        },
-    )
+    # the seed is the sample seed, written where the family's would be
+    params = {"k": ctx.k, "samples": samples, "max_degree": max_degree, **fam.report_fields()}
+    report = VerificationReport("thm3", {**params, "seed": seed})
     rng = random.Random(seed)
     fns = [(f"sample-{i}", sample_radial(ctx, rng, max_degree)) for i in range(samples)]
     upper_c = 2.0 * float(q) ** 1.5

@@ -23,6 +23,12 @@ Core claims:
       default scale scores about a tenth of the masks
     - radial families convolve once per sphere, never once per candidate,
       in both estimators, lemma1 and r22
+    - radial families stop at the highest sphere a candidate within the
+      budget holds: radius 1500 builds the columns of that radius and
+      writes its reports, in both estimators, lemma1 and r22
+    - one sweep folds every function of a call as one sweep per function
+      does, bit for bit, and an empty index range (k_max or n_max = -1)
+      still yields one empty row per candidate, radial or explicit
     - estimates grow with the candidate budget under a fixed seed
     - the ball-subsets family enumerates every subset and stays within budget
     - the explicit families' integer estimates equal the exact reference
@@ -454,9 +460,9 @@ def test_sphere_union_sweep_matches_fraction_reference(case):
     assert got_w == want_w
 
 
-@pytest.mark.parametrize("kind", ["spheres", "balls", "sphere-unions"])
-def test_radial_families_convolve_once_per_sphere(monkeypatch, kind):
-    # every sweep column is one run of the product loop against chi_r
+def _counted_spheres(monkeypatch):
+    # the list of r over the runs of the product loop against chi_r: one
+    # per sweep column
     spheres = []
     real = radial._product_sums
 
@@ -465,6 +471,12 @@ def test_radial_families_convolve_once_per_sphere(monkeypatch, kind):
         return real(q, fs, gs, length)
 
     monkeypatch.setattr(radial, "_product_sums", counting)
+    return spheres
+
+
+@pytest.mark.parametrize("kind", ["spheres", "balls", "sphere-unions"])
+def test_radial_families_convolve_once_per_sphere(monkeypatch, kind):
+    spheres = _counted_spheres(monkeypatch)
     fam = SetFamily(kind, radius=4)
     f = RadialFunction(CTX, (Fraction(1), Fraction(1, 2)))
     restricted_weak_estimate(f, fam)
@@ -475,10 +487,118 @@ def test_radial_families_convolve_once_per_sphere(monkeypatch, kind):
     assert spheres == list(range(5)) * (2 + 4 + 3)
 
 
+def _at_radius(report, radius):
+    # a report with its family radius replaced
+    if isinstance(report, dict):
+        return {**report, "radius": radius}
+    return dataclasses.replace(report, params={**report.params, "radius": radius})
+
+
+@pytest.mark.parametrize("budget", [3, 4, 10])
+@pytest.mark.parametrize("kind", RADIAL_KINDS)
+def test_radial_families_stop_at_the_budgets_radius(monkeypatch, kind, budget):
+    # no candidate within the budget holds a sphere past _sweep_radius, so
+    # radius 1500 builds that radius's columns and writes its reports
+    far = SetFamily(kind, 1500, budget)
+    top = ops._sweep_radius(far)
+    assert top == (budget.bit_length() if kind == "sphere-unions" else budget) - 1
+    near = SetFamily(kind, top, budget)
+    spheres = _counted_spheres(monkeypatch)
+    f = RadialFunction(CTX, (Fraction(1), Fraction(1, 2)))
+    calls = [
+        lambda fam: restricted_weak_estimate(f, fam),
+        lambda fam: weak_estimate_21_to_2(f, fam),
+        lambda fam: verify_lemma1(CTX, fam, 3),
+        lambda fam: verify_r22(CTX, fam, 2),
+    ]
+    for call in calls:
+        spheres.clear()
+        got = call(far)
+        built = list(spheres)
+        spheres.clear()
+        want = call(near)
+        assert max(built) == top
+        assert built == spheres
+        assert got == _at_radius(want, 1500)
+
+
 _SWEEP_COEFF = st.one_of(
     st.fractions(min_value=0, max_value=20, max_denominator=10**6),
     st.floats(min_value=0, max_value=20, allow_nan=False),
 )
+
+
+def _bits(coeffs):
+    # floats by their bits, everything else by type and value
+    return [c.hex() if type(c) is float else (type(c), c) for c in coeffs]
+
+
+@st.composite
+def _multi_sweep_cases(draw):
+    ctx = FreeGroupCtx(draw(st.sampled_from([2, 3])))
+    exact = st.fractions(min_value=-20, max_value=20, max_denominator=1000)
+    floats = st.floats(min_value=-20, max_value=20, allow_nan=False)
+    coeffs = st.one_of(
+        st.lists(exact, min_size=1, max_size=5),
+        st.lists(floats, min_size=1, max_size=5),
+        st.lists(st.one_of(exact, floats), min_size=1, max_size=5),
+    )
+    fs = [RadialFunction(ctx, tuple(c)) for c in draw(st.lists(coeffs, max_size=4))]
+    fam = _radial_family(draw, draw(st.sampled_from(RADIAL_KINDS)), draw(st.integers(0, 4)))
+    return ctx, fs, fam
+
+
+@settings(max_examples=80, deadline=None)
+@given(_multi_sweep_cases())
+@example((CTX, [], SetFamily("sphere-unions", 3, 10)))
+# 0.1 chi_2: U0,2,4's floats depend on the order its columns are folded in
+@example(
+    (CTX, [RadialFunction(CTX, (0.0, 0.0, 0.1)), chi(CTX, 1)], SetFamily("sphere-unions", 4, 31))
+)
+def test_one_sweep_folds_every_function(case):
+    # one sweep of fs against one sweep per g, and against each mask's
+    # columns folded in ascending radius, value for value
+    ctx, fs, fam = case
+    radius = ops._sweep_radius(fam)
+    cols = [ops._sphere_columns(g, radius) for g in fs]
+    rows = list(ops._sphere_union_sweep(ctx, fs, fam))
+    singles = [list(ops._sphere_union_sweep(ctx, [g], fam)) for g in fs]
+    assert [mask for mask, _, _ in rows] == list(ops._radial_candidates(fam)[0])
+    for i, (mask, coeffs, size) in enumerate(rows):
+        radii = ops._mask_radii(mask)
+        assert size == sum(sphere_size(ctx, r) for r in radii)
+        assert len(coeffs) == len(fs)
+        for g_coeffs, g_cols, single in zip(coeffs, cols, singles):
+            assert single[i][0] == mask and single[i][2] == size
+            assert _bits(g_coeffs) == _bits(single[i][1][0])
+            want = [0] * len(g_cols[0])
+            for r in radii:
+                want = [a + b for a, b in zip(want, g_cols[r])]
+            assert _bits(g_coeffs) == _bits(want)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        SetFamily("spheres", 4),
+        SetFamily("balls", 3, budget=2),
+        SetFamily("sphere-unions", 3, budget=10),
+        SetFamily("ball-subsets", 1, budget=32),
+        SetFamily("random-subsets", 2, budget=4, seed=5),
+    ],
+    ids=lambda fam: fam.kind,
+)
+def test_empty_index_range_yields_one_empty_row_per_candidate(fam):
+    # k_max = n_max = -1 sweeps no function, and every candidate still has
+    # its row, radial and explicit families alike
+    if fam.kind in RADIAL_KINDS:
+        count = len(ops._radial_candidates(fam)[0])
+    else:
+        count = len(list(candidate_sets(CTX, fam)))
+    for rows in (ops.self_pairings, ops.prefix_sups):
+        want = [(label, size, []) for label, size, _ in rows(CTX, fam, 0)]
+        assert len(want) == count
+        assert list(rows(CTX, fam, -1)) == want
 
 
 @settings(max_examples=80, deadline=None)

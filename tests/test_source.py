@@ -12,6 +12,8 @@ Core claims:
       oracle, so no kernel is kept alive by the oracle or the tests alone
     - report text has one writer: no module of fgw imports csv, and only
       reportio imports from json
+    - every top-level private function and class of fgw is named somewhere
+      in fgw outside its own definition, so a refactor leaves no orphan
 
 No linter ships with the test dependencies, so the check is made here
 with the standard library's ast.
@@ -134,3 +136,49 @@ def test_only_reportio_writes_report_text():
     sources = {p.name: absolute_imports(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
     importers = {mod: [name for name, mods in sources.items() if mod in mods] for mod in ("csv", "json")}
     assert importers == {"csv": [], "json": ["reportio.py"]}
+
+
+def orphans(sources: dict) -> list:
+    """(module, name) of each top-level private def or class named nowhere else.
+
+    sources maps a module name to its text.  A name counts as used when it
+    is read as a bare name or as an attribute in any top-level statement of
+    any module other than its own definition, so recursion does not count.
+    """
+    statements = [(mod, node) for mod, text in sources.items() for node in ast.parse(text).body]
+    named = [
+        {
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))
+        }
+        for _, node in statements
+    ]
+    found = []
+    for i, (mod, node) in enumerate(statements):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        if not any(node.name in names for j, names in enumerate(named) if j != i):
+            found.append((mod, node.name))
+    return found
+
+
+def test_orphans_are_found():
+    a = (
+        "def _used():\n    pass\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class _Orphan:\n    pass\n"
+        "def _imported():\n    pass\n"
+        "def _by_attribute():\n    pass\n"
+        "def __dunder__():\n    pass\n"
+        "def public():\n    return _used()\n"
+    )
+    b = "import a\nfrom a import _imported\nx = a._by_attribute\n"
+    assert orphans({"a": a, "b": b}) == [("a", "_recursive"), ("a", "_Orphan"), ("a", "_imported")]
+
+
+def test_every_private_definition_is_used():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert orphans(sources) == []
