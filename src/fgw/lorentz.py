@@ -20,7 +20,8 @@ F_2) take a log-scaled path, as math.log takes integers of any size;
 every evaluation that stays in float range keeps the float path, and a
 norm that is itself past float range is a ValueError.
 lorentz_prefix_norms gives the norms of every prefix of one
-rearrangement's runs from one pass over its terms.
+rearrangement's runs from one pass over its terms; the weak norm is its
+s = inf case, whose terms are the run-end values v (c+m)^{1/p}.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .radial import RadialFunction
+from .radial import RadialFunction, require_nonnegative
 from .words import FreeGroupCtx, sphere_size
 
 
@@ -131,13 +132,13 @@ def _log(x) -> float:
 
 
 def _log_pow_diff_root(c: int, m: int, p: float, s: float) -> float:
-    """log((c+m)^{s/p} - c^{s/p}) / s for counts of any size.
+    """log((c+m)^{s/p} - c^{s/p}) / s for counts of any size; log(c+m) / p at s = inf.
 
     Divided by s term by term, so no product s * log c is formed and s
     may be as large as the float maximum; math.log takes big ints.
     """
-    if c == 0:
-        return math.log(m) / p
+    if c == 0 or math.isinf(s):
+        return math.log(c + m) / p
     lr = math.log1p(m / c) if m <= c else math.log(c + m) - math.log(c)
     # log(expm1(y)) = y + log(1 - e^{-y}), which overflows for no y
     return math.log(c) / p + lr / p + math.log(-math.expm1(-(s / p) * lr)) / s
@@ -160,15 +161,20 @@ def _as_index(idx) -> LorentzIndex:
 def _run_terms(pairs, idx: LorentzIndex) -> list:
     """The terms v^s ((c+m)^{s/p} - c^{s/p}) of the runs, c the count before each.
 
-    lorentz_prefix_norms sums them; the list stops at the first term
+    At s = inf they are v (c+m)^{1/p}, and lorentz_prefix_norms takes
+    their max instead of their sum; the list stops at the first term
     whose float evaluation overflows.
     """
+    weak = math.isinf(idx.s)
     e = idx.s / idx.p
     cum = 0
     terms = []
     try:
         for v, m in pairs:
-            terms.append(float(v) ** idx.s * _pow_diff(cum, m, e))
+            if weak:
+                terms.append(float(v) * float(cum + m) ** (1.0 / idx.p))
+            else:
+                terms.append(float(v) ** idx.s * _pow_diff(cum, m, e))
             cum += m
     except OverflowError:
         pass
@@ -184,10 +190,10 @@ def _float_norm(pairs, terms, idx: LorentzIndex):
         if len(pairs) == 1:
             v, m = pairs[0]
             value = float(v) * float(m) ** (1.0 / idx.p)
-        elif len(terms) == len(pairs):
-            value = math.fsum(terms) ** (1.0 / idx.s)
-        else:
+        elif len(terms) < len(pairs):
             return None
+        else:
+            value = max(terms) if math.isinf(idx.s) else math.fsum(terms) ** (1.0 / idx.s)
     except OverflowError:
         return None
     return value if math.isfinite(value) else None
@@ -198,8 +204,8 @@ def _log_scaled_norm(pairs, idx: LorentzIndex) -> float:
 
     Each term's logarithm is taken divided by s, L = log v + log((c+m)^{s/p}
     - c^{s/p}) / s, and the norm is top + log(sum e^{s (L - top)}) / s with
-    top the largest L; ValueError when the norm itself is out of float
-    range.
+    top the largest L, or top itself at s = inf; ValueError when the norm
+    itself is out of float range.
     """
     logs = []
     cum = 0
@@ -207,6 +213,8 @@ def _log_scaled_norm(pairs, idx: LorentzIndex) -> float:
         logs.append(_log(v) + _log_pow_diff_root(cum, m, idx.p, idx.s))
         cum += m
     top = max(logs)
+    if math.isinf(idx.s):
+        return _exp_in_range(top, "the weak Lorentz norm")
     total = top + math.log(math.fsum(math.exp(idx.s * (t - top)) for t in logs)) / idx.s
     return _exp_in_range(total, "the Lorentz norm")
 
@@ -222,12 +230,10 @@ def lorentz_prefix_norms(r: Rearrangement, idx, lengths) -> list:
     Runs whose counts or terms overflow a float take a log-scaled path;
     everything in float range is evaluated in floats.  The run terms are
     computed once, for r; a prefix's terms are a prefix of them, and
-    fsum is correctly rounded, so each prefix's norm is, float for
-    float, the norm of that prefix alone.
+    fsum is correctly rounded (and max exact at s = inf), so each
+    prefix's norm is, float for float, the norm of that prefix alone.
     """
     idx = _as_index(idx)
-    if math.isinf(idx.s):
-        return [weak_norm(Rearrangement(r.pairs[:n]), idx.p) for n in lengths]
     terms = _run_terms(r.pairs, idx)
     out = []
     for n in lengths:
@@ -238,29 +244,12 @@ def lorentz_prefix_norms(r: Rearrangement, idx, lengths) -> list:
 
 
 def weak_norm(r: Rearrangement, p: float) -> float:
-    """||f||_{p,inf} = sup_i i^{1/p} a_i; the sup sits at run ends.
+    """||f||_{p,inf} = sup_i i^{1/p} a_i, the s = inf case of lorentz_norm.
 
-    Counts past float range take the sup of the logarithms.
+    The sup sits at run ends; counts past float range take the sup of
+    the logarithms.
     """
-    if not p > 1:
-        raise ValueError("first index p must exceed 1")
-    best = 0.0
-    cum = 0
-    try:
-        for v, m in r.pairs:
-            cum += m
-            best = max(best, float(v) * float(cum) ** (1.0 / p))
-    except OverflowError:
-        pass
-    else:
-        if math.isfinite(best):
-            return best
-    cum = 0
-    logs = []
-    for v, m in r.pairs:
-        cum += m
-        logs.append(_log(v) + math.log(cum) / p)
-    return _exp_in_range(max(logs), "the weak Lorentz norm")
+    return lorentz_norm(r, (p, math.inf))
 
 
 def radial_weighted_sum(f: RadialFunction, p: float) -> float:
@@ -270,8 +259,7 @@ def radial_weighted_sum(f: RadialFunction, p: float) -> float:
     """
     if not 1 < p <= 2:
         raise ValueError("p must lie in (1, 2]")
-    if not f.is_nonnegative():
-        raise ValueError("requires nonnegative coefficients")
+    require_nonnegative(f)
     q = float(f.ctx.q)
     if p == 2:
         return math.fsum(float(c) * q ** (0.5 * n) for n, c in enumerate(f.coeffs) if c)

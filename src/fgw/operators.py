@@ -7,7 +7,9 @@ has one representation:
 
 * an ElementSet is an explicit set: the sorted integer keys of its words
   (see _kernels), which become ReducedWords only at the API boundary.
-  Each word's image under S_n is built once per call (_SphereImages),
+  Every candidate's work is checked before the ball is built
+  (_check_candidates), so a family is then swept once, set by set, and
+  each word's image under S_n is built once per call (_SphereImages),
   and each set counts f * chi_E from its words' images, as integers
   over D = lcm(denominators of f) (_convolve_value_counts); estimators
   divide once per candidate, in _best_prefix or the square sum, and
@@ -55,6 +57,7 @@ from .radial import (
     _denominator,
     _scaled_items,
     chi,
+    require_nonnegative,
     sphere_product,
     structure_constant,
 )
@@ -198,23 +201,38 @@ def _random_draws(fam: SetFamily, population, check=None):
         yield rng.sample(population, size)
 
 
-def _check_draws(ctx: FreeGroupCtx, fam: SetFamily, check) -> None:
-    """Run check(|E|) on random-subsets' draws, in order, before the ball is built.
+def _subset_count_check(ctx: FreeGroupCtx, fam: SetFamily) -> int:
+    """|B| for ball-subsets, refused when 2^|B| > budget, i.e. |B| >= budget.bit_length()."""
+    size = ball_size(ctx, fam.radius)
+    if size >= fam.budget.bit_length():
+        raise BudgetExceededError("subset enumeration", f"2^{size}", fam.budget)
+    return size
 
-    Other families are not checked.  check raises BudgetExceededError and
-    grows with |E|.  The ball's SPHERE_CAP check comes first; when a draw
-    of the whole ball passes, every draw does and nothing is replayed.
-    Otherwise the draws of _random_draws are replayed on their own generator, and the first
-    oversized one fails with the message its own candidate would give.
+
+def _check_candidates(ctx: FreeGroupCtx, fam: SetFamily, check) -> None:
+    """Run check(|E|) on the candidates of candidate_sets, in order, before the ball is built.
+
+    check raises BudgetExceededError and grows with |E|.  ball-subsets'
+    subset count comes first, then SPHERE_CAP, then check(|B|); if that
+    fails, the sizes replay in order and the first oversized candidate
+    fails as it would: a subset of size s first appears at mask 2^s - 1,
+    and random-subsets replays its draws.  greedy is adaptive and is
+    checked by the estimators.
     """
-    if fam.kind != "random-subsets":
+    if fam.kind == "greedy":
         return
+    if fam.kind == "ball-subsets":
+        _subset_count_check(ctx, fam)
     ball = _capped_ball_size(ctx, fam.radius)
     try:
         check(ball)
     except BudgetExceededError:
-        for _ in _random_draws(fam, range(ball), check):
-            pass
+        if fam.kind == "ball-subsets":
+            for size in range(1, ball + 1):
+                check(size)
+        else:
+            for _ in _random_draws(fam, range(ball), check):
+                pass
 
 
 def candidate_sets(ctx: FreeGroupCtx, fam: SetFamily):
@@ -226,11 +244,7 @@ def candidate_sets(ctx: FreeGroupCtx, fam: SetFamily):
     if fam.kind in RADIAL_KINDS:
         raise ValueError(f"{fam.kind} family is radial; use the sphere-union sweep")
     if fam.kind == "ball-subsets":
-        # 2^size > budget exactly when size >= budget.bit_length(); the
-        # count itself can run to thousands of digits, so it is not built
-        size = ball_size(ctx, fam.radius)
-        if size >= fam.budget.bit_length():
-            raise BudgetExceededError("subset enumeration", f"2^{size}", fam.budget)
+        size = _subset_count_check(ctx, fam)
         ball = _ball_keys(ctx, fam.radius)
         for mask in range(1 << size):
             keys = tuple(key for i, key in enumerate(ball) if mask >> i & 1)
@@ -360,8 +374,8 @@ def self_pairings(ctx: FreeGroupCtx, fam: SetFamily, k_max: int):
     A radial E sums (chi_k * chi_E)_r |S_r| over its spheres r, from one
     sweep of chi_0 .. chi_k_max, whose coefficients are integers (D = 1);
     an explicit E reads chi_pairing_profile(E, E), padded or cut to
-    k_max + 1 entries.  random-subsets checks every draw's |E|^2 pairs
-    before the ball is built.
+    k_max + 1 entries.  An explicit family's |E|^2 pairs are checked for
+    every candidate before the ball is built.
     """
     if fam.kind in RADIAL_KINDS:
         label = _radial_candidates(fam)[1]
@@ -371,7 +385,7 @@ def self_pairings(ctx: FreeGroupCtx, fam: SetFamily, k_max: int):
             pairs = [Fraction(sum(h[r] * sphere_size(ctx, r) for r in radii)) for h in hs]
             yield label(mask), size, pairs
         return
-    _check_draws(ctx, fam, lambda size: _check_pair_work(size, size))
+    _check_candidates(ctx, fam, lambda size: _check_pair_work(size, size))
     for E in candidate_sets(ctx, fam):
         profile = chi_pairing_profile(E, E)[: k_max + 1]
         yield E.label, E.size, profile + [Fraction(0)] * (k_max + 1 - len(profile))
@@ -382,9 +396,9 @@ def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
 
     Each sup is the best prefix of the runs of chi_n * chi_E, whose values
     are integers: radial sweep coefficients, or the kernel's pair counts.
-    random-subsets checks every draw's |S_n| |E| pairs, n <= n_max,
-    before the ball is built, and each E is checked before any work.  An
-    n replays the family, so only S_n's images are held at a time.
+    An explicit family's |S_n| |E| pairs, n <= n_max, are checked for
+    every candidate before the ball is built.  It is then swept once, set
+    by set, with one memo of sphere images for the whole call.
     """
     if fam.kind in RADIAL_KINDS:
         label = _radial_candidates(fam)[1]
@@ -398,17 +412,11 @@ def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
         for n in range(n_max + 1):
             _check_convolution_work(ctx, ((n, 1),), size)
 
-    _check_draws(ctx, fam, check)
-    rows = []
+    _check_candidates(ctx, fam, check)
+    images = _SphereImages(ctx.alphabet)
     for E in candidate_sets(ctx, fam):
-        check(E.size)
-        rows.append((E.label, E.size, []))
-    for n in range(n_max + 1):
-        images = _SphereImages(ctx.alphabet)
-        for (_, _, sups), E in zip(rows, candidate_sets(ctx, fam)):
-            counts = Counter(images.counts(n, E.keys()).values())
-            sups.append(_best_prefix(runs(counts.items()), 0.5, 1)[0])
-    yield from rows
+        counts = (Counter(images.counts(n, E.keys()).values()) for n in range(n_max + 1))
+        yield E.label, E.size, [_best_prefix(runs(c.items()), 0.5, 1)[0] for c in counts]
 
 
 def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_radial):
@@ -433,13 +441,12 @@ def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_r
         return reduce_set(_convolve_value_counts(ctx, scaled, E.keys(), images), D, E.size, E.label)
 
     # work known before the ball is built is checked first: greedy's first
-    # candidate is one word, and random-subsets' seeded draws replay; the
-    # ball's SPHERE_CAP check stays first
+    # candidate is one word, and the other families' sizes replay
     if fam.kind == "greedy":
         _capped_ball_size(ctx, fam.radius)
         _check_convolution_work(ctx, scaled, 1)
         return _greedy_search(objective, ctx, fam)
-    _check_draws(ctx, fam, lambda size: _check_convolution_work(ctx, scaled, size))
+    _check_candidates(ctx, fam, lambda size: _check_convolution_work(ctx, scaled, size))
     results = (objective(E) for E in candidate_sets(ctx, fam) if E.size > 0)
     best = max(results, key=lambda res: res[0], default=None)
     if best is None:
@@ -593,8 +600,7 @@ def restricted_weak_estimate(f: RadialFunction, fam: SetFamily) -> dict:
     rearrangement of f * chi_E; the report records the best E and the
     optimal prefix size j.
     """
-    if not f.is_nonnegative():
-        raise ValueError("requires nonnegative coefficients")
+    require_nonnegative(f)
 
     def reduce_set(values, D, size, label):
         value, j = _best_prefix(runs(Counter(values.values()).items()), 0.5, D)
@@ -614,8 +620,7 @@ def weak_estimate_21_to_2(f: RadialFunction, fam: SetFamily) -> dict:
     max over E of ||f * chi_E||_2 / |E|^{1/2}; by duality this also
     lower-bounds the weak-type (2,2) norm of lambda(f).
     """
-    if not f.is_nonnegative():
-        raise ValueError("requires nonnegative coefficients")
+    require_nonnegative(f)
 
     def reduce_set(values, D, size, label):
         sq = sum(v * v for v in values.values())

@@ -210,6 +210,12 @@ def format_radial_literal(f: RadialFunction) -> str:
     return ",".join(parts) if parts else "0"
 
 
+def require_nonnegative(f: RadialFunction) -> None:
+    """The refusal of every functional and estimator stated for nonnegative f."""
+    if not f.is_nonnegative():
+        raise ValueError("requires nonnegative coefficients")
+
+
 def _denominator(f: RadialFunction) -> int:
     """Common denominator D of an exact f, so D f is integral; 1 for a float f."""
     return _scaled_items(f)[0]
@@ -370,8 +376,7 @@ def conjecture_functional(f: RadialFunction, s: float, exponent_sign: int = 1) -
         raise ValueError("s must lie in [1, 2]")
     if exponent_sign not in (1, -1):
         raise ValueError("exponent_sign must be +1 or -1")
-    if not f.is_nonnegative():
-        raise ValueError("requires nonnegative coefficients")
+    require_nonnegative(f)
     inv_sp = 1.0 - 1.0 / s  # 1/s'
     q = float(f.ctx.q)
     terms = []

@@ -62,6 +62,7 @@ from .radial import (
     chi,
     conjecture_functional,
     paper_display_coefficient,
+    require_nonnegative,
     sphere_product,
     sphere_product_norm_squared,
     structure_constant,
@@ -189,12 +190,6 @@ class VerificationReport:
         return rows
 
 
-def require_nonnegative(f: RadialFunction) -> None:
-    """thm1 and thm4 are stated for nonnegative f."""
-    if not f.is_nonnegative():
-        raise ValueError("requires nonnegative coefficients")
-
-
 def verify_thm1(f: RadialFunction, fam: SetFamily) -> VerificationReport:
     """Two-sided weak-type (2,2) certificate against A(f).
 
@@ -272,13 +267,19 @@ def sample_radial(ctx: FreeGroupCtx, rng: random.Random, max_degree: int) -> Rad
             return RadialFunction(ctx, tuple(coeffs))
 
 
-def build_thm1_suite(ctx: FreeGroupCtx, seed: int = 0):
-    """The 50-function suite: spheres, geometric decays, random supports."""
-    suite = [(f"chi_{n}", chi(ctx, n)) for n in range(7)]
+def _spheres_and_decays(ctx: FreeGroupCtx) -> list:
+    """(label, f) for chi_0 .. chi_6 and the geometric decays q^{-beta n}, n <= 6."""
+    fns = [(f"chi_{n}", chi(ctx, n)) for n in range(7)]
     q = float(ctx.q)
     for beta in (0.4, 0.5, 0.6):
         coeffs = tuple(q ** (-beta * n) for n in range(7))
-        suite.append((f"geometric-beta={beta}", RadialFunction(ctx, coeffs)))
+        fns.append((f"geometric-beta={beta}", RadialFunction(ctx, coeffs)))
+    return fns
+
+
+def build_thm1_suite(ctx: FreeGroupCtx, seed: int = 0):
+    """The 50-function suite: spheres, geometric decays, random supports."""
+    suite = _spheres_and_decays(ctx)
     rng = random.Random(seed)
     for i in range(40):
         suite.append((f"random-{i}", sample_radial(ctx, rng, 6)))
@@ -585,12 +586,7 @@ def conjecture_scan(ctx: FreeGroupCtx, s_grid=None, fam: SetFamily = None) -> Ve
         s_grid = [1.0, 1.25, 1.5, 1.75, 2.0]
     if fam is None:
         fam = SetFamily("sphere-unions", default_radius(ctx))
-    q = float(ctx.q)
-    fns = [(f"chi_{n}", chi(ctx, n)) for n in range(7)]
-    for beta in (0.4, 0.5, 0.6):
-        fns.append(
-            (f"geometric-beta={beta}", RadialFunction(ctx, tuple(q ** (-beta * n) for n in range(7))))
-        )
+    fns = _spheres_and_decays(ctx)
     fns.append(("sparse-0+4", chi(ctx, 0) + chi(ctx, 4)))
     fns.append(("sparse-1+5", chi(ctx, 1) + chi(ctx, 5)))
     fns.append(("sparse-2+6", chi(ctx, 2) + chi(ctx, 6)))

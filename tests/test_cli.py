@@ -22,6 +22,9 @@ Core claims:
       random-subsets, exit 2 before the ball is enumerated when the first
       candidate is past the pair budget; an oversized ball still reports
       first
+    - ball-subsets searches and r22 exit 2 before the ball is enumerated,
+      naming the first subset past the pair budget; a subset count past
+      the budget still reports first
     - thm5 with an infinite target index reports it as "inf", and one
       near the float maximum (t = 1e307) exits 0
     - thm5 and norms run past float-range sphere counts (exit 0); a norm
@@ -264,6 +267,39 @@ def test_later_draw_budget_fires_before_the_ball_is_built(capsys, monkeypatch, a
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: budget exceeded: {need}, cap is 20000000\n"
+
+
+# B_3 has 53 words and the budget admits all 2^53 subsets; the first past
+# the pair budget is the 29-word set at mask 2^29 - 1: |S_12| x 29 pairs
+B3_ALL = ["--radius", "3", "--budget", str(2**53)]
+B3_NEED = "convolution enumeration needs 20549052, cap is 20000000"
+# every subset of B_9 is past the pair budget too, but the subset count comes first
+B9_NEED = "subset enumeration needs 2^39365, cap is 1000"
+
+
+@pytest.mark.parametrize(
+    "args, need",
+    [
+        (["search", "--f", "0," * 12 + "1", *B3_ALL], B3_NEED),
+        (["search", "--f", "0," * 12 + "1", "--estimator", "weak", *B3_ALL], B3_NEED),
+        (["verify", "r22", "--n-max", "12", *B3_ALL], B3_NEED),
+        (["search", "--f", "0,0,0,0,0,0,1", "--radius", "9"], B9_NEED),
+        (["verify", "r22", "--radius", "9"], B9_NEED),
+    ],
+    ids=["restricted", "weak", "r22", "subset-count-first", "r22-subset-count-first"],
+)
+def test_ball_subsets_budget_fires_before_the_ball_is_built(capsys, monkeypatch, args, need):
+    import fgw.operators
+
+    def no_ball(*args, **kwargs):
+        raise AssertionError("the ball was enumerated before the budget check")
+
+    monkeypatch.setattr(fgw.operators, "_ball_keys", no_ball)
+    code = main([*args, "--family", "ball-subsets"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: budget exceeded: {need}\n"
 
 
 def test_verify_threads_option_is_gone():

@@ -4,7 +4,9 @@ Core claims:
     - rearrange sorts values decreasingly and merges them into strict runs
     - lorentz_norm matches the elementwise definition expanded term by term
     - indicator norms are exactly |E|^{1/p}
-    - weak_norm is the sup of a_i i^{1/p}, attained at run ends
+    - weak_norm is the sup of a_i i^{1/p}, attained at run ends, and is the
+      s = inf case of the prefix pass: the max of the run-end terms
+      v (c+m)^{1/p} bit for bit, with no Rearrangement built per prefix
     - norms decrease in the second index s
     - blockwise power differences telescope without cancellation error
     - rearrange_radial equals rearrangement of the expanded radial function
@@ -119,6 +121,47 @@ def test_weak_norm_is_prefix_sup():
             assert math.isclose(lorentz_norm(r, (p, math.inf)), weak_norm(r, p), rel_tol=1e-15)
 
 
+def _run_end_terms(r, p):
+    cum = 0
+    terms = []
+    for v, m in r.pairs:
+        cum += m
+        terms.append(float(v) * float(cum) ** (1 / p))
+    return terms
+
+
+def test_weak_norm_is_the_max_of_run_end_terms():
+    rng = random.Random(34)
+    for _ in range(200):
+        r = _random_rearrangement(rng, max_runs=8, max_mult=10**6)
+        for p in (1.25, 1.5, 2.0, 3.0):
+            assert weak_norm(r, p).hex() == max(_run_end_terms(r, p)).hex()
+    with pytest.raises(ValueError, match="first index p must exceed 1"):
+        weak_norm(r, 1.0)
+
+
+def test_weak_prefix_norms_build_no_rearrangement(monkeypatch):
+    rng = random.Random(35)
+    cases = []
+    for _ in range(50):
+        r = _random_rearrangement(rng, max_runs=8)
+        lengths = list(range(len(r.pairs) + 1))
+        want = [weak_norm(Rearrangement(r.pairs[:n]), 2.0) for n in lengths]
+        cases.append((r, lengths, want))
+    built = []
+    post_init = Rearrangement.__post_init__
+
+    def spy(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Rearrangement, "__post_init__", spy)
+    for r, lengths, want in cases:
+        got = lorentz_prefix_norms(r, (2.0, math.inf), lengths)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert built == []
+
+
 def test_norm_decreases_in_s():
     rng = random.Random(5)
     for _ in range(50):
@@ -229,8 +272,12 @@ def test_norms_of_counts_past_float_range():
     # the norm itself past float range is an error, not inf
     with pytest.raises(ValueError, match="out of float range"):
         lorentz_norm(Rearrangement(((1, size * size),)), (2.0, 2.0))
-    with pytest.raises(ValueError, match="out of float range"):
+    with pytest.raises(ValueError, match="^the weak Lorentz norm e.* is out of float range$"):
         weak_norm(Rearrangement(((1, size * size),)), 2.0)
+    # past float range, the weak norm is the exp of the largest run-end logarithm
+    for p in (1.5, 2.0, 3.0):
+        want = math.exp(max(math.log(3) + math.log(size) / p, -math.log(7) + math.log(2 * size) / p))
+        assert weak_norm(two, p).hex() == want.hex()
 
 
 def test_rearrange_radial_matches_expansion():

@@ -36,7 +36,8 @@ Core claims:
       last place
     - explicit families build each word's sphere image once per call: the
       memo stores at most PAIR_BUDGET keys and, once full, changes no
-      estimate; r22's explicit rows keep their (E, n) order
+      estimate; r22's explicit rows keep their (E, n) order, and r22 sweeps
+      an explicit family once, with one memo for the call
     - explicit sets store sorted integer keys, which is the (length, lex)
       order of their words, and refuse words of another group; the
       explicit families build no ReducedWord
@@ -69,7 +70,7 @@ import fgw.operators as ops
 import fgw.radial as radial
 from fgw import _kernels
 from fgw.errors import BudgetExceededError
-from fgw.lorentz import rearrange
+from fgw.lorentz import rearrange, runs
 from fgw.operators import (
     RADIAL_KINDS,
     ElementSet,
@@ -1129,3 +1130,40 @@ def test_image_memo_holds_at_most_the_pair_budget(monkeypatch, call, fam):
         assert memo.room == cap - stored
     # some image was asked for and not stored, so the cap was reached
     assert any(len(memo.asked) > len(memo.images) for memo in memos)
+
+
+R22_ONE_PASS_CASES = [
+    SetFamily("ball-subsets", radius=1),
+    SetFamily("random-subsets", radius=3, budget=10, seed=4),
+]
+
+
+@pytest.mark.parametrize("fam", R22_ONE_PASS_CASES, ids=[f.kind for f in R22_ONE_PASS_CASES])
+def test_explicit_r22_sweeps_the_family_once(monkeypatch, fam):
+    # the reference counts every (E, n) on a fresh memo
+    n_max = 3
+
+    def sups(E):
+        out = []
+        for n in range(n_max + 1):
+            counts = ops._SphereImages(CTX.alphabet).counts(n, E.keys())
+            out.append(ops._best_prefix(runs(Counter(counts.values()).items()), 0.5, 1)[0])
+        return out
+
+    want = [(E.label, E.size, sups(E)) for E in candidate_sets(CTX, fam)]
+    calls = []
+    real = ops.candidate_sets
+
+    def counted(ctx, family):
+        calls.append(family)
+        return real(ctx, family)
+
+    monkeypatch.setattr(ops, "candidate_sets", counted)
+    memos = _spy_on_image_memos(monkeypatch)
+    assert list(ops.prefix_sups(CTX, fam, n_max)) == want
+    assert len(calls) == 1
+    assert len(memos) == 1
+    report = verify_r22(CTX, fam, n_max)
+    assert len(calls) == 2
+    assert len(memos) == 2
+    assert len(report.checks) == len(want) * (n_max + 1)
