@@ -65,6 +65,7 @@ from .theorems import (
     verify_thm1,
 )
 from .words import (
+    FAMILY_PAIR_BUDGET,
     PAIR_BUDGET,
     SPHERE_CAP,
     FreeGroupCtx,

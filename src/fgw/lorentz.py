@@ -252,17 +252,28 @@ def weak_norm(r: Rearrangement, p: float) -> float:
     return lorentz_norm(r, (p, math.inf))
 
 
+def radial_power_sum(f: RadialFunction, p: float) -> float:
+    """sum_n f_n^{p'} q^{np'/p}, p' = p / (p - 1), as math.fsum in increasing n.
+
+    radial_weighted_sum takes its p'-th root for 1 < p < 2; thm4's chain
+    bounds by it directly.  The caller checks p and f.
+    """
+    q = float(f.ctx.q)
+    pp = p / (p - 1.0)
+    return math.fsum(float(c) ** pp * q ** (n * pp / p) for n, c in enumerate(f.coeffs) if c)
+
+
 def radial_weighted_sum(f: RadialFunction, p: float) -> float:
     """Weighted coefficient sum standing in for the L^{p,p'} norm.
 
-    p = 2: sum_n f_n q^{n/2}.  1 < p < 2: (sum_n f_n^{p'} q^{np'/p})^{1/p'}.
+    p = 2: sum_n f_n q^{n/2}.  1 < p < 2: (sum_n f_n^{p'} q^{np'/p})^{1/p'},
+    the root of radial_power_sum.
     """
     if not 1 < p <= 2:
         raise ValueError("p must lie in (1, 2]")
     require_nonnegative(f)
-    q = float(f.ctx.q)
     if p == 2:
+        q = float(f.ctx.q)
         return math.fsum(float(c) * q ** (0.5 * n) for n, c in enumerate(f.coeffs) if c)
     pp = p / (p - 1.0)
-    total = math.fsum(float(c) ** pp * q ** (n * pp / p) for n, c in enumerate(f.coeffs) if c)
-    return total ** (1.0 / pp)
+    return radial_power_sum(f, p) ** (1.0 / pp)

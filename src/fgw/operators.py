@@ -62,6 +62,7 @@ from .radial import (
     structure_constant,
 )
 from .words import (
+    FAMILY_PAIR_BUDGET,
     PAIR_BUDGET,
     SPHERE_CAP,
     FreeGroupCtx,
@@ -209,15 +210,19 @@ def _subset_count_check(ctx: FreeGroupCtx, fam: SetFamily) -> int:
     return size
 
 
-def _check_candidates(ctx: FreeGroupCtx, fam: SetFamily, check) -> None:
-    """Run check(|E|) on the candidates of candidate_sets, in order, before the ball is built.
+def _check_candidates(ctx: FreeGroupCtx, fam: SetFamily, check, work) -> None:
+    """Check the candidates of candidate_sets, one by one and then summed, before the ball is built.
 
-    check raises BudgetExceededError and grows with |E|.  ball-subsets'
-    subset count comes first, then SPHERE_CAP, then check(|B|); if that
-    fails, the sizes replay in order and the first oversized candidate
-    fails as it would: a subset of size s first appears at mask 2^s - 1,
-    and random-subsets replays its draws.  greedy is adaptive and is
-    checked by the estimators.
+    check(|E|) raises BudgetExceededError and grows with |E|; work(|E|)
+    is one candidate's pair count.  ball-subsets' subset count comes
+    first, then SPHERE_CAP, then check(|B|); if that fails, the sizes
+    replay in order and the first oversized candidate fails as it would:
+    a subset of size s first appears at mask 2^s - 1, and random-subsets
+    replays its draws.  Last, the family's summed work is refused past
+    FAMILY_PAIR_BUDGET: exactly, sum_s C(|B|, s) work(s), for
+    ball-subsets, and as budget * work(|B|) for random-subsets, whose
+    draws hold at most the ball, so no draw is replayed for it.  greedy
+    is adaptive and is checked by the estimators.
     """
     if fam.kind == "greedy":
         return
@@ -233,6 +238,12 @@ def _check_candidates(ctx: FreeGroupCtx, fam: SetFamily, check) -> None:
         else:
             for _ in _random_draws(fam, range(ball), check):
                 pass
+    if fam.kind == "ball-subsets":
+        total = sum(math.comb(ball, size) * work(size) for size in range(1, ball + 1))
+    else:
+        total = fam.budget * work(ball)
+    if total > FAMILY_PAIR_BUDGET:
+        raise BudgetExceededError("family pair enumeration", total, FAMILY_PAIR_BUDGET)
 
 
 def candidate_sets(ctx: FreeGroupCtx, fam: SetFamily):
@@ -385,7 +396,9 @@ def self_pairings(ctx: FreeGroupCtx, fam: SetFamily, k_max: int):
             pairs = [Fraction(sum(h[r] * sphere_size(ctx, r) for r in radii)) for h in hs]
             yield label(mask), size, pairs
         return
-    _check_candidates(ctx, fam, lambda size: _check_pair_work(size, size))
+    _check_candidates(
+        ctx, fam, lambda size: _check_pair_work(size, size), lambda size: size * size
+    )
     for E in candidate_sets(ctx, fam):
         profile = chi_pairing_profile(E, E)[: k_max + 1]
         yield E.label, E.size, profile + [Fraction(0)] * (k_max + 1 - len(profile))
@@ -412,7 +425,8 @@ def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
         for n in range(n_max + 1):
             _check_convolution_work(ctx, ((n, 1),), size)
 
-    _check_candidates(ctx, fam, check)
+    sphere_work = sum(sphere_size(ctx, n) for n in range(n_max + 1))
+    _check_candidates(ctx, fam, check, lambda size: sphere_work * size)
     images = _SphereImages(ctx.alphabet)
     for E in candidate_sets(ctx, fam):
         counts = (Counter(images.counts(n, E.keys()).values()) for n in range(n_max + 1))
@@ -446,7 +460,13 @@ def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_r
         _capped_ball_size(ctx, fam.radius)
         _check_convolution_work(ctx, scaled, 1)
         return _greedy_search(objective, ctx, fam)
-    _check_candidates(ctx, fam, lambda size: _check_convolution_work(ctx, scaled, size))
+    sphere_work = sum(sphere_size(ctx, n) for n, _ in scaled)
+    _check_candidates(
+        ctx,
+        fam,
+        lambda size: _check_convolution_work(ctx, scaled, size),
+        lambda size: sphere_work * size,
+    )
     results = (objective(E) for E in candidate_sets(ctx, fam) if E.size > 0)
     best = max(results, key=lambda res: res[0], default=None)
     if best is None:

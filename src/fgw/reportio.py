@@ -6,9 +6,17 @@ exact rationals as "p/q" strings (plain "n" when integral), so identical
 runs emit byte-identical reports.  Non-finite floats are rejected: a
 report with an infinity in it is a bug upstream.
 
+A verification report records each check row once, as the JSON object
+it is written as (theorems.VerificationReport), so json_dumps takes the
+rows as they are.  It writes each str key's '"key": ' text once and
+reuses it from a table of at most _KEY_TEXTS_CAP keys; keys past the cap
+are encoded per use.
+
 CSV is written here too, without the csv module, so its bytes do not
 depend on the Python version: a cell holding ',', '"', \\n or \\r is
 quoted, its '"' doubled, and a row of one empty cell is written as "".
+Cells are told apart by exact type, float first, as json_dumps' leaves
+are; a subclass of str is quoted as a str, one of a number rendered.
 """
 
 from __future__ import annotations
@@ -93,8 +101,26 @@ def _dumps_list(obj, indent: int) -> str:
         return "[]"
     inner = " " * (indent + 2)
     get = _LEAVES.get
-    items = [inner + (leaf(x) if (leaf := get(type(x))) else json_dumps(x, indent + 2)) for x in obj]
-    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+    items = [
+        leaf(x) if (leaf := get(type(x)))
+        else _dumps_dict(x, indent + 2) if type(x) is dict
+        else json_dumps(x, indent + 2)
+        for x in obj
+    ]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + " " * indent + "]"
+
+
+# '"key": ' per str key, so a key shared by many rows is encoded once;
+# at most _KEY_TEXTS_CAP keys are kept, later ones are encoded per use
+_KEY_TEXTS_CAP = 256
+_KEY_TEXTS: dict = {}
+
+
+def _key_text(k) -> str:
+    text = encode_basestring(str(k)) + ": "
+    if type(k) is str and len(_KEY_TEXTS) < _KEY_TEXTS_CAP:
+        _KEY_TEXTS[k] = text
+    return text
 
 
 def _dumps_dict(obj, indent: int) -> str:
@@ -102,12 +128,13 @@ def _dumps_dict(obj, indent: int) -> str:
         return "{}"
     inner = " " * (indent + 2)
     get = _LEAVES.get
+    key_text = _KEY_TEXTS.get
     items = [
-        inner + encode_basestring(str(k)) + ": "
+        (key_text(k) or _key_text(k))
         + (leaf(v) if (leaf := get(type(v))) else json_dumps(v, indent + 2))
         for k, v in obj.items()
     ]
-    return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + " " * indent + "}"
 
 
 def write_json(stream, objects) -> None:
@@ -120,9 +147,13 @@ CSV_HEADER = ("id", "params", "lhs", "rhs", "margin", "status")
 
 
 def _csv_cell(x) -> str:
+    """One CSV cell; float and str, nearly every cell, are told apart by exact type first."""
+    t = type(x)
+    if t is float:
+        return _render_float(x)
     if x is None:
         return ""
-    if not isinstance(x, str):
+    if t is not str and not isinstance(x, str):
         return render_number(x)
     if "," in x or '"' in x or "\n" in x or "\r" in x:
         return '"' + x.replace('"', '""') + '"'

@@ -26,7 +26,10 @@ pk and qn verdicts are the column reports' exact ok, passed to check_le
 as holds.  The argument checks
 (require_*) are public, so the CLI can run them before any verifier.
 Numbers in check ids, inequality texts and CSV parameter blocks are
-written by reportio (render_number, render_param).
+written by reportio (render_number, render_param).  check_le and info
+record each check row once, as the JSON object it is written as, with
+"kind": "check" first; json_objects returns the summary and then those
+very rows, and csv_rows reads its cells from them.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from functools import lru_cache
 from .lorentz import (
     lorentz_norm,
     lorentz_prefix_norms,
+    radial_power_sum,
     radial_weighted_sum,
     rearrange_radial,
     rearrange_spheres,
@@ -105,6 +109,7 @@ class VerificationReport:
         if expected is not None:
             status = "informational"
         row = {
+            "kind": "check",
             "id": check_id,
             "inequality": f"{render_number(lhs)} <= {render_number(rhs)}",
             "lhs": lhs,
@@ -125,19 +130,20 @@ class VerificationReport:
         return self.check_le(check_id, rhs, lhs, rel_tol=rel_tol, note=note, expected=expected)
 
     def info(self, check_id, note=None, **values):
-        row = {"id": check_id, "status": "informational"}
+        row = {"kind": "check", "id": check_id, "status": "informational"}
         if note:
             row["note"] = note
         row.update(values)
         self.checks.append(row)
 
+    def _status(self, failed: bool) -> str:
+        if failed:
+            return "fail"
+        return "informational" if self.informational else "pass"
+
     @property
     def status(self) -> str:
-        if any(c["status"] == "fail" for c in self.checks):
-            return "fail"
-        if self.informational:
-            return "informational"
-        return "pass"
+        return self._status(any(c["status"] == "fail" for c in self.checks))
 
     @property
     def ok(self) -> bool:
@@ -158,12 +164,13 @@ class VerificationReport:
         return [c for c in self.checks if c["status"] == "fail"]
 
     def summary(self) -> dict:
+        counts = self.counts()
         out = {
             "kind": "summary",
             "theorem": self.theorem,
-            "status": self.status,
+            "status": self._status(counts["fail"] > 0),
             "params": self.params,
-            "counts": self.counts(),
+            "counts": counts,
         }
         tight = self.tightest()
         if tight is not None:
@@ -171,7 +178,8 @@ class VerificationReport:
         return out
 
     def json_objects(self) -> list:
-        return [self.summary()] + [{"kind": "check", **c} for c in self.checks]
+        """The summary, then the check rows themselves: each is recorded as written."""
+        return [self.summary(), *self.checks]
 
     def csv_rows(self) -> list:
         params_text = " ".join(f"{k}={render_param(v)}" for k, v in self.params.items())
@@ -400,9 +408,7 @@ def thm4_lower_chain(f: RadialFunction, p: float, rel_tol: float = 1e-9) -> Veri
         return report
     d = f.degree
     slack = (2.0 / 3.0) ** pp
-    target = math.fsum(
-        float(c) ** pp * q ** (l * pp / p) for l, c in f.nonzero_items()
-    )
+    target = radial_power_sum(f, p)
     for n in range(d, d + 4):
         D, h = sphere_product(f, n)
         norm_pp = math.fsum(
@@ -419,7 +425,7 @@ def thm4_lower_chain(f: RadialFunction, p: float, rel_tol: float = 1e-9) -> Veri
     report.info(
         "thm4:conclusion",
         note="chain certifies estimator >= (2/3) * radial_weighted_sum(f, p)",
-        weighted_sum=radial_weighted_sum(f, p),
+        weighted_sum=target ** (1.0 / pp),
     )
     return report
 

@@ -28,6 +28,9 @@ SPHERE_CAP = 10**7
 #: Default guard on all-pairs products (ordered pair count).
 PAIR_BUDGET = 2 * 10**7
 
+#: Default guard on an explicit family's pairs, summed over its candidates.
+FAMILY_PAIR_BUDGET = 10 * PAIR_BUDGET
+
 
 @dataclass(frozen=True)
 class FreeGroupCtx:

@@ -25,6 +25,9 @@ Core claims:
     - ball-subsets searches and r22 exit 2 before the ball is enumerated,
       naming the first subset past the pair budget; a subset count past
       the budget still reports first
+    - a ball-subsets search and r22 whose every subset fits the pair
+      budget, but whose 2^53 subsets together do not, exit 2 in under a
+      second, before the ball is enumerated, naming the family's pairs
     - thm5 with an infinite target index reports it as "inf", and one
       near the float maximum (t = 1e307) exits 0
     - thm5 and norms run past float-range sphere counts (exit 0); a norm
@@ -48,6 +51,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -300,6 +304,37 @@ def test_ball_subsets_budget_fires_before_the_ball_is_built(capsys, monkeypatch,
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: budget exceeded: {need}\n"
+
+
+# f = chi_1 pairs each word of a subset with |S_1| = 4 words, and r22 at
+# the default n_max = 8 with sum_{n<=8} |S_n| = 13121; the 2^53 subsets of
+# B_3 hold 53 * 2^52 words in all
+@pytest.mark.parametrize(
+    "args, need",
+    [
+        (["search", "--f", "0,1"], 4 * 53 * 2**52),
+        (["verify", "r22"], 13121 * 53 * 2**52),
+    ],
+    ids=["search", "r22"],
+)
+def test_ball_subsets_family_past_its_summed_pair_budget_exits_2(capsys, monkeypatch, args, need):
+    import fgw.operators
+
+    def no_ball(*args, **kwargs):
+        raise AssertionError("the ball was enumerated before the budget check")
+
+    monkeypatch.setattr(fgw.operators, "_ball_keys", no_ball)
+    start = time.perf_counter()
+    code = main([*args, "--family", "ball-subsets", *B3_ALL])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: budget exceeded: family pair enumeration needs {need}, "
+        f"cap is {fgw.FAMILY_PAIR_BUDGET}\n"
+    )
+    assert elapsed < 1.0
 
 
 def test_verify_threads_option_is_gone():

@@ -54,6 +54,10 @@ Core claims:
     - column sups run far past any enumerable ball, P_k reaching q^[k/2]
     - the full-cancellation witness breaks the Q bound at alpha = n >= 4
     - budgets abort oversized enumerations
+    - an explicit family's pairs, summed over its candidates, are refused
+      past FAMILY_PAIR_BUDGET and accepted at it: exactly for ball-subsets,
+      and as budget draws of the whole ball for random-subsets, in both
+      estimators, lemma1 and r22
 """
 
 import dataclasses
@@ -1070,6 +1074,41 @@ def test_pair_budget_enforced(monkeypatch):
     # r22 checks |S_n| |E| before each chi_n * chi_E: sub1 = {e} at n = 2
     with pytest.raises(BudgetExceededError, match="convolution enumeration needs 12, cap is 10$"):
         verify_r22(CTX, SetFamily("ball-subsets", radius=1, budget=64), 2)
+
+
+SUM_F = RadialFunction(CTX, (Fraction(1), Fraction(1, 2), Fraction(1, 4)))
+# B_1 has 5 words; ball-subsets sums C(5, s) work(s) over s, so a work of
+# c s sums to c 5 2^4 and of s^2 to 5 * 6 * 2^3; random-subsets counts its
+# budget draws as the whole ball.  The estimators pair a word with S_0 .. S_2
+# (17 words), r22 at n_max = 3 with S_0 .. S_3 (53), lemma1 a set with itself.
+FAMILY_SUM_CASES = [
+    ("restricted", "ball-subsets", 17 * 5 * 2**4),
+    ("weak", "ball-subsets", 17 * 5 * 2**4),
+    ("r22", "ball-subsets", 53 * 5 * 2**4),
+    ("lemma1", "ball-subsets", 5 * 6 * 2**3),
+    ("restricted", "random-subsets", 6 * 17 * 5),
+    ("r22", "random-subsets", 6 * 53 * 5),
+    ("lemma1", "random-subsets", 6 * 5 * 5),
+]
+
+
+@pytest.mark.parametrize(
+    "call, kind, total", FAMILY_SUM_CASES, ids=[f"{c}-{k}" for c, k, _ in FAMILY_SUM_CASES]
+)
+def test_family_pair_budget_caps_the_summed_work(monkeypatch, call, kind, total):
+    fam = SetFamily(kind, radius=1, budget=32 if kind == "ball-subsets" else 6, seed=2)
+    run = {
+        "restricted": lambda: restricted_weak_estimate(SUM_F, fam),
+        "weak": lambda: weak_estimate_21_to_2(SUM_F, fam),
+        "r22": lambda: verify_r22(CTX, fam, 3),
+        "lemma1": lambda: verify_lemma1(CTX, fam, 3),
+    }[call]
+    monkeypatch.setattr(ops, "FAMILY_PAIR_BUDGET", total)
+    run()
+    monkeypatch.setattr(ops, "FAMILY_PAIR_BUDGET", total - 1)
+    want = f"family pair enumeration needs {total}, cap is {total - 1}$"
+    with pytest.raises(BudgetExceededError, match=want):
+        run()
 
 
 def _spy_on_image_memos(monkeypatch):

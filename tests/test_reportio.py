@@ -13,6 +13,13 @@ Core claims:
       subclasses and text holding ',', '"' and newlines, the row of one
       empty cell included; a cell holding \\r is quoted on every Python
       version, and non-finite floats and non-numbers are refused as before
+    - json_dumps and write_csv write the same text as their versions
+      before the key table and the exact-type cell dispatch (kept below)
+      on floats (-0.0 and subnormals included), ints, bools, Fractions,
+      None, str subclasses and text holding ',', '"', \\n, \\r or
+      non-ASCII characters, in values and in keys
+    - the table of encoded keys stays within its cap however many keys
+      are written, and a key past the cap is written as one in it
 """
 
 import csv
@@ -25,6 +32,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fgw.reportio
 from fgw.reportio import CSV_HEADER, json_dumps, render_number, write_csv
 
 
@@ -176,3 +184,144 @@ def test_write_csv_refuses_what_it_refused():
     for bad in (object(), [1], b"1", 1j):
         with pytest.raises(TypeError):
             write_csv(io.StringIO(), [("id", bad)])
+
+
+# -- json_dumps and write_csv as they were before the key table -------------
+
+_HEAD_LEAVES = {
+    float: render_number,
+    str: encode_basestring,
+    int: int.__repr__,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+    Fraction: lambda x: encode_basestring(str(x)),
+}
+
+
+def _head_json_dumps(obj, indent=0):
+    t = type(obj)
+    leaf = _HEAD_LEAVES.get(t)
+    if leaf is not None:
+        return leaf(obj)
+    if t is dict:
+        return _head_dumps_dict(obj, indent)
+    if t is list or t is tuple:
+        return _head_dumps_list(obj, indent)
+    text = render_number(obj)
+    return encode_basestring(text) if isinstance(obj, Fraction) else text
+
+
+def _head_dumps_list(obj, indent):
+    if not obj:
+        return "[]"
+    inner = " " * (indent + 2)
+    get = _HEAD_LEAVES.get
+    items = [inner + (leaf(x) if (leaf := get(type(x))) else _head_json_dumps(x, indent + 2)) for x in obj]
+    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+
+
+def _head_dumps_dict(obj, indent):
+    if not obj:
+        return "{}"
+    inner = " " * (indent + 2)
+    get = _HEAD_LEAVES.get
+    items = [
+        inner + encode_basestring(str(k)) + ": "
+        + (leaf(v) if (leaf := get(type(v))) else _head_json_dumps(v, indent + 2))
+        for k, v in obj.items()
+    ]
+    return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
+
+
+def _head_csv_cell(x):
+    if x is None:
+        return ""
+    if not isinstance(x, str):
+        return render_number(x)
+    if "," in x or '"' in x or "\n" in x or "\r" in x:
+        return '"' + x.replace('"', '""') + '"'
+    return x
+
+
+def _head_write_csv(rows):
+    out = io.StringIO()
+    out.write(",".join(CSV_HEADER) + "\n")
+    for row in rows:
+        line = ",".join([_head_csv_cell(c) for c in row])
+        if not line and len(row) == 1:
+            line = '""'
+        out.write(line + "\n")
+    return out.getvalue()
+
+
+class _Str(str):
+    pass
+
+
+def _outcome(write, *args):
+    """The text written, or the type of the error raised (json_dumps refuses a str subclass)."""
+    try:
+        return write(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+_TEXT = st.one_of(
+    st.text(alphabet=st.sampled_from(',"\n\r ab1-/.\\\t\u00e9\u20ac\U0001d538'), max_size=8),
+    st.text(max_size=6),
+)
+# report keys recur from row to row, so most keys come from a small set
+_KEYS = st.one_of(st.sampled_from(["id", "lhs", "margin", "a,b", 'q"', "x\ny", "\u00e9"]), _TEXT)
+_ROW_LEAVES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310]),
+    st.integers(),
+    st.booleans(),
+    st.fractions(max_denominator=10**6),
+    st.none(),
+    _TEXT,
+    _TEXT.map(_Str),
+    st.floats(allow_nan=False, allow_infinity=False).map(_Float),
+    st.integers().map(_Int),
+    st.fractions(max_denominator=10**6).map(_Fraction),
+)
+_ROW_TREES = st.recursive(
+    _ROW_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ROW_TREES, max_size=3), st.sampled_from([0, 2]))
+@example([{"kind": "check", "id": "a,b", "lhs": -0.0, "rhs": 5e-324, "note": "\r\u00e9"}], 0)
+def test_json_dumps_matches_the_version_before_the_key_table(tree, indent):
+    # the same tree twice: the second pass reads keys from the table
+    want = _outcome(_head_json_dumps, tree, indent)
+    assert _outcome(json_dumps, tree, indent) == want
+    assert _outcome(json_dumps, tree, indent) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_ROW_LEAVES, max_size=7).map(tuple), max_size=5))
+@example([(-0.0, 5e-324, "a,b", 'say "x"', "l1\nl2", "c\rr", "\u00e9t\u00e9", _Str("s,t"), None, True)])
+def test_write_csv_matches_the_version_before_exact_type_cells(rows):
+    assert _outcome(_write_csv, rows) == _outcome(_head_write_csv, rows)
+
+
+def test_key_table_stays_within_its_cap():
+    # convolve writes one str(l) key per sphere of the product
+    obj = {str(l): str(l) for l in range(10_000)}
+    assert json_dumps(obj) == _head_json_dumps(obj)
+    table = fgw.reportio._KEY_TEXTS
+    assert len(table) <= fgw.reportio._KEY_TEXTS_CAP
+    assert all(text == encode_basestring(k) + ": " for k, text in table.items())
+    # once the table is full, a new key is still written, and not kept
+    fresh = "a key no other test writes"
+    assert json_dumps({fresh: 1}) == '{\n  "a key no other test writes": 1\n}'
+    assert len(table) <= fgw.reportio._KEY_TEXTS_CAP
+    assert fresh not in table

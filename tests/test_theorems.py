@@ -4,6 +4,11 @@ Core claims:
     - check rows carry the pass/fail status, margin, and rendered inequality
     - expected-outcome rows are informational and never fail a report
     - report status is fail > informational > pass; csv rows match the header
+    - a check row is recorded once, as the JSON object it is written as:
+      json_objects() returns the summary, then the rows of report.checks
+      themselves, each with "kind": "check" first
+    - the summary's counts, status and tightest row equal a brute-force
+      recount; on a tie for the smallest margin the first row wins
     - a check with a non-finite side is refused when it is recorded
     - a vanishing left side reports the right side as its margin
     - the weak-type upper/lower certificate passes on sample functions
@@ -21,6 +26,8 @@ Core claims:
       for float, and a report's bytes do not depend on which windows and
       groups were fitted before it
     - float thm4 and thm5 chains keep their values to the last place
+    - thm4's conclusion row is radial_weighted_sum(f, p) bit for bit over
+      the thm1 suite, p = 1.25, 1.5, 1.75
     - thm3's sphere-pair value and thm4's p'-sums, read as integers over
       D, equal their values through Fraction products exactly, on exact,
       float and mixed f
@@ -37,7 +44,7 @@ from hypothesis import strategies as st
 
 import fgw.theorems
 from fgw.cli import THM5_PAIRS
-from fgw.lorentz import rearrange_radial, rearrange_spheres
+from fgw.lorentz import radial_weighted_sum, rearrange_radial, rearrange_spheres
 from fgw.operators import RADIAL_KINDS, SetFamily, candidate_sets, column_l1_sup
 from fgw.oracle import FunctionOnGroup, best_F_ratio, left_convolve, pairing, radial_candidates
 from fgw.radial import RadialFunction, chi, convolve_radial, sphere_product
@@ -145,6 +152,76 @@ def test_tightest_and_summary():
     assert objs[0]["kind"] == "summary"
     assert all(o["kind"] == "check" for o in objs[1:])
     assert len(objs) == 4
+
+
+def _mixed_report(informational=False):
+    rep = VerificationReport("t", {"k": 2}, informational=informational)
+    rep.check_le("a", Fraction(1), Fraction(2))
+    rep.info("i", note="n", value=1.5, margin=0.01)
+    rep.check_le("tie-1", Fraction(4), Fraction(5))
+    rep.check_le("doc", Fraction(9), Fraction(1), expected=False)
+    rep.check_ge("tie-2", 5.0, 4.0, note="same margin as tie-1")
+    rep.check_le("c", 2.5, 7.5)
+    return rep
+
+
+def test_json_objects_are_the_recorded_rows():
+    reports = [
+        _mixed_report(),
+        thm4_lower_chain(chi(CTX, 1), 1.5),
+        verify_lemma1(CTX, SetFamily("balls", 2), 3),
+    ]
+    for rep in reports:
+        objs = rep.json_objects()
+        assert objs[0] == rep.summary()
+        assert len(objs) == len(rep.checks) + 1
+        assert all(obj is row for obj, row in zip(objs[1:], rep.checks))
+        for row in objs[1:]:
+            assert next(iter(row.items())) == ("kind", "check")
+
+
+def _brute_summary(rep):
+    statuses = [c["status"] for c in rep.checks]
+    counts = {s: statuses.count(s) for s in ("pass", "fail", "informational")}
+    if counts["fail"]:
+        status = "fail"
+    else:
+        status = "informational" if rep.informational else "pass"
+    tight = None
+    for c in rep.checks:
+        if c["status"] != "informational" and "margin" in c:
+            if tight is None or c["margin"] < tight["margin"]:
+                tight = c
+    return counts, status, tight
+
+
+@pytest.mark.parametrize("informational", [False, True])
+@pytest.mark.parametrize("fail", [False, True])
+def test_summary_equals_a_brute_force_recount(informational, fail):
+    rep = _mixed_report(informational)
+    if fail:
+        # a failing row's margin is below 1, so these two tie for the smallest
+        rep.check_le("broken-1", 3, 2)
+        rep.check_le("broken-2", 6, 4)
+    counts, status, tight = _brute_summary(rep)
+    summary = rep.summary()
+    assert summary["counts"] == counts == rep.counts()
+    assert summary["status"] == status == rep.status
+    # tie-1 and tie-2 share the smallest margin 5/4, or broken-1 and
+    # broken-2 share 2/3; the first recorded wins
+    first, second = (rep.checks[-2], rep.checks[-1]) if fail else (rep.checks[2], rep.checks[4])
+    assert first["margin"] == second["margin"]
+    assert tight is first
+    assert summary["tightest"] == {k: tight[k] for k in ("id", "inequality", "margin")}
+    assert rep.tightest() is tight
+
+
+def test_summary_of_informational_rows_only():
+    rep = VerificationReport("t", {})
+    rep.info("only", value=1)
+    assert rep.summary()["counts"] == {"pass": 0, "fail": 0, "informational": 1}
+    assert rep.summary()["status"] == "pass"
+    assert "tightest" not in rep.summary()
 
 
 def test_csv_rows_align_with_header():
@@ -287,6 +364,13 @@ def test_thm4_lower_chain_hand_case():
     assert math.isclose(row["rhs"], 76.0 / 3.0)
     assert math.isclose(row["lhs"], (2.0 / 3.0) ** 3 * 9.0)
     assert rep.params["p_prime"] == 3.0
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 1.75])
+def test_thm4_conclusion_is_the_weighted_sum_bit_for_bit(p):
+    for label, f in build_thm1_suite(CTX):
+        row = {c["id"]: c for c in thm4_lower_chain(f, p).checks}["thm4:conclusion"]
+        assert row["weighted_sum"].hex() == radial_weighted_sum(f, p).hex(), label
 
 
 def test_thm4_validates_inputs():
