@@ -47,7 +47,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add, mul
 
 from . import _kernels
 from .errors import BudgetExceededError
@@ -358,7 +358,7 @@ def _sphere_union_sweep(ctx: FreeGroupCtx, fs, fam: SetFamily):
     for mask in _radial_candidates(fam)[0]:
         r = mask.bit_length() - 1
         parents, parent_size = sums[mask ^ (1 << r)]
-        coeffs = [[a + b for a, b in zip(p, g_cols[r])] for p, g_cols in zip(parents, cols)]
+        coeffs = [list(map(add, p, g_cols[r])) for p, g_cols in zip(parents, cols)]
         size = parent_size + sizes[r]
         if r < radius:
             sums[mask] = (coeffs, size)
@@ -366,7 +366,7 @@ def _sphere_union_sweep(ctx: FreeGroupCtx, fs, fam: SetFamily):
 
 
 def chi_pairing_profile(E: ElementSet, F: ElementSet) -> list:
-    """All pairings <chi_l * chi_E, chi_F> for explicit E and F, indexed by l.
+    """All pairings <chi_l * chi_E, chi_F> for explicit E and F, indexed by l, as integers.
 
     One length histogram of the products serves every sphere index, so
     sweeping l costs no more than a single pairing; entries are exact.
@@ -376,11 +376,11 @@ def chi_pairing_profile(E: ElementSet, F: ElementSet) -> list:
     _check_pair_work(E.size, F.size)
     tk = E.ctx.alphabet
     ekeys_inv = [_kernels.inv_key(tk, key) for key in E.keys()]
-    return [Fraction(t) for t in _kernels.prod_len_hist(tk, F.keys(), ekeys_inv)]
+    return _kernels.prod_len_hist(tk, F.keys(), ekeys_inv)
 
 
 def self_pairings(ctx: FreeGroupCtx, fam: SetFamily, k_max: int):
-    """Yield (label, |E|, [<chi_k * chi_E, chi_E> for k <= k_max]) per candidate E, exactly.
+    """Yield (label, |E|, [<chi_k * chi_E, chi_E> for k <= k_max]) per candidate E, as integers.
 
     A radial E sums (chi_k * chi_E)_r |S_r| over its spheres r, from one
     sweep of chi_0 .. chi_k_max, whose coefficients are integers (D = 1);
@@ -391,17 +391,17 @@ def self_pairings(ctx: FreeGroupCtx, fam: SetFamily, k_max: int):
     if fam.kind in RADIAL_KINDS:
         label = _radial_candidates(fam)[1]
         chis = [chi(ctx, k) for k in range(k_max + 1)]
+        sizes = [sphere_size(ctx, r) for r in range(_sweep_radius(fam) + 1)]
         for mask, hs, size in _sphere_union_sweep(ctx, chis, fam):
-            radii = _mask_radii(mask)
-            pairs = [Fraction(sum(h[r] * sphere_size(ctx, r) for r in radii)) for h in hs]
-            yield label(mask), size, pairs
+            weights = [sizes[r] if mask >> r & 1 else 0 for r in range(mask.bit_length())]
+            yield label(mask), size, [sum(map(mul, h, weights)) for h in hs]
         return
     _check_candidates(
         ctx, fam, lambda size: _check_pair_work(size, size), lambda size: size * size
     )
     for E in candidate_sets(ctx, fam):
         profile = chi_pairing_profile(E, E)[: k_max + 1]
-        yield E.label, E.size, profile + [Fraction(0)] * (k_max + 1 - len(profile))
+        yield E.label, E.size, profile + [0] * (k_max + 1 - len(profile))
 
 
 def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
@@ -520,7 +520,7 @@ def _sphere_union_search(f: RadialFunction, fam: SetFamily, score):
     balls = [[0] * top]
     ball_sizes = [0]
     for r, col in enumerate(cols):
-        balls.append([a + b for a, b in zip(balls[-1], col)])
+        balls.append(list(map(add, balls[-1], col)))
         ball_sizes.append(ball_sizes[-1] + sizes[r])
     best = None
     best_value = -math.inf
@@ -540,7 +540,7 @@ def _sphere_union_search(f: RadialFunction, fam: SetFamily, score):
             coeffs = balls[r]
             for i in range(r, radius + 1):
                 if in_mask >> i & 1:
-                    coeffs = [a + b for a, b in zip(coeffs, cols[i])]
+                    coeffs = list(map(add, coeffs, cols[i]))
             u_size = ball_sizes[r] + in_size
             res = score(coeffs, mult, D, u_size)
             value = res[0]
@@ -561,26 +561,25 @@ def _sphere_union_search(f: RadialFunction, fam: SetFamily, score):
 
 
 def _best_prefix(runs, e: float, D):
-    """max_j (a_1 + ... + a_j) / j^e over the runs and the maximizing j.
+    """max_j (a_1 + ... + a_j) / j^e over the runs, 0 < e < 1, and the first maximizing j.
 
-    runs are decreasing (value * D, multiplicity) pairs.  Prefix sums
-    stay in the values' own arithmetic and each candidate divides by D
-    once: for integer sums over an integer D, int / int true division
-    rounds correctly, so the candidate equals float(Fraction(prefix, D))
-    / j^e.
+    runs are decreasing (value * D, multiplicity) pairs; only run ends are
+    scored.  If c terms sum to P before a run of value v, the objective on
+    that run is (A + v j) / j^e with A = P - v c >= 0, whose slope has the
+    sign of v (1 - e) j - e A: it falls, then rises.  So each j inside
+    [c, c + m] is strictly below an end (j = c ends the previous run), and
+    the value and first maximizing j are exactly those of every prefix.
+    Each prefix sum, kept in the values' arithmetic, is divided by D once:
+    int / int true division rounds as float(Fraction(prefix, D)) does.
     """
-    best = 0.0
-    best_j = 0
-    prefix = 0
-    cum = 0
+    best, best_j = 0.0, 0
+    prefix = j = 0
     for v, m in runs:
-        for j in (cum + 1, cum + m):
-            cand = (prefix + v * (j - cum)) / D / float(j) ** e
-            if cand > best:
-                best = cand
-                best_j = j
         prefix += v * m
-        cum += m
+        j += m
+        cand = prefix / D / float(j) ** e
+        if cand > best:
+            best, best_j = cand, j
     return best, best_j
 
 
@@ -643,12 +642,12 @@ def weak_estimate_21_to_2(f: RadialFunction, fam: SetFamily) -> dict:
     require_nonnegative(f)
 
     def reduce_set(values, D, size, label):
-        sq = sum(v * v for v in values.values())
+        sq = sum([v * v for v in values.values()])
         return math.sqrt(sq / (D * D) / size), label
 
     # int / int true division rounds as float(Fraction) does
     def score_radial(coeffs, mult, D, size):
-        sq = sum(c * c * m for c, m in zip(coeffs, mult) if c)
+        sq = sum([c * c * m for c, m in zip(coeffs, mult) if c])
         return (math.sqrt(sq / (D * D) / size),)
 
     value, label = _estimate_over_family(f, fam, reduce_set, score_radial)

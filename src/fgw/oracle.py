@@ -101,15 +101,15 @@ def pairing(f: RadialFunction, E: ElementSet, F: ElementSet) -> Fraction:
 
 
 def best_F_ratio(g, p: float):
-    """max_F <g, chi_F> / |F|^{1/p'} and the optimal prefix length.
+    """max_F <g, chi_F> / |F|^{1/p'} and the optimal prefix length, for 1 < p < inf.
 
     The optimal F is a prefix of the decreasing rearrangement of g, and
-    within a run of equal values the prefix objective is decreasing then
-    increasing, so only run boundaries need checking.  Accepts a sparse
-    function, a radial function, or a ready rearrangement.
+    only run ends need scoring, as operators._best_prefix states and does
+    (at p = inf every prefix of the top run would tie, the first not at an
+    end).  Accepts a sparse function, a radial function or a rearrangement.
     """
-    if not p > 1:
-        raise ValueError("first index p must exceed 1")
+    if not 1 < p < float("inf"):
+        raise ValueError("first index p must exceed 1 and be finite")
     if isinstance(g, Rearrangement):
         r = g
     elif isinstance(g, RadialFunction):

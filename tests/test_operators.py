@@ -9,7 +9,10 @@ Core claims:
     - oracle: left_convolve agrees with the pointwise convolution sum and
       conserves mass
     - oracle: best_F_ratio equals the exhaustive prefix search and
-      dominates subsets
+      dominates subsets, and refuses p = inf
+    - _best_prefix, which scores run ends only, equals the search over
+      every prefix in its own arithmetic, value and j bit for bit, on
+      integer and float runs of up to a million terms each
     - the sphere-union fast path reproduces the per-set oracle estimates
       on every union of spheres in B_3, for a fixed random f
     - radial families agree, in both estimators, lemma1 and r22, with the
@@ -61,7 +64,9 @@ Core claims:
 """
 
 import dataclasses
+import itertools
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -378,6 +383,66 @@ def test_best_F_ratio_accepts_radial_and_rearrangement():
     assert (v1, j1) == (v2, j2)
     with pytest.raises(ValueError):
         best_F_ratio(f, 1.0)
+
+
+def test_best_F_ratio_refuses_an_infinite_index():
+    # at p = inf the top run's prefixes all tie, and the first of them is no run end
+    with pytest.raises(ValueError, match="finite"):
+        best_F_ratio(chi(CTX, 1), math.inf)
+
+
+def _every_prefix(runs_, e, D):
+    """The first best j over every prefix, in _best_prefix's arithmetic.
+
+    Prefix j = c + i inside a run (v, m) after c terms of sum P scores
+    (P + v i) / D / float(j) ** e; the loops run in C (map), so runs of
+    a million terms stay cheap, and the first maximum wins, as with a
+    strict > in j order.
+    """
+    repeat = itertools.repeat
+    best, best_j = 0.0, 0
+    prefix = c = 0
+    for v, m in runs_:
+        sums = map(operator.add, repeat(prefix), map(operator.mul, repeat(v), range(1, m + 1)))
+        roots = map(pow, map(float, range(c + 1, c + m + 1)), repeat(e))
+        cands = list(map(operator.truediv, map(operator.truediv, sums, repeat(D)), roots))
+        top = max(cands)
+        if top > best:
+            best, best_j = top, c + 1 + cands.index(top)
+        prefix += v * m
+        c += m
+    return best, best_j
+
+
+_PREFIX_E = st.sampled_from([1 / 2, 1 / 3, 2 / 3])
+_PREFIX_D = st.sampled_from([1, 7, 60])
+_MULTS = st.lists(st.integers(1, 10**6), min_size=1, max_size=4)
+
+
+@st.composite
+def _int_runs(draw):
+    mults = draw(_MULTS)
+    ints = st.integers(1, 10**9)
+    values = draw(st.lists(ints, min_size=len(mults), max_size=len(mults), unique=True))
+    return list(zip(sorted(values, reverse=True), mults))
+
+
+@st.composite
+def _float_runs(draw):
+    mults = draw(_MULTS)
+    floats = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(floats, min_size=len(mults), max_size=len(mults), unique=True))
+    return list(zip(sorted(values, reverse=True), mults))
+
+
+@settings(max_examples=40, deadline=None)
+@given(runs_=st.one_of(_int_runs(), _float_runs()), e=_PREFIX_E, D=_PREFIX_D)
+# an exact tie of two run ends, j = 1 and j = 4 at 2.0: the first wins
+@example(runs_=[(6, 1), (2, 3)], e=1 / 2, D=3)
+def test_best_prefix_equals_every_prefix_bit_for_bit(runs_, e, D):
+    # run ends only: a run's first prefix never beats the larger of the
+    # previous run's end and its own, and neither does any inner prefix
+    assert ops._best_prefix(runs_, e, D) == _every_prefix(runs_, e, D)
 
 
 # -- Estimators --------------------------------------------------------------

@@ -16,6 +16,8 @@ Core claims:
     - on spheres, balls, sphere unions, ball subsets and random subsets,
       lemma1 and r22 rows equal their per-set Fraction oracles, under any
       budget and index range, the empty set included
+    - lemma1 decides each row on the integer pairings, with the verdict
+      of the exact Fraction comparison, and its rows keep Fraction lhs
     - theorems states inequalities only: it imports no private name of
       operators or radial and leaves the family fork to operators
     - the thm4 chain matches a hand-computed case exactly
@@ -42,6 +44,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fgw.operators
 import fgw.theorems
 from fgw.cli import THM5_PAIRS
 from fgw.lorentz import radial_weighted_sum, rearrange_radial, rearrange_spheres
@@ -263,6 +266,25 @@ def test_verify_lemma1_small():
     assert rep.ok
     assert rep.counts()["pass"] == 50 * 7
     assert rep.tightest()["margin"] >= 1.0
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [SetFamily("sphere-unions", 6), SetFamily("ball-subsets", 1, budget=32)],
+    ids=lambda fam: fam.kind,
+)
+def test_lemma1_integer_verdict_equals_the_fraction_comparison(fam):
+    # the pairings are integers, compared as such; each row still shows its
+    # lhs as a Fraction and takes the status the exact Fraction test gives
+    assert all(
+        type(x) is int for _, _, pairs in fgw.operators.self_pairings(CTX, fam, 8) for x in pairs
+    )
+    rep = verify_lemma1(CTX, fam, 8)
+    assert len(rep.checks) == 9 * (127 if fam.kind == "sphere-unions" else 32)
+    for c in rep.checks:
+        assert type(c["lhs"]) is Fraction and type(c["rhs"]) is int
+        assert c["status"] == ("pass" if c["lhs"] <= c["rhs"] else "fail")
+    assert rep.ok
 
 
 def test_verify_r22_small():
