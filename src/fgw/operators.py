@@ -467,11 +467,11 @@ def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_r
         lambda size: _check_convolution_work(ctx, scaled, size),
         lambda size: sphere_work * size,
     )
+    # no family is empty: ball-subsets passes its subset-count check only if 2^|B| <= budget,
+    # so mask 1, one word, is a candidate; every random-subsets draw has size >= 1; greedy's
+    # first round (budget >= 1) scores every word of a nonempty ball
     results = (objective(E) for E in candidate_sets(ctx, fam) if E.size > 0)
-    best = max(results, key=lambda res: res[0], default=None)
-    if best is None:
-        raise ValueError("empty candidate family")
-    return best
+    return max(results, key=lambda res: res[0])
 
 
 def _sweep_best(f: RadialFunction, fam: SetFamily, score):
@@ -607,8 +607,6 @@ def _greedy_search(objective, ctx: FreeGroupCtx, fam: SetFamily):
             break
         best = round_best
         chosen.append(round_key)
-    if best is None:
-        raise ValueError("empty candidate family")
     return best
 
 

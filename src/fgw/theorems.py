@@ -23,9 +23,10 @@ lorentz.rearrange_spheres, and its denominators ||f_n||_(2,s) come from
 one prefix pass over the longest f's runs (lorentz_prefix_norms); these
 runs do not depend on (s, t) and are built once per fit window.  The
 pk and qn verdicts are the column reports' exact ok, and lemma1's its
-integer comparison, passed to check_le as holds; every other verdict
-has a float side.  The argument checks (require_*) are public, so the
-CLI can run them before any verifier.
+integer comparison, and thm4's chain rows' float comparison at relative
+tolerance THM4_REL_TOL, passed to check_le as holds; every other verdict
+is a plain lhs <= rhs with a float side.  The argument checks (require_*)
+are public, so the CLI can run them before any verifier.
 Numbers in check ids, inequality texts and CSV parameter blocks are
 written by reportio (render_number, render_param).  check_le and info
 record each check row once, as the JSON object it is written as, with
@@ -83,12 +84,6 @@ def _margin(lhs, rhs) -> float:
     return rhs / lhs if lhs > 0 else rhs
 
 
-def _holds_le(lhs, rhs, rel_tol: float) -> bool:
-    if rel_tol:
-        return float(lhs) <= float(rhs) * (1.0 + rel_tol)
-    return lhs <= rhs
-
-
 @dataclass
 class VerificationReport:
     """Per-instance check rows plus the run's parameter block."""
@@ -98,14 +93,14 @@ class VerificationReport:
     checks: list = field(default_factory=list)
     informational: bool = False
 
-    def check_le(self, check_id, lhs, rhs, rel_tol=0.0, note=None, expected=None, holds=None):
+    def check_le(self, check_id, lhs, rhs, note=None, expected=None, holds=None):
         """Record the inequality lhs <= rhs; expected overrides pass/fail.
 
-        holds, when given, is the verdict, decided exactly by the caller;
-        lhs and rhs are then only rendered.  A non-finite side raises
+        holds, when given, is the verdict, decided by the caller; lhs
+        and rhs are then only rendered.  A non-finite side raises
         ValueError here, as reportio.render_number refuses it.
         """
-        ok = _holds_le(lhs, rhs, rel_tol) if holds is None else holds
+        ok = lhs <= rhs if holds is None else holds
         status = "pass" if ok else "fail"
         if expected is not None:
             status = "informational"
@@ -126,9 +121,9 @@ class VerificationReport:
         self.checks.append(row)
         return ok
 
-    def check_ge(self, check_id, lhs, rhs, rel_tol=0.0, note=None, expected=None):
+    def check_ge(self, check_id, lhs, rhs, note=None, expected=None, holds=None):
         """Record the inequality lhs >= rhs (normalized to rhs <= lhs)."""
-        return self.check_le(check_id, rhs, lhs, rel_tol=rel_tol, note=note, expected=expected)
+        return self.check_le(check_id, rhs, lhs, note=note, expected=expected, holds=holds)
 
     def info(self, check_id, note=None, **values):
         row = {"kind": "check", "id": check_id, "status": "informational"}
@@ -389,7 +384,11 @@ def require_thm4_index(p: float) -> None:
         raise ValueError("p must lie in (1, 2)")
 
 
-def thm4_lower_chain(f: RadialFunction, p: float, rel_tol: float = 1e-9) -> VerificationReport:
+#: Relative tolerance of thm4's chain rows, the only verdicts compared at one.
+THM4_REL_TOL = 1e-9
+
+
+def thm4_lower_chain(f: RadialFunction, p: float) -> VerificationReport:
     """q^{-n} ||f * chi_n||_{p'}^{p'} >= (2/3)^{p'} sum_{l<=n} q^{lp'/p} f_l^{p'}.
 
     Checked for n = deg f .. deg f + 3 with exact convolution; at
@@ -402,7 +401,7 @@ def thm4_lower_chain(f: RadialFunction, p: float, rel_tol: float = 1e-9) -> Veri
     q = float(ctx.q)
     pp = p / (p - 1.0)
     report = VerificationReport(
-        "thm4", {"k": ctx.k, "f": str(f), "p": p, "p_prime": pp, "rel_tol": rel_tol}
+        "thm4", {"k": ctx.k, "f": str(f), "p": p, "p_prime": pp, "rel_tol": THM4_REL_TOL}
     )
     if f.is_zero():
         report.info("thm4:zero", note="zero function; nothing to check")
@@ -419,7 +418,7 @@ def thm4_lower_chain(f: RadialFunction, p: float, rel_tol: float = 1e-9) -> Veri
             f"thm4:n={n}",
             lhs,
             slack * target,
-            rel_tol=rel_tol,
+            holds=slack * target <= lhs * (1.0 + THM4_REL_TOL),
             note="q^{-n}||f*chi_n||_{p'}^{p'} vs (2/3)^{p'} sum q^{lp'/p} f_l^{p'}",
         )
     report.info(
@@ -623,8 +622,9 @@ def conjecture_scan(ctx: FreeGroupCtx, s_grid=None, fam: SetFamily = None) -> Ve
     return report
 
 
-def verify_display_majorization(ctx: FreeGroupCtx, nm_max: int = 12) -> VerificationReport:
-    """exact <= display <= 2 * exact on every admissible triple."""
+def verify_display_majorization(ctx: FreeGroupCtx) -> VerificationReport:
+    """exact <= display <= 2 * exact on every admissible triple with n, m <= 12."""
+    nm_max = 12
     report = VerificationReport("display", {"k": ctx.k, "nm_max": nm_max})
     worst = None
     triples = 0

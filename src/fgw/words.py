@@ -22,13 +22,13 @@ from typing import Iterator, Sequence
 from . import _kernels
 from .errors import BudgetExceededError
 
-#: Default guard on single-sphere/ball enumeration (element count).
+#: Guard on single-sphere/ball enumeration (element count).
 SPHERE_CAP = 10**7
 
-#: Default guard on all-pairs products (ordered pair count).
+#: Guard on all-pairs products (ordered pair count).
 PAIR_BUDGET = 2 * 10**7
 
-#: Default guard on an explicit family's pairs, summed over its candidates.
+#: Guard on an explicit family's pairs, summed over its candidates.
 FAMILY_PAIR_BUDGET = 10 * PAIR_BUDGET
 
 
@@ -111,7 +111,7 @@ class ReducedWord:
         return not self.letters
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        """Deterministic (length, lex) order used everywhere sets are sorted."""
+        """Deterministic (length, lex) order; the certifiers sort integer keys (ElementSet)."""
         return (len(self.letters), self.letters)
 
 
@@ -166,27 +166,23 @@ def ball_size(ctx: FreeGroupCtx, radius: int) -> int:
     return sum(sphere_size(ctx, n) for n in range(radius + 1))
 
 
-def sphere_stream(
-    ctx: FreeGroupCtx, n: int, cap: int = SPHERE_CAP
-) -> Iterator[ReducedWord]:
+def sphere_stream(ctx: FreeGroupCtx, n: int) -> Iterator[ReducedWord]:
     """All reduced words of length n, in lexicographic order on letter codes."""
     size = sphere_size(ctx, n)
-    if size > cap:
-        raise BudgetExceededError(f"sphere S_{n} (k={ctx.k})", size, cap)
+    if size > SPHERE_CAP:
+        raise BudgetExceededError(f"sphere S_{n} (k={ctx.k})", size, SPHERE_CAP)
     tk = ctx.alphabet
     for key in _kernels.iter_sphere_keys(tk, n):
         yield ReducedWord(ctx, _kernels.decode_word(tk, key))
 
 
-def ball_stream(
-    ctx: FreeGroupCtx, radius: int, cap: int = SPHERE_CAP
-) -> Iterator[ReducedWord]:
+def ball_stream(ctx: FreeGroupCtx, radius: int) -> Iterator[ReducedWord]:
     """Words of length <= radius in (length, lex) order."""
     size = ball_size(ctx, radius)
-    if size > cap:
-        raise BudgetExceededError(f"ball B_{radius} (k={ctx.k})", size, cap)
+    if size > SPHERE_CAP:
+        raise BudgetExceededError(f"ball B_{radius} (k={ctx.k})", size, SPHERE_CAP)
     for n in range(radius + 1):
-        yield from sphere_stream(ctx, n, cap=cap)
+        yield from sphere_stream(ctx, n)
 
 
 def word_to_str(x: ReducedWord) -> str:

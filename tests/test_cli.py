@@ -55,7 +55,7 @@ import time
 
 import pytest
 
-import fgw
+import fgw.words
 from fgw.cli import main
 from fgw.reportio import json_dumps
 from fgw.words import FreeGroupCtx, sphere_size
@@ -332,7 +332,7 @@ def test_ball_subsets_family_past_its_summed_pair_budget_exits_2(capsys, monkeyp
     assert captured.out == ""
     assert captured.err == (
         f"error: budget exceeded: family pair enumeration needs {need}, "
-        f"cap is {fgw.FAMILY_PAIR_BUDGET}\n"
+        f"cap is {fgw.words.FAMILY_PAIR_BUDGET}\n"
     )
     assert elapsed < 1.0
 

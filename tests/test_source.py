@@ -1,13 +1,16 @@
 """Source hygiene of the fgw package, checked on its syntax trees.
 
 Core claims:
-    - no module of fgw other than __init__ (which re-exports) imports a
-      name that it never uses
+    - no module of fgw imports a name that it never uses, and __init__
+      imports nothing at all
     - the one product loop, radial._product_sums, is called only inside
       radial, and theorems reads its products through sphere_product,
       never through convolve_radial
     - the ground truth stays out of the certifier paths: only cli (for
-      convolve --oracle) and __init__ (which re-exports) import oracle
+      convolve --oracle) imports oracle; in a fresh interpreter, import
+      fgw loads no submodule, and importing every certifier module (words,
+      radial, lorentz, operators, theorems, reportio) leaves fgw.oracle
+      unloaded
     - every top-level function of _kernels is called in fgw outside
       oracle, so no kernel is kept alive by the oracle or the tests alone
     - report text has one writer: no module of fgw imports csv, and only
@@ -20,6 +23,9 @@ with the standard library's ast.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,7 +33,7 @@ import pytest
 import fgw
 
 PACKAGE = Path(fgw.__file__).parent
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -97,13 +103,42 @@ def test_imported_modules_are_found():
     assert imported_modules(source) == {"b", "c", "e", "f"}
 
 
-def test_only_cli_and_init_import_the_oracle():
-    importers = [
-        p.name
-        for p in sorted(PACKAGE.glob("*.py"))
-        if "oracle" in imported_modules(p.read_text(encoding="utf-8"))
-    ]
-    assert importers == ["__init__.py", "cli.py"]
+def test_init_has_no_import_statement():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_only_cli_imports_the_oracle():
+    importers = [p.name for p in MODULES if "oracle" in imported_modules(p.read_text(encoding="utf-8"))]
+    assert importers == ["cli.py"]
+
+
+def loaded_after(statement: str) -> list:
+    """The fgw modules a fresh interpreter holds after running statement."""
+    path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
+    code = (
+        f"import sys\n{statement}\n"
+        "print(*sorted(m for m in sys.modules if m == 'fgw' or m.startswith('fgw.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    return done.stdout.split()
+
+
+def test_import_fgw_loads_no_submodule():
+    assert loaded_after("import fgw") == ["fgw"]
+
+
+def test_certifier_modules_leave_the_oracle_unloaded():
+    certifiers = ("words", "radial", "lorentz", "operators", "theorems", "reportio")
+    loaded = loaded_after("import " + ", ".join(f"fgw.{name}" for name in certifiers))
+    assert {f"fgw.{name}" for name in certifiers} <= set(loaded)
+    assert "fgw.oracle" not in loaded
 
 
 def test_every_kernel_is_called_outside_the_oracle():
@@ -133,7 +168,7 @@ def test_absolute_imports_are_found():
 
 
 def test_only_reportio_writes_report_text():
-    sources = {p.name: absolute_imports(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    sources = {p.name: absolute_imports(p.read_text(encoding="utf-8")) for p in MODULES}
     importers = {mod: [name for name, mods in sources.items() if mod in mods] for mod in ("csv", "json")}
     assert importers == {"csv": [], "json": ["reportio.py"]}
 
@@ -180,5 +215,5 @@ def test_orphans_are_found():
 
 
 def test_every_private_definition_is_used():
-    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     assert orphans(sources) == []
