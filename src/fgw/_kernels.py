@@ -6,7 +6,11 @@ lowest digit.  A key of length n lies in [(2k)^n, 2 (2k)^n), so, as 2k >= 4,
 numeric key order is the (length, lex) order of the words, and sorting keys
 sorts words.  Keys are plain Python integers, so words of any length fit.
 
-Every function here serves a certifier path: the sphere odometer, key
+S_n is S_{n-1} with each word extended by every letter but the inverse of
+its last, in ascending order.  A key's extensions fill [key*2k, key*2k + 2k)
+and these intervals ascend with the key, so S_n comes out in key order.
+
+Every function here serves a certifier path: the sphere rule, key
 encoding and inversion, and the pair kernels of the explicit families,
 prod_len_hist (pairings), and sphere_image, one word's image under S_n,
 which count_images counts for every set (estimators and r22).  The
@@ -54,36 +58,17 @@ def inv_key(two_k: int, key: int) -> int:
 
 
 def iter_sphere_keys(two_k: int, n: int) -> Iterator[int]:
-    """Keys of all reduced words of length n, lazily, in lexicographic order.
-
-    The one sphere odometer.  pre[j] is the key of the first j letters,
-    so a step re-keys only the positions it changed.
-    """
+    """Keys of all reduced words of length n, lazily, in lexicographic order."""
     if n == 0:
         yield 1
         return
-    word = [0] * n
-    pre = [1] * (n + 1)
-    i = -1
-    while True:
-        # the positions after i restart at the smallest letters allowed
-        for j in range(i + 1, n):
-            word[j] = 1 if j and word[j - 1] == 1 else 0
-            pre[j + 1] = pre[j] * two_k + word[j]
-        yield pre[n]
-        # bump the rightmost position that still can grow
-        i = n - 1
-        while i >= 0:
-            c = word[i] + 1
-            if i and c == word[i - 1] ^ 1:
-                c += 1
-            if c < two_k:
-                word[i] = c
-                pre[i + 1] = pre[i] * two_k + c
-                break
-            i -= 1
-        else:
-            return
+    for key in iter_sphere_keys(two_k, n - 1):
+        # the empty word (key 1) has no last letter to skip
+        skip = (key % two_k) ^ 1 if key > 1 else -1
+        base = key * two_k
+        for c in range(two_k):
+            if c != skip:
+                yield base + c
 
 
 def sphere_keys(two_k: int, n: int) -> list[int]:

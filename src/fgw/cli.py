@@ -24,7 +24,13 @@ from .operators import (
     weak_estimate_21_to_2,
 )
 from .oracle import oracle_convolve
-from .radial import chi, convolve_radial, format_radial_literal, parse_radial_literal
+from .radial import (
+    chi,
+    convolve_radial,
+    format_radial_literal,
+    parse_radial_literal,
+    require_conjecture_index,
+)
 from .reportio import json_dumps, write_csv, write_json
 from .theorems import (
     build_thm1_suite,
@@ -308,6 +314,8 @@ def cmd_conjecture(args) -> int:
         s_grid = [float(tok) for tok in args.s_grid.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"malformed s grid {args.s_grid!r}: {exc}") from None
+    for s in s_grid:
+        _option_check("--s-grid", require_conjecture_index, s)
     report = conjecture_scan(ctx, s_grid=s_grid, fam=fam)
     return _finish(args, [report])
 

@@ -362,6 +362,12 @@ def a_functional(f: RadialFunction):
     return float(even) + float(odd) * math.sqrt(f.ctx.q)
 
 
+def require_conjecture_index(s: float) -> None:
+    """The conjecture functional is stated for 1 <= s <= 2."""
+    if not 1 <= s <= 2:
+        raise ValueError("s must lie in [1, 2]")
+
+
 def conjecture_functional(f: RadialFunction, s: float, exponent_sign: int = 1) -> float:
     """sum_{n,m} f_n f_m q^{(n+m)/2} {1 + min(n^{1/s'}, m^{1/s'})}, s' = s/(s-1).
 
@@ -372,8 +378,7 @@ def conjecture_functional(f: RadialFunction, s: float, exponent_sign: int = 1) -
     exponent_sign = -1 evaluates the variant with q^{-(n+m)/2} so
     reports can show both.
     """
-    if not 1 <= s <= 2:
-        raise ValueError("s must lie in [1, 2]")
+    require_conjecture_index(s)
     if exponent_sign not in (1, -1):
         raise ValueError("exponent_sign must be +1 or -1")
     require_nonnegative(f)

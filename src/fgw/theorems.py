@@ -68,6 +68,7 @@ from .radial import (
     chi,
     conjecture_functional,
     paper_display_coefficient,
+    require_conjecture_index,
     require_nonnegative,
     sphere_product,
     sphere_product_norm_squared,
@@ -589,6 +590,8 @@ def conjecture_scan(ctx: FreeGroupCtx, s_grid=None, fam: SetFamily = None) -> Ve
     """
     if s_grid is None:
         s_grid = [1.0, 1.25, 1.5, 1.75, 2.0]
+    for s in s_grid:
+        require_conjecture_index(s)
     if fam is None:
         fam = SetFamily("sphere-unions", default_radius(ctx))
     fns = _spheres_and_decays(ctx)

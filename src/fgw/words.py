@@ -8,9 +8,9 @@ branching number of the Cayley tree.
 
 Enumeration is lexicographic on letter codes and stable across runs; it is
 the order all golden files and deterministic searches rely on.  Spheres
-are enumerated by the one odometer in _kernels, over integer keys, and
-decoded here; ReducedWord is the form words take where they are parsed,
-printed or passed through the public API.
+are built in _kernels, each from the one below it, over integer keys,
+and decoded here; ReducedWord is the form words take where they are
+parsed, printed or passed through the public API.
 """
 
 from __future__ import annotations
@@ -106,9 +106,6 @@ class ReducedWord:
 
     def __repr__(self) -> str:
         return f"ReducedWord(k={self.ctx.k}, {word_to_str(self) or 'e'!r})"
-
-    def is_identity(self) -> bool:
-        return not self.letters
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         """Deterministic (length, lex) order; the certifiers sort integer keys (ElementSet)."""

@@ -10,6 +10,9 @@ Core claims:
       witnesses
     - every invocation in golden/report_digests.json prints stdout with
       the recorded sha256 and exits with the recorded code
+    - `python -m fgw.cli verify all`, as JSON and as CSV, prints its
+      recorded bytes under PYTHONHASHSEED=0 and =1: no report byte depends
+      on the interpreter's string hashing
 
 Each check reads its parameters from the golden file, so the file is
 the single record of the scale it was frozen at.  The Q-column table
@@ -19,10 +22,14 @@ radius.  A report digest changes only in a change that says why.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fgw
 from fgw.cli import main
 from fgw.operators import SetFamily, restricted_weak_estimate
 from fgw.radial import chi
@@ -101,6 +108,24 @@ def test_report_bytes_match_digest(capsys, golden):
     code = main(golden["args"])
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode("utf-8")).hexdigest(), code) == (
+        golden["sha256"],
+        golden["exit"],
+    )
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+@pytest.mark.parametrize("args", [["verify", "all"], ["verify", "all", "--format", "csv"]])
+def test_report_bytes_do_not_depend_on_the_hash_seed(args, hash_seed):
+    (golden,) = [g for g in REPORT_DIGESTS if g["args"] == args]
+    # the child imports the same fgw as the tests, installed or not
+    src = str(Path(fgw.__file__).parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fgw.cli", *args],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+    )
+    assert (hashlib.sha256(proc.stdout).hexdigest(), proc.returncode) == (
         golden["sha256"],
         golden["exit"],
     )

@@ -13,6 +13,8 @@ Core claims:
       --max-degree -1 and the removed --threads option exit 2
     - bad --samples, --max-degree, --p, --s, --t, --f and fit windows
       exit 2 with a message naming the option, before any verifier runs
+    - conjecture with an --s-grid value outside [1, 2] exits 2 with a
+      message naming --s-grid, before any estimate runs
     - verify all leaves the chi, sphere_size and product-row caches holding
       only the indices it used, and thm5's memo holding its one fit window,
       so repeated runs do not grow them
@@ -671,6 +673,23 @@ def test_conjecture_always_informational(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "id,params,lhs,rhs,margin,status"
     assert all(line.rsplit(",", 1)[-1] == "informational" for line in lines[1:])
+
+
+def test_conjecture_s_grid_fires_before_any_estimate(capsys, monkeypatch):
+    import fgw.theorems
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an estimate ran before the --s-grid check")
+
+    monkeypatch.setattr(fgw.theorems, "restricted_weak_estimate", no_work)
+    args = ["--family", "random-subsets", "--radius", "4", "--budget", "200000"]
+    for grid in ("3", "1,3"):
+        code = main(["conjecture", "--s-grid", grid, *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --s-grid:")
+        assert "s must lie in [1, 2]" in captured.err
 
 
 # -- output file ---------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Core claims:
     - key encode/decode round trips and preserves lexicographic sphere order
-    - the one sphere odometer lists every reduced word once, in lex order
+    - the sphere rule lists every reduced word once, in lex order, for
+      2k in {4, 6, 8}, and yields a^n first without building S_n
     - inv/len on keys agree with the ReducedWord layer
     - prod_len_hist matches a brute-force double loop over ReducedWord mul
     - counting sphere_image's images (count_images) matches brute force
@@ -61,9 +62,9 @@ def test_key_ops_match_word_layer():
 
 
 def test_sphere_keys_match_stream():
-    for k in (2, 3):
+    for k in (2, 3, 4):
         ctx = FreeGroupCtx(k)
-        for n in range(0, 6):
+        for n in range(0, 7):
             want = _keys(ctx, sphere_stream(ctx, n))
             assert _kernels.sphere_keys(ctx.alphabet, n) == want
             # every letter string, keep the reduced ones, in lex order
@@ -73,6 +74,11 @@ def test_sphere_keys_match_stream():
                 if all(a != b ^ 1 for a, b in zip(letters, letters[1:]))
             ]
             assert want == brute
+
+
+def test_sphere_keys_are_lazy():
+    # S_200 of F_2 has 4 * 3^199 words; the first is a^200
+    assert next(_kernels.iter_sphere_keys(4, 200)) == 4**200
 
 
 def test_prod_len_hist_matches_brute_force():

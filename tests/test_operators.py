@@ -53,6 +53,8 @@ Core claims:
     - the column cutoff is the last length the oracle's pointwise rule
       accepts, and the accepted lengths form an initial segment
     - q_alpha_sweep equals per-alpha column scans
+    - on the half grid, n <= 16 and k in {2, 3}, the Q bound fails exactly
+      where alpha < 0 and the whole sphere's mass exceeds it
     - the closed-form column rows equal the word-layer length histograms
     - column sups run far past any enumerable ball, P_k reaching q^[k/2]
     - the full-cancellation witness breaks the Q bound at alpha = n >= 4
@@ -1070,6 +1072,23 @@ def test_q_alpha_sweep_matches_single_scans():
     for alpha, row in zip(alphas, rows):
         single = column_l1_sup("Q", {"n": 3, "alpha": alpha}, 3, CTX)
         assert row == single
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_q_bound_fails_exactly_where_negative_alpha_meets_the_whole_sphere(k):
+    # |S_n| = (q+1) q^(n-1) > q^(3/2 - alpha + n/2) iff
+    # alpha > 5/2 - n/2 - log_q(q+1); at alpha < 0 some column accepts
+    # the whole sphere, at alpha >= 0 the bound holds
+    ctx = FreeGroupCtx(k)
+    q = ctx.q
+    failures = 0
+    for n in range(17):
+        alphas = [tw / 2 for tw in range(-n, n + 1)]
+        for alpha, row in zip(alphas, q_alpha_sweep(ctx, n, alphas, radius=4 * n + 10)):
+            fails = alpha < 0 and alpha > 2.5 - n / 2 - math.log(q + 1, q)
+            assert row["ok"] is not fails, (n, alpha)
+            failures += fails
+    assert failures == 91
 
 
 @settings(max_examples=300, deadline=None)
