@@ -20,6 +20,8 @@ from .operators import (
     FAMILY_KINDS,
     SetFamily,
     default_radius,
+    require_prefix_sups_budget,
+    require_self_pairings_budget,
     restricted_weak_estimate,
     weak_estimate_21_to_2,
 )
@@ -133,10 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ctx(args) -> FreeGroupCtx:
-    return FreeGroupCtx(args.k)
-
-
 def _family(args, ctx: FreeGroupCtx) -> SetFamily:
     radius = args.radius if args.radius is not None else default_radius(ctx)
     return SetFamily(args.family, radius, budget=args.budget, seed=args.seed)
@@ -170,7 +168,7 @@ def _finish(args, reports) -> int:
 
 
 def cmd_convolve(args) -> int:
-    ctx = _ctx(args)
+    ctx = FreeGroupCtx(args.k)
     if args.format == "csv":
         raise ValueError("convolve emits JSON only")
     if args.n < 0 or args.m < 0:
@@ -184,7 +182,7 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    ctx = _ctx(args)
+    ctx = FreeGroupCtx(args.k)
     if args.format == "csv":
         raise ValueError("norms emits JSON only")
     s = float(args.s)
@@ -204,7 +202,7 @@ def cmd_norms(args) -> int:
 
 
 def cmd_search(args) -> int:
-    ctx = _ctx(args)
+    ctx = FreeGroupCtx(args.k)
     fam = _family(args, ctx)
     f = parse_radial_literal(ctx, args.f)
     if args.estimator == "restricted":
@@ -258,6 +256,12 @@ def _verify_reports(args, ctx: FreeGroupCtx, target: str) -> list:
         else:
             suite = build_thm1_suite(ctx, seed=args.seed)
     fam = _family(args, ctx)
+    # and an explicit family's pair budgets, before its ball is built
+    if target in ("lemma1", "all"):
+        require_self_pairings_budget(ctx, fam)
+    if target in ("r22", "all"):
+        r22_n_max = args.n_max if args.n_max is not None else 8
+        require_prefix_sups_budget(ctx, fam, r22_n_max)
     reports = []
     if target in ("lemma1", "all"):
         k_max = args.k_max if args.k_max is not None else 8
@@ -268,8 +272,7 @@ def _verify_reports(args, ctx: FreeGroupCtx, target: str) -> list:
             rep.params["label"] = label
             reports.append(rep)
     if target in ("r22", "all"):
-        n_max = args.n_max if args.n_max is not None else 8
-        reports.append(verify_r22(ctx, fam, n_max))
+        reports.append(verify_r22(ctx, fam, r22_n_max))
     if target in ("thm3", "all"):
         reports.append(
             thm3_equivalence_report(
@@ -302,13 +305,13 @@ def _verify_reports(args, ctx: FreeGroupCtx, target: str) -> list:
 
 
 def cmd_verify(args) -> int:
-    ctx = _ctx(args)
+    ctx = FreeGroupCtx(args.k)
     reports = _verify_reports(args, ctx, args.target)
     return _finish(args, reports)
 
 
 def cmd_conjecture(args) -> int:
-    ctx = _ctx(args)
+    ctx = FreeGroupCtx(args.k)
     fam = _family(args, ctx)
     try:
         s_grid = [float(tok) for tok in args.s_grid.split(",") if tok.strip()]

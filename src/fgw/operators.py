@@ -34,11 +34,11 @@ Every decreasing rearrangement is built by lorentz.runs.  self_pairings
 (lemma1) and prefix_sups (r22) hold the verifiers' mask-or-explicit
 fork, so theorems only states inequalities.  The column sups of the
 truncated sphere operators (column_l1_sup, q_alpha_sweep) come in closed
-form from the structure constants, by one rule for both kinds: P_k is
-Q_k at alpha = 0, and each column mass is a prefix of its length
-histogram up to one exact cutoff (_accepted_cutoff).  Every function
-here is on a certifier path; the enumerated ground truth they are
-tested against lives in fgw.oracle.
+form, by one rule for both kinds: P_k is Q_k at alpha = 0, and the
+column at |x| = m keeps the w in S_n with |wx| up to one exact cutoff
+(_accepted_cutoff), which are |S_n|, q^(n-J) or no words (_column_mass).
+Every function here is on a certifier path; the enumerated ground truth
+they are tested against lives in fgw.oracle.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .radial import (
     chi,
     require_nonnegative,
     sphere_product,
-    structure_constant,
 )
 from .words import (
     FAMILY_PAIR_BUDGET,
@@ -222,9 +221,10 @@ def _check_candidates(ctx: FreeGroupCtx, fam: SetFamily, check, work) -> None:
     FAMILY_PAIR_BUDGET: exactly, sum_s C(|B|, s) work(s), for
     ball-subsets, and as budget * work(|B|) for random-subsets, whose
     draws hold at most the ball, so no draw is replayed for it.  greedy
-    is adaptive and is checked by the estimators.
+    is adaptive and is checked by the estimators, and a radial family
+    has nothing to check.
     """
-    if fam.kind == "greedy":
+    if fam.kind not in ("ball-subsets", "random-subsets"):
         return
     if fam.kind == "ball-subsets":
         _subset_count_check(ctx, fam)
@@ -379,14 +379,30 @@ def chi_pairing_profile(E: ElementSet, F: ElementSet) -> list:
     return _kernels.prod_len_hist(tk, F.keys(), ekeys_inv)
 
 
+def require_self_pairings_budget(ctx: FreeGroupCtx, fam: SetFamily) -> None:
+    """self_pairings' check of an explicit family's |E|^2 pairs; it builds no ball."""
+    _check_candidates(ctx, fam, lambda size: _check_pair_work(size, size), lambda size: size**2)
+
+
+def require_prefix_sups_budget(ctx: FreeGroupCtx, fam: SetFamily, n_max: int) -> None:
+    """prefix_sups' check of an explicit family's |S_n| |E| pairs, n <= n_max; it builds no ball."""
+
+    # ((n, 1),) is chi_n's scaled form: the check counts |S_n| |E| pairs
+    def check(size):
+        for n in range(n_max + 1):
+            _check_convolution_work(ctx, ((n, 1),), size)
+
+    sphere_work = sum(sphere_size(ctx, n) for n in range(n_max + 1))
+    _check_candidates(ctx, fam, check, lambda size: sphere_work * size)
+
+
 def self_pairings(ctx: FreeGroupCtx, fam: SetFamily, k_max: int):
     """Yield (label, |E|, [<chi_k * chi_E, chi_E> for k <= k_max]) per candidate E, as integers.
 
     A radial E sums (chi_k * chi_E)_r |S_r| over its spheres r, from one
     sweep of chi_0 .. chi_k_max, whose coefficients are integers (D = 1);
     an explicit E reads chi_pairing_profile(E, E), padded or cut to
-    k_max + 1 entries.  An explicit family's |E|^2 pairs are checked for
-    every candidate before the ball is built.
+    k_max + 1 entries, once require_self_pairings_budget has passed.
     """
     if fam.kind in RADIAL_KINDS:
         label = _radial_candidates(fam)[1]
@@ -396,9 +412,7 @@ def self_pairings(ctx: FreeGroupCtx, fam: SetFamily, k_max: int):
             weights = [sizes[r] if mask >> r & 1 else 0 for r in range(mask.bit_length())]
             yield label(mask), size, [sum(map(mul, h, weights)) for h in hs]
         return
-    _check_candidates(
-        ctx, fam, lambda size: _check_pair_work(size, size), lambda size: size * size
-    )
+    require_self_pairings_budget(ctx, fam)
     for E in candidate_sets(ctx, fam):
         profile = chi_pairing_profile(E, E)[: k_max + 1]
         yield E.label, E.size, profile + [0] * (k_max + 1 - len(profile))
@@ -409,9 +423,9 @@ def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
 
     Each sup is the best prefix of the runs of chi_n * chi_E, whose values
     are integers: radial sweep coefficients, or the kernel's pair counts.
-    An explicit family's |S_n| |E| pairs, n <= n_max, are checked for
-    every candidate before the ball is built.  It is then swept once, set
-    by set, with one memo of sphere images for the whole call.
+    An explicit family passes require_prefix_sups_budget before its ball
+    is built, and is then swept once, set by set, with one memo of sphere
+    images for the whole call.
     """
     if fam.kind in RADIAL_KINDS:
         label = _radial_candidates(fam)[1]
@@ -420,13 +434,7 @@ def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
         for mask, hs, size in _sphere_union_sweep(ctx, chis, fam):
             yield label(mask), size, [_best_prefix(runs(zip(h, mult)), 0.5, 1)[0] for h in hs]
         return
-    # ((n, 1),) is chi_n's scaled form: the check counts |S_n| |E| pairs
-    def check(size):
-        for n in range(n_max + 1):
-            _check_convolution_work(ctx, ((n, 1),), size)
-
-    sphere_work = sum(sphere_size(ctx, n) for n in range(n_max + 1))
-    _check_candidates(ctx, fam, check, lambda size: sphere_work * size)
+    require_prefix_sups_budget(ctx, fam, n_max)
     images = _SphereImages(ctx.alphabet)
     for E in candidate_sets(ctx, fam):
         counts = (Counter(images.counts(n, E.keys()).values()) for n in range(n_max + 1))
@@ -667,35 +675,29 @@ def _accepted_cutoff(q: int, alpha: float, m: int, top: int) -> int:
     return next((d for d in range(top, -1, -1) if float(m) >= scale * d), -1)
 
 
-def _column_rows(ctx: FreeGroupCtx, n: int, radius: int) -> list:
-    """Row m: histogram of |wx| over w in S_n, for any x with |x| = m <= radius.
+def _column_mass(ctx: FreeGroupCtx, n: int, m: int, cut: int) -> int:
+    """Number of w in S_n with |wx| <= cut <= n + m, for any x with |x| = m.
 
-    Counting pairs (w, x) in S_n x S_m by the length of wx gives
-    c(n, m, l) |S_l|, and by symmetry each x in S_m takes an equal
-    share, so the row is c(n, m, l) |S_l| / |S_m| (an exact division).
+    A w cancelling j <= min(n, m) letters of x has |wx| = n + m - 2j, so
+    these are the w cancelling J = (n + m - cut + 1) // 2 letters or more:
+    all of S_n if J = 0, none if J > min(n, m), and else the q^(n-J) words
+    ending in the inverses of x's first J letters.
     """
-    if n < 0:
-        raise ValueError("sphere radius must be >= 0")
-    rows = []
-    for m in range(radius + 1):
-        hist = [0] * (n + m + 1)
-        for l in range(abs(n - m), n + m + 1, 2):
-            hist[l] = (
-                structure_constant(ctx, n, m, l) * sphere_size(ctx, l) // sphere_size(ctx, m)
-            )
-        rows.append(hist)
-    return rows
+    J = (n + m - cut + 1) // 2
+    if J > min(n, m):
+        return 0
+    return sphere_size(ctx, n) if J == 0 else ctx.q ** (n - J)
 
 
-def _column_sup(kind: str, params: dict, radius: int, ctx: FreeGroupCtx, rows) -> dict:
-    """Column sup report from the rows of _column_rows.
+def _column_sup(kind: str, params: dict, radius: int, ctx: FreeGroupCtx) -> dict:
+    """The report of column_l1_sup, for a kind already checked.
 
-    P_k is Q_k at alpha = 0, so the column mass at |x| = m is the prefix
-    of row m up to _accepted_cutoff for both kinds, which differ only in
-    the bound q^{e/2}: e = 2[k/2] for P, e = 3 + n - 2 alpha for Q (ok is
-    exact for e an integer).  Every x of length m has the same mass, so
-    the first strict maximum over increasing m is attained first, in
-    (length, lex) order, by a^m.
+    P_k is Q_k at alpha = 0, so for both kinds the mass at |x| = m is
+    _column_mass up to d = _accepted_cutoff: |S_n|, q^(n-J) or 0.  They
+    differ only in the bound q^{e/2}: e = 2[k/2] for P, e = 3 + n - 2
+    alpha for Q (ok is exact for e an integer).  Every x of length m has
+    the same mass, so the first strict maximum over increasing m is
+    attained first, in (length, lex) order, by a^m.
     """
     q = ctx.q
     if kind == "P":
@@ -707,11 +709,13 @@ def _column_sup(kind: str, params: dict, radius: int, ctx: FreeGroupCtx, rows) -
         twice = 2.0 * alpha
         e = 3 + n - int(twice) if twice == int(twice) else None
         bound_value = float(q) ** (1.5 - alpha + 0.5 * n)
-    sup, witness = -1, None
-    for m, hist in enumerate(rows):
-        s = sum(hist[: _accepted_cutoff(q, alpha, m, n + m) + 1])
+    if n < 0:
+        raise ValueError("sphere radius must be >= 0")
+    sup, arg = -1, 0
+    for m in range(radius + 1):
+        s = _column_mass(ctx, n, m, _accepted_cutoff(q, alpha, m, n + m))
         if s > sup:
-            sup, witness = s, ReducedWord(ctx, (0,) * m)
+            sup, arg = s, m
     if e is None:
         ok = float(sup) <= bound_value
     else:  # sup <= q^{e/2}, squared
@@ -721,7 +725,7 @@ def _column_sup(kind: str, params: dict, radius: int, ctx: FreeGroupCtx, rows) -
         "params": {k: (float(v) if k == "alpha" else int(v)) for k, v in params.items()},
         "radius": radius,
         "sup": sup,
-        "witness": str(witness),
+        "witness": str(ReducedWord(ctx, (0,) * arg)),
         "bound": bound_value,
         "ok": ok,
     }
@@ -732,22 +736,13 @@ def column_l1_sup(kind: str, params: dict, radius: int, ctx: FreeGroupCtx) -> di
 
     Reports the witness x and the comparison against the claimed bound:
     q^{[k/2]} for P columns, q^{3/2 - alpha + n/2} for Q columns.  The
-    masses come in closed form from the structure constants, one row
-    per length, so no ball is enumerated.
+    masses come in closed form, one per length, so no ball is enumerated.
     """
     if kind not in ("P", "Q"):
         raise ValueError("kind must be 'P' or 'Q'")
-    n = int(params["k"] if kind == "P" else params["n"])
-    return _column_sup(kind, params, radius, ctx, _column_rows(ctx, n, radius))
+    return _column_sup(kind, params, radius, ctx)
 
 
 def q_alpha_sweep(ctx: FreeGroupCtx, n: int, alphas, radius: int) -> list:
-    """column_l1_sup for many alpha at fixed n, one set of rows.
-
-    The length histograms of w -> wx over |w| = n determine every alpha
-    cutoff, so the rows are built once and shared across the grid.
-    """
-    rows = _column_rows(ctx, n, radius)
-    return [
-        _column_sup("Q", {"n": n, "alpha": float(a)}, radius, ctx, rows) for a in alphas
-    ]
+    """column_l1_sup of Q_n for each alpha in turn: each mass is q^(n-J) in closed form."""
+    return [_column_sup("Q", {"n": n, "alpha": float(a)}, radius, ctx) for a in alphas]

@@ -15,6 +15,8 @@ Core claims:
       exit 2 with a message naming the option, before any verifier runs
     - conjecture with an --s-grid value outside [1, 2] exits 2 with a
       message naming --s-grid, before any estimate runs
+    - verify all on an explicit family past r22's pair budget exits 2
+      with r22's message before lemma1 runs
     - verify all leaves the chi, sphere_size and product-row caches holding
       only the indices it used, and thm5's memo holding its one fit window,
       so repeated runs do not grow them
@@ -690,6 +692,23 @@ def test_conjecture_s_grid_fires_before_any_estimate(capsys, monkeypatch):
         assert captured.out == ""
         assert captured.err.startswith("error: --s-grid:")
         assert "s must lie in [1, 2]" in captured.err
+
+
+def test_r22_budget_fires_before_lemma1(capsys, monkeypatch):
+    import fgw.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("lemma1 ran before r22's budget check")
+
+    monkeypatch.setattr(fgw.cli, "verify_lemma1", no_work)
+    # lemma1's |E|^2 <= |B_7|^2 fits; r22's first draw needs |B_8| |E| pairs
+    code = main(["verify", "all", "--family", "random-subsets", "--radius", "7", "--budget", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: budget exceeded: convolution enumeration needs 27608688, cap is 20000000\n"
+    )
 
 
 # -- output file ---------------------------------------------------------------

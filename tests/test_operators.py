@@ -55,7 +55,8 @@ Core claims:
     - q_alpha_sweep equals per-alpha column scans
     - on the half grid, n <= 16 and k in {2, 3}, the Q bound fails exactly
       where alpha < 0 and the whole sphere's mass exceeds it
-    - the closed-form column rows equal the word-layer length histograms
+    - the closed-form column mass equals the prefix sum of the enumerated
+      length histogram at every cutoff
     - column sups run far past any enumerable ball, P_k reaching q^[k/2]
     - the full-cancellation witness breaks the Q bound at alpha = n >= 4
     - budgets abort oversized enumerations
@@ -1126,22 +1127,25 @@ def _reduced_words(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_reduced_words(), st.integers(0, 5))
-def test_column_rows_match_enumerated_histograms(x, n):
-    assert ops._column_rows(x.ctx, n, len(x))[len(x)] == column_row(n, x)
+def test_column_mass_matches_enumerated_prefix_sums(x, n):
+    # every cutoff d, not only _accepted_cutoff's, against the enumerated row
+    row = column_row(n, x)
+    for d in range(-1, n + len(x) + 1):
+        assert ops._column_mass(x.ctx, n, len(x), d) == sum(row[: d + 1]), d
 
 
 def test_column_sup_has_no_radius_cap():
     # Radius 40 is far past any enumerable ball.  For |x| = m, a word w in
     # S_k with |wx| <= m cancels j >= k/2 letters: (q-1) q^(k-j-1) words
     # for each j < min(k, m), and 1 (j = k <= m) or q^(k-m) (j = m < k)
-    # more, so the mass is q^[k/2] once m >= k/2 and 0 before.
+    # more: q^(k-J) in all, J = k/2 as in _column_mass, once m >= k/2 and
+    # 0 before.  The cutoff k + m takes the whole sphere.
     q = CTX.q
     rep = column_l1_sup("P", {"k": 4}, 40, CTX)
     assert (rep["sup"], rep["witness"], rep["ok"]) == (q**2, "aa", True)
-    rows = ops._column_rows(CTX, 4, 40)
-    for m, row in enumerate(rows):
-        assert sum(row) == sphere_size(CTX, 4)
-        assert sum(row[: m + 1]) == (q**2 if m >= 2 else 0)
+    for m in range(41):
+        assert ops._column_mass(CTX, 4, m, 4 + m) == sphere_size(CTX, 4)
+        assert ops._column_mass(CTX, 4, m, m) == (q**2 if m >= 2 else 0)
 
 
 # -- Budgets -----------------------------------------------------------------
