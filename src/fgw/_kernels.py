@@ -10,11 +10,19 @@ S_n is S_{n-1} with each word extended by every letter but the inverse of
 its last, in ascending order.  A key's extensions fill [key*2k, key*2k + 2k)
 and these intervals ascend with the key, so S_n comes out in key order.
 
+x's image under S_n, the keys of w*x for w in S_n in the order of w, is
+built from the image of x's parent x' (x without its last letter a: key
+kx // 2k, letter kx % 2k) by one letter: each y = w*x' becomes y*a, which
+is y // 2k if y ends in a^-1 and is not the identity (key 1, whose low
+digit is no letter), else y * 2k + a.  The identity's image is S_n
+itself.  Each step maps the list entry by entry, so an image keeps the
+order of w, as a pair loop `for w in S_n` makes it.
+
 Every function here serves a certifier path: the sphere rule, key
 encoding and inversion, and the pair kernels of the explicit families,
-prod_len_hist (pairings), and sphere_image, one word's image under S_n,
-which count_images counts for every set (estimators and r22).  The
-kernels return raw counts; lorentz.runs rearranges them.
+prod_len_hist (pairings), and extend_image, the one-letter step of the
+sphere images, which count_images counts for every set (estimators and
+r22).  The kernels return raw counts; lorentz.runs rearranges them.
 """
 
 from __future__ import annotations
@@ -95,20 +103,10 @@ def prod_len_hist(two_k: int, akeys, bkeys) -> list[int]:
     return hist
 
 
-def sphere_image(two_k: int, wkeys, kx: int) -> list[int]:
-    """Keys of z = w*x for w in the key list wkeys, in its order: x's image under S_n."""
-    xl = decode_word(two_k, kx)
-    m = len(xl)
-    powers = [two_k**i for i in range(m + 1)]
-    out = []
-    for kw in wkeys:
-        k = kw
-        i = 0
-        while k > 1 and i < m and k % two_k == xl[i] ^ 1:
-            k //= two_k
-            i += 1
-        out.append(k * powers[m - i] + kx % powers[m - i])
-    return out
+def extend_image(two_k: int, image: list, a: int) -> list[int]:
+    """The image under S_n of x*a, from x's image, for a letter a that does not cancel x's last."""
+    inv = a ^ 1
+    return [y // two_k if y % two_k == inv and y > 1 else y * two_k + a for y in image]
 
 
 def count_images(images) -> Counter:

@@ -10,8 +10,10 @@ has one representation:
   Every candidate's work is checked before the ball is built
   (_check_candidates), so a family is then swept once, set by set, and
   each word's image under S_n is built once per call (_SphereImages),
-  and each set counts f * chi_E from its words' images, as integers
-  over D = lcm(denominators of f) (_convolve_value_counts); estimators
+  from its parent's image by one letter (_kernels.extend_image), which
+  maps the list entry by entry and so keeps the order of w; each set
+  counts f * chi_E from its words' images, as integers over D =
+  lcm(denominators of f) (_convolve_value_counts); estimators
   divide once per candidate, in _best_prefix or the square sum, and
   pairings read one length histogram of products (chi_pairing_profile);
 * a radial family (unions of spheres) is never an ElementSet: its
@@ -274,17 +276,24 @@ def _check_pair_work(e_size: int, f_size: int) -> None:
         raise BudgetExceededError("pair enumeration", e_size * f_size, PAIR_BUDGET)
 
 
-def _check_convolution_work(ctx: FreeGroupCtx, scaled, set_size: int) -> None:
-    """Budget check for f * chi_X with |X| = set_size: sum_n |S_n| |X| pairs."""
-    work = sum(sphere_size(ctx, n) for n, _ in scaled) * set_size
+def _check_convolution_work(sphere_work: int, set_size: int) -> None:
+    """Budget check for f * chi_X with |X| = set_size: sum_n |S_n| |X| pairs.
+
+    sphere_work is sum_n |S_n| over f's support, summed once per call.
+    """
+    work = sphere_work * set_size
     if work > PAIR_BUDGET:
         raise BudgetExceededError("convolution enumeration", work, PAIR_BUDGET)
 
 
 class _SphereImages:
-    """A memo (n, x) -> _kernels.sphere_image for one estimator or prefix_sups call.
+    """Sphere images for one estimator or prefix_sups call: images[n] maps x to its image under S_n.
 
-    It stores at most PAIR_BUDGET keys, the bound on one set's work, and rebuilds the rest.
+    A missing image is extended from its parent's by _kernels.extend_image,
+    starting from the nearest stored prefix of x or from S_n, the
+    identity's image, which is kept apart.  Every image built on the way,
+    x's and its prefixes', is stored while its keys fit the room of
+    PAIR_BUDGET keys, the bound on one set's work; the rest is rebuilt.
     """
 
     def __init__(self, tk: int):
@@ -292,27 +301,37 @@ class _SphereImages:
 
     def counts(self, n: int, keys) -> Counter:
         """Counts of z = w*x over w in S_n, x in keys, in the pair loop's order."""
-        if n not in self.spheres:
-            self.spheres[n] = _kernels.sphere_keys(self.tk, n)
-        images = []
-        for kx in keys:
-            image = self.images.get((n, kx))
+        memo = self.images.setdefault(n, {})
+        # an image is never empty, so `or` builds exactly the missing ones
+        return _kernels.count_images([memo.get(kx) or self._build(n, memo, kx) for kx in keys])
+
+    def _build(self, n: int, memo: dict, kx: int) -> list:
+        tk = self.tk
+        path = []
+        while kx > 1 and kx not in memo:
+            path.append(kx)
+            kx //= tk
+        if kx > 1:
+            image = memo[kx]
+        else:
+            image = self.spheres.get(n)
             if image is None:
-                image = _kernels.sphere_image(self.tk, self.spheres[n], kx)
-                if len(image) <= self.room:
-                    self.images[n, kx] = image
-                    self.room -= len(image)
-            images.append(image)
-        return _kernels.count_images(images)
+                image = self.spheres[n] = _kernels.sphere_keys(tk, n)
+        for key in reversed(path):
+            image = _kernels.extend_image(tk, image, key % tk)
+            if len(image) <= self.room:
+                memo[key] = image
+                self.room -= len(image)
+        return image
 
 
-def _convolve_value_counts(ctx: FreeGroupCtx, scaled, keys, images: _SphereImages) -> dict:
+def _convolve_value_counts(scaled, keys, images: _SphereImages) -> dict:
     """Sparse key -> D * value map of f * chi_X for an explicit key list X.
 
     scaled holds the (n, D * f_n) pairs of _scaled_items(f); values are
-    accumulated in n ascending, then in the pair loop's z order.
+    accumulated in n ascending, then in the pair loop's z order.  The
+    caller checks the work.
     """
-    _check_convolution_work(ctx, scaled, len(keys))
     out: dict = {}
     for n, fn in scaled:
         for zkey, count in images.counts(n, keys).items():
@@ -387,10 +406,9 @@ def require_self_pairings_budget(ctx: FreeGroupCtx, fam: SetFamily) -> None:
 def require_prefix_sups_budget(ctx: FreeGroupCtx, fam: SetFamily, n_max: int) -> None:
     """prefix_sups' check of an explicit family's |S_n| |E| pairs, n <= n_max; it builds no ball."""
 
-    # ((n, 1),) is chi_n's scaled form: the check counts |S_n| |E| pairs
     def check(size):
         for n in range(n_max + 1):
-            _check_convolution_work(ctx, ((n, 1),), size)
+            _check_convolution_work(sphere_size(ctx, n), size)
 
     sphere_work = sum(sphere_size(ctx, n) for n in range(n_max + 1))
     _check_candidates(ctx, fam, check, lambda size: sphere_work * size)
@@ -457,22 +475,23 @@ def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_r
         return (best[0], _radial_candidates(fam)[1](best_mask), *best[1:])
 
     D, scaled = _scaled_items(f)
+    sphere_work = sum(sphere_size(ctx, n) for n, _ in scaled)
     images = _SphereImages(ctx.alphabet)
 
     def objective(E: ElementSet):
-        return reduce_set(_convolve_value_counts(ctx, scaled, E.keys(), images), D, E.size, E.label)
+        _check_convolution_work(sphere_work, E.size)
+        return reduce_set(_convolve_value_counts(scaled, E.keys(), images), D, E.size, E.label)
 
     # work known before the ball is built is checked first: greedy's first
     # candidate is one word, and the other families' sizes replay
     if fam.kind == "greedy":
         _capped_ball_size(ctx, fam.radius)
-        _check_convolution_work(ctx, scaled, 1)
+        _check_convolution_work(sphere_work, 1)
         return _greedy_search(objective, ctx, fam)
-    sphere_work = sum(sphere_size(ctx, n) for n, _ in scaled)
     _check_candidates(
         ctx,
         fam,
-        lambda size: _check_convolution_work(ctx, scaled, size),
+        lambda size: _check_convolution_work(sphere_work, size),
         lambda size: sphere_work * size,
     )
     # no family is empty: ball-subsets passes its subset-count check only if 2^|B| <= budget,

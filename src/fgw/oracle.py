@@ -4,8 +4,10 @@ No verifier calls this module; the command line reaches it only through
 `fgw convolve --oracle`.  Each function computes by brute force what a
 certifier obtains in closed form or by an integer sweep: products on
 explicit supports, counted from each word's sphere image in one pass
-(left_convolve), pairings, truncated columns and their length
-histograms (truncated_column, column_row), chi_n * chi_m
+(left_convolve), with every product w*x reduced on its own
+(sphere_image) where the certifiers extend a parent's image by one
+letter (_kernels.extend_image), pairings, truncated columns and their
+length histograms (truncated_column, column_row), chi_n * chi_m
 (oracle_convolve) and a radial family's candidates as lists of radii
 (radial_candidates), with truncated_column testing each word by its
 own column rule (column_accepts).  best_F_ratio runs the estimators'
@@ -58,6 +60,22 @@ class FunctionOnGroup:
         return sum(v * v for v in self.entries.values())
 
 
+def sphere_image(two_k: int, wkeys, kx: int) -> list[int]:
+    """Keys of z = w*x for w in the key list wkeys, in its order, each w*x reduced on its own."""
+    xl = _kernels.decode_word(two_k, kx)
+    m = len(xl)
+    powers = [two_k**i for i in range(m + 1)]
+    out = []
+    for kw in wkeys:
+        k = kw
+        i = 0
+        while k > 1 and i < m and k % two_k == xl[i] ^ 1:
+            k //= two_k
+            i += 1
+        out.append(k * powers[m - i] + kx % powers[m - i])
+    return out
+
+
 def left_convolve(f: RadialFunction, g: FunctionOnGroup) -> FunctionOnGroup:
     """Exact f * g for radial f and finitely supported g."""
     if f.ctx != g.ctx:
@@ -79,7 +97,7 @@ def left_convolve(f: RadialFunction, g: FunctionOnGroup) -> FunctionOnGroup:
         for n, fn in f.nonzero_items():
             scale = fn * v
             wkeys = _kernels.sphere_keys(tk, n)
-            images = [_kernels.sphere_image(tk, wkeys, kx) for kx in keys]
+            images = [sphere_image(tk, wkeys, kx) for kx in keys]
             for zkey, count in _kernels.count_images(images).items():
                 acc[zkey] = acc.get(zkey, Fraction(0)) + scale * count
     entries = {

@@ -6,11 +6,16 @@ Core claims:
       2k in {4, 6, 8}, and yields a^n first without building S_n
     - inv/len on keys agree with the ReducedWord layer
     - prod_len_hist matches a brute-force double loop over ReducedWord mul
-    - counting sphere_image's images (count_images) matches brute force
-      and conserves total mass (r22 reads its rearrangement off these
-      counts; test_theorems checks that against fgw.oracle's best_F_ratio
-      of left_convolve), and inserts the keys in the order of the w-major
-      pair loop, for every key list
+    - extending S_n's keys one letter of x at a time (extend_image) gives
+      x's image under S_n, list for list, as the oracle's sphere_image
+      reduces each w*x on its own, for 2k in {4, 6, 8}, including the
+      step from the identity, which a letter must not cancel
+    - counting the images (count_images) matches brute force and
+      conserves total mass (r22 reads its rearrangement off these counts;
+      test_theorems checks that against fgw.oracle's best_F_ratio of
+      left_convolve), and inserts the keys in the order of the w-major
+      pair loop, for every key list, whether the images come from the
+      recurrence or from the oracle
 """
 
 import itertools
@@ -22,6 +27,7 @@ from hypothesis import strategies as st
 
 from fgw import _kernels
 from fgw._kernels import decode_word, encode_word
+from fgw.oracle import sphere_image
 from fgw.words import FreeGroupCtx, ReducedWord, inverse, mul, normalize, sphere_stream
 
 
@@ -31,6 +37,14 @@ def _word(ctx, key):
 
 def _keys(ctx, words):
     return [encode_word(ctx.alphabet, w.letters) for w in words]
+
+
+def _image(tk, n, kx):
+    # x's image under S_n by the recurrence: S_n, extended letter by letter
+    image = _kernels.sphere_keys(tk, n)
+    for a in decode_word(tk, kx):
+        image = _kernels.extend_image(tk, image, a)
+    return image
 
 
 def _sample_keys(ctx, rng, count, max_len):
@@ -96,6 +110,23 @@ def test_prod_len_hist_matches_brute_force():
     assert _kernels.prod_len_hist(tk, A, []) == []
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((2, 3, 4)),
+    st.integers(0, 5),
+    st.lists(st.integers(0, 7), max_size=6),
+)
+# w = c^-1 in S_1 takes x' = c to the identity, which the letter a (key
+# 0) extends to a (key 4): a letter never cancels the identity
+@example(2, 1, [2, 0])
+@example(4, 5, [7, 5, 3, 1, 6, 4])
+def test_extend_image_matches_oracle_sphere_image(k, n, letters):
+    ctx = FreeGroupCtx(k)
+    tk = ctx.alphabet
+    kx = encode_word(tk, normalize(ctx, [c % tk for c in letters]).letters)
+    assert _image(tk, n, kx) == sphere_image(tk, _kernels.sphere_keys(tk, n), kx)
+
+
 def test_convolve_sphere_set_matches_brute_force():
     ctx = FreeGroupCtx(2)
     tk = ctx.alphabet
@@ -106,8 +137,7 @@ def test_convolve_sphere_set_matches_brute_force():
         for w in sphere_stream(ctx, n):
             for kx in xs:
                 want[encode_word(tk, mul(w, _word(ctx, kx)).letters)] += 1
-        wkeys = _kernels.sphere_keys(tk, n)
-        got = _kernels.count_images([_kernels.sphere_image(tk, wkeys, kx) for kx in xs])
+        got = _kernels.count_images([_image(tk, n, kx) for kx in xs])
         assert got == dict(want)
         assert sum(got.values()) == len(xs) * len(list(sphere_stream(ctx, n)))
 
@@ -135,5 +165,9 @@ def test_count_images_inserts_keys_in_pair_loop_order(k, n, letter_lists):
             z = encode_word(tk, mul(w, _word(ctx, kx)).letters)
             want[z] = want.get(z, 0) + 1
     wkeys = _kernels.sphere_keys(tk, n)
-    got = _kernels.count_images([_kernels.sphere_image(tk, wkeys, kx) for kx in xs])
-    assert list(got.items()) == list(want.items())
+    for images in (
+        [_image(tk, n, kx) for kx in xs],
+        [sphere_image(tk, wkeys, kx) for kx in xs],
+    ):
+        got = _kernels.count_images(images)
+        assert list(got.items()) == list(want.items())

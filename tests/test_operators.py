@@ -37,10 +37,11 @@ Core claims:
     - the explicit families' integer estimates equal the exact reference
       of left_convolve exactly, and float f keeps its estimates to the
       last place
-    - explicit families build each word's sphere image once per call: the
-      memo stores at most PAIR_BUDGET keys and, once full, changes no
-      estimate; r22's explicit rows keep their (E, n) order, and r22 sweeps
-      an explicit family once, with one memo for the call
+    - explicit families build each word's sphere image once per call, from
+      its parent's: the memo stores at most PAIR_BUDGET keys, prefix
+      images included, and, once full, changes no estimate; r22's
+      explicit rows keep their (E, n) order, and r22 sweeps an explicit
+      family once, with one memo for the call
     - explicit sets store sorted integer keys, which is the (length, lex)
       order of their words, and refuse words of another group; the
       explicit families build no ReducedWord
@@ -980,6 +981,15 @@ def test_float_explicit_estimates_pinned(b, kind, estimator, want):
     assert repr(est(f, fam)["estimate"]) == want
 
 
+def test_float_explicit_estimates_pinned_on_three_generators():
+    # the command line parses every literal as a rational, so only the API
+    # reaches a float f on F_3; the weak sum depends on the keys' insertion order
+    f = RadialFunction(FreeGroupCtx(3), (1.0, 0.5, 0.3))
+    fam = SetFamily("random-subsets", radius=2, budget=12, seed=2)
+    assert repr(weak_estimate_21_to_2(f, fam)["estimate"]) == "4.499562268272459"
+    assert repr(restricted_weak_estimate(f, fam)["estimate"]) == "3.5486556035992836"
+
+
 def _prefix_sups_set_by_set(ctx, fam, n_max):
     # rows as a set-by-set loop makes them: each E, then each n, with
     # chi_n * chi_E counted word by word
@@ -1252,11 +1262,21 @@ def test_image_memo_holds_at_most_the_pair_budget(monkeypatch, call, fam):
     memos = _spy_on_image_memos(monkeypatch)
     assert run() == want
     for memo in memos:
-        stored = sum(len(image) for image in memo.images.values())
+        stored = sum(len(image) for per_n in memo.images.values() for image in per_n.values())
         assert stored <= cap
         assert memo.room == cap - stored
-    # some image was asked for and not stored, so the cap was reached
-    assert any(len(memo.asked) > len(memo.images) for memo in memos)
+    # some image was asked for and not stored, so the cap was reached (the
+    # identity's image is S_n, which the memo keeps apart)
+    assert any(
+        kx != 1 and kx not in memo.images[n] for memo in memos for n, kx in memo.asked
+    )
+    # a word's image is extended from its prefixes', which are stored on
+    # the way and take their keys from the same room
+    memo = ops._SphereImages(CTX.alphabet)
+    x = _kernels.encode_word(CTX.alphabet, (0, 2, 0))
+    memo.counts(2, [x])
+    assert sorted(memo.images[2]) == [x // 16, x // 4, x]
+    assert memo.room == cap - 3 * sphere_size(CTX, 2)
 
 
 R22_ONE_PASS_CASES = [
