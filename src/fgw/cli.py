@@ -31,12 +31,12 @@ from .radial import (
     convolve_radial,
     format_radial_literal,
     parse_radial_literal,
-    require_conjecture_index,
 )
 from .reportio import json_dumps, write_csv, write_json
 from .theorems import (
     build_thm1_suite,
     conjecture_scan,
+    require_conjecture_grid,
     require_fit_window,
     require_nonnegative,
     require_thm4_index,
@@ -185,8 +185,8 @@ def cmd_norms(args) -> int:
     ctx = FreeGroupCtx(args.k)
     if args.format == "csv":
         raise ValueError("norms emits JSON only")
-    s = float(args.s)
-    idx = LorentzIndex(args.p, s)
+    s = _option_check("--s", float, args.s)
+    idx = _option_check("--p/--s", LorentzIndex, args.p, s)
     f = parse_radial_literal(ctx, args.radial)
     value = lorentz_norm(rearrange_radial(f), idx)
     obj = {
@@ -235,6 +235,10 @@ def _verify_reports(args, ctx: FreeGroupCtx, target: str) -> list:
         raise ValueError("--samples must be at least 1")
     if target in ("thm3", "all") and args.max_degree < 0:
         raise ValueError("--max-degree must be nonnegative")
+    if target in ("lemma1", "pk", "all") and args.k_max is not None and args.k_max < 0:
+        raise ValueError("--k-max must be nonnegative")
+    if target in ("r22", "qn", "all") and args.n_max is not None and args.n_max < 0:
+        raise ValueError("--n-max must be nonnegative")
     if target in ("thm4", "all") and args.p is not None:
         _option_check("--p", require_thm4_index, args.p)
     if target in ("thm5", "all"):
@@ -317,8 +321,7 @@ def cmd_conjecture(args) -> int:
         s_grid = [float(tok) for tok in args.s_grid.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"malformed s grid {args.s_grid!r}: {exc}") from None
-    for s in s_grid:
-        _option_check("--s-grid", require_conjecture_index, s)
+    _option_check("--s-grid", require_conjecture_grid, s_grid)
     report = conjecture_scan(ctx, s_grid=s_grid, fam=fam)
     return _finish(args, [report])
 

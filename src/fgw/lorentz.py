@@ -18,10 +18,12 @@ with compensated summation (relative tolerance 1e-9 across the suite).
 Counts or terms past float range (|S_n| is no float from n = 646 on
 F_2) take a log-scaled path, as math.log takes integers of any size;
 every evaluation that stays in float range keeps the float path, and a
-norm that is itself past float range is a ValueError.
-lorentz_prefix_norms gives the norms of every prefix of one
-rearrangement's runs from one pass over its terms; the weak norm is its
-s = inf case, whose terms are the run-end values v (c+m)^{1/p}.
+norm that is itself past float range is a ValueError.  Both norm
+entries take a LorentzIndex.  lorentz_prefix_norms gives the norms of
+every prefix of one rearrangement's runs from one pass over its terms,
+and lorentz_norm is its whole-rearrangement case.  The weak norm is
+lorentz_norm(r, LorentzIndex(p, math.inf)), whose terms are the run-end
+values v (c+m)^{1/p}.
 """
 
 from __future__ import annotations
@@ -45,12 +47,8 @@ class LorentzIndex:
     def __post_init__(self):
         if not self.p > 1:
             raise ValueError("first index p must exceed 1")
-        if not (self.s >= 1 or math.isinf(self.s)):
+        if not self.s >= 1:
             raise ValueError("second index s must be >= 1 or infinity")
-
-    @property
-    def p_prime(self) -> float:
-        return self.p / (self.p - 1.0)
 
 
 @dataclass(frozen=True)
@@ -69,10 +67,6 @@ class Rearrangement:
             if prev is not None and v >= prev:
                 raise ValueError("values must be strictly decreasing")
             prev = v
-
-    @property
-    def total_mass(self) -> int:
-        return sum(m for _, m in self.pairs)
 
 
 def runs(pairs) -> list:
@@ -151,13 +145,6 @@ def _exp_in_range(log_value: float, what: str) -> float:
         raise ValueError(f"{what} e^{log_value:.6g} is out of float range") from None
 
 
-def _as_index(idx) -> LorentzIndex:
-    if isinstance(idx, LorentzIndex):
-        return idx
-    p, s = idx
-    return LorentzIndex(float(p), float(s))
-
-
 def _run_terms(pairs, idx: LorentzIndex) -> list:
     """The terms v^s ((c+m)^{s/p} - c^{s/p}) of the runs, c the count before each.
 
@@ -219,12 +206,12 @@ def _log_scaled_norm(pairs, idx: LorentzIndex) -> float:
     return _exp_in_range(total, "the Lorentz norm")
 
 
-def lorentz_norm(r: Rearrangement, idx) -> float:
+def lorentz_norm(r: Rearrangement, idx: LorentzIndex) -> float:
     """||f||_{p,s}: lorentz_prefix_norms of all of r's runs."""
     return lorentz_prefix_norms(r, idx, [len(r.pairs)])[0]
 
 
-def lorentz_prefix_norms(r: Rearrangement, idx, lengths) -> list:
+def lorentz_prefix_norms(r: Rearrangement, idx: LorentzIndex, lengths) -> list:
     """||.||_{p,s} of the runs r.pairs[:n] for each n in lengths, evaluated blockwise.
 
     Runs whose counts or terms overflow a float take a log-scaled path;
@@ -233,7 +220,6 @@ def lorentz_prefix_norms(r: Rearrangement, idx, lengths) -> list:
     fsum is correctly rounded (and max exact at s = inf), so each
     prefix's norm is, float for float, the norm of that prefix alone.
     """
-    idx = _as_index(idx)
     terms = _run_terms(r.pairs, idx)
     out = []
     for n in lengths:
@@ -241,15 +227,6 @@ def lorentz_prefix_norms(r: Rearrangement, idx, lengths) -> list:
         value = _float_norm(pairs, terms[:n], idx) if pairs else 0.0
         out.append(_log_scaled_norm(pairs, idx) if value is None else value)
     return out
-
-
-def weak_norm(r: Rearrangement, p: float) -> float:
-    """||f||_{p,inf} = sup_i i^{1/p} a_i, the s = inf case of lorentz_norm.
-
-    The sup sits at run ends; counts past float range take the sup of
-    the logarithms.
-    """
-    return lorentz_norm(r, (p, math.inf))
 
 
 def radial_power_sum(f: RadialFunction, p: float) -> float:

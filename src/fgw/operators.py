@@ -11,7 +11,8 @@ has one representation:
   (_check_candidates), so a family is then swept once, set by set, and
   each word's image under S_n is built once per call (_SphereImages),
   from its parent's image by one letter (_kernels.extend_image), which
-  maps the list entry by entry and so keeps the order of w; each set
+  maps the list entry by entry and so keeps the order of w; the
+  identity's image, S_n itself, is where every chain starts; each set
   counts f * chi_E from its words' images, as integers over D =
   lcm(denominators of f) (_convolve_value_counts); estimators
   divide once per candidate, in _best_prefix or the square sum, and
@@ -102,9 +103,6 @@ class ElementSet:
     @property
     def size(self) -> int:
         return len(self.word_keys)
-
-    def keys(self) -> tuple:
-        return self.word_keys
 
     def iter_words(self):
         ctx, tk = self.ctx, self.ctx.alphabet
@@ -289,34 +287,32 @@ def _check_convolution_work(sphere_work: int, set_size: int) -> None:
 class _SphereImages:
     """Sphere images for one estimator or prefix_sups call: images[n] maps x to its image under S_n.
 
-    A missing image is extended from its parent's by _kernels.extend_image,
-    starting from the nearest stored prefix of x or from S_n, the
-    identity's image, which is kept apart.  Every image built on the way,
-    x's and its prefixes', is stored while its keys fit the room of
-    PAIR_BUDGET keys, the bound on one set's work; the rest is rebuilt.
+    images[n] starts as {1: S_n}, the identity's image, which takes no
+    room.  A missing image is extended from its parent's by
+    _kernels.extend_image, starting from the nearest stored prefix of x,
+    the identity at the latest.  Every image built on the way, x's and
+    its prefixes', is stored while its keys fit the room of PAIR_BUDGET
+    keys, the bound on one set's work; the rest is rebuilt.
     """
 
     def __init__(self, tk: int):
-        self.tk, self.spheres, self.images, self.room = tk, {}, {}, PAIR_BUDGET
+        self.tk, self.images, self.room = tk, {}, PAIR_BUDGET
 
     def counts(self, n: int, keys) -> Counter:
         """Counts of z = w*x over w in S_n, x in keys, in the pair loop's order."""
-        memo = self.images.setdefault(n, {})
+        memo = self.images.get(n)
+        if memo is None:
+            memo = self.images[n] = {1: _kernels.sphere_keys(self.tk, n)}
         # an image is never empty, so `or` builds exactly the missing ones
-        return _kernels.count_images([memo.get(kx) or self._build(n, memo, kx) for kx in keys])
+        return _kernels.count_images([memo.get(kx) or self._build(memo, kx) for kx in keys])
 
-    def _build(self, n: int, memo: dict, kx: int) -> list:
+    def _build(self, memo: dict, kx: int) -> list:
         tk = self.tk
         path = []
-        while kx > 1 and kx not in memo:
+        while kx not in memo:
             path.append(kx)
             kx //= tk
-        if kx > 1:
-            image = memo[kx]
-        else:
-            image = self.spheres.get(n)
-            if image is None:
-                image = self.spheres[n] = _kernels.sphere_keys(tk, n)
+        image = memo[kx]
         for key in reversed(path):
             image = _kernels.extend_image(tk, image, key % tk)
             if len(image) <= self.room:
@@ -394,8 +390,8 @@ def chi_pairing_profile(E: ElementSet, F: ElementSet) -> list:
         raise ValueError("mismatched group contexts")
     _check_pair_work(E.size, F.size)
     tk = E.ctx.alphabet
-    ekeys_inv = [_kernels.inv_key(tk, key) for key in E.keys()]
-    return _kernels.prod_len_hist(tk, F.keys(), ekeys_inv)
+    ekeys_inv = [_kernels.inv_key(tk, key) for key in E.word_keys]
+    return _kernels.prod_len_hist(tk, F.word_keys, ekeys_inv)
 
 
 def require_self_pairings_budget(ctx: FreeGroupCtx, fam: SetFamily) -> None:
@@ -455,7 +451,7 @@ def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
     require_prefix_sups_budget(ctx, fam, n_max)
     images = _SphereImages(ctx.alphabet)
     for E in candidate_sets(ctx, fam):
-        counts = (Counter(images.counts(n, E.keys()).values()) for n in range(n_max + 1))
+        counts = (Counter(images.counts(n, E.word_keys).values()) for n in range(n_max + 1))
         yield E.label, E.size, [_best_prefix(runs(c.items()), 0.5, 1)[0] for c in counts]
 
 
@@ -480,7 +476,7 @@ def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_r
 
     def objective(E: ElementSet):
         _check_convolution_work(sphere_work, E.size)
-        return reduce_set(_convolve_value_counts(scaled, E.keys(), images), D, E.size, E.label)
+        return reduce_set(_convolve_value_counts(scaled, E.word_keys, images), D, E.size, E.label)
 
     # work known before the ball is built is checked first: greedy's first
     # candidate is one word, and the other families' sizes replay

@@ -25,7 +25,7 @@ for ||f * chi_n||_2^2).  A product with a float coefficient runs the
 same loop on the coefficients as they are, term by term in the same
 (n, m, l) order, so its floats do not move in the last place.  Each
 pair (n, m) reads its structure constants as one row (_product_row),
-which is also the one closed form behind structure_constant.  Nothing
+and structure_constant reads one entry of that row.  Nothing
 here enumerates words; the brute-force product oracle_convolve that
 checks these constants lives in fgw.oracle.
 """
@@ -56,20 +56,15 @@ def _product_row(q: int, lo: int, equal: bool) -> tuple:
     return tuple(reversed(row))
 
 
-@lru_cache(maxsize=None)
-def _structure_constant(q: int, n: int, m: int, l: int) -> int:
+def structure_constant(ctx: FreeGroupCtx, n: int, m: int, l: int) -> int:
+    """Exact coefficient of chi_l in chi_n * chi_m: one entry of _product_row."""
+    if n < 0 or m < 0 or l < 0:
+        raise ValueError("sphere indices must be nonnegative")
     if n < m:
         n, m = m, n
     if l < n - m or l > n + m or (n + m - l) % 2 != 0:
         return 0
-    return _product_row(q, m, n == m)[(l - n + m) // 2]
-
-
-def structure_constant(ctx: FreeGroupCtx, n: int, m: int, l: int) -> int:
-    """Exact coefficient of chi_l in chi_n * chi_m."""
-    if n < 0 or m < 0 or l < 0:
-        raise ValueError("sphere indices must be nonnegative")
-    return _structure_constant(ctx.q, n, m, l)
+    return _product_row(ctx.q, m, n == m)[(l - n + m) // 2]
 
 
 def paper_display_coefficient(ctx: FreeGroupCtx, n: int, m: int, l: int) -> int:

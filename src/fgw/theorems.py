@@ -45,6 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .lorentz import (
+    LorentzIndex,
     lorentz_norm,
     lorentz_prefix_norms,
     radial_power_sum,
@@ -232,6 +233,8 @@ def verify_thm1(f: RadialFunction, fam: SetFamily) -> VerificationReport:
 
 def verify_lemma1(ctx: FreeGroupCtx, fam: SetFamily, k_max: int) -> VerificationReport:
     """<chi_k * chi_E, chi_E> <= 2 q^{[k/2]} |E| over the family, k <= k_max."""
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
     q = ctx.q
     report = VerificationReport("lemma1", {"k": ctx.k, "k_max": k_max, **fam.report_fields()})
     for label, size, pairs in self_pairings(ctx, fam, k_max):
@@ -248,6 +251,8 @@ def verify_r22(ctx: FreeGroupCtx, fam: SetFamily, n_max: int) -> VerificationRep
     The sup over F is solved exactly by the prefix ratio, so a pass
     covers every F, not just family members.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     q = ctx.q
     report = VerificationReport("r22", {"k": ctx.k, "n_max": n_max, **fam.report_fields()})
     coefs = [2.0 * float(q) ** (1.5 + 0.5 * n) for n in range(n_max + 1)]
@@ -502,11 +507,12 @@ def thm5_exponent_fit(
         },
     )
     longest, products = _thm5_runs(ctx, tuple(ns))
-    dens = lorentz_prefix_norms(longest, (2.0, s), [2 * n + 1 for n in ns])
+    num_idx = LorentzIndex(2.0, t)
+    dens = lorentz_prefix_norms(longest, LorentzIndex(2.0, s), [2 * n + 1 for n in ns])
     xs = []
     ys = []
     for n, num, den in zip(ns, products, dens):
-        ratio = lorentz_norm(num, (2.0, t)) / den
+        ratio = lorentz_norm(num, num_idx) / den
         xs.append(math.log(n))
         ys.append(math.log(ratio * q ** (-0.5 * n)))
         report.info(f"thm5:n={n}", ratio=ratio)
@@ -524,6 +530,8 @@ def thm5_exponent_fit(
 def verify_p_columns(ctx: FreeGroupCtx, k_max: int, radius: int) -> VerificationReport:
     """sup_x ||P_k delta_x||_1 <= q^{[k/2]} over the ball, with equality
     witnesses at even k."""
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
     q = ctx.q
     report = VerificationReport("pk", {"k": ctx.k, "k_max": k_max, "radius": radius})
     for k in range(k_max + 1):
@@ -554,6 +562,8 @@ def verify_q_columns(ctx: FreeGroupCtx, n_max: int, radius: int) -> Verification
     is informational and expected to fail, documenting the regime where
     the claim stops holding.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     report = VerificationReport("qn", {"k": ctx.k, "n_max": n_max, "radius": radius})
     for n in range(n_max + 1):
         alphas = [tw / 2.0 for tw in range(-n, n + 1)]
@@ -580,6 +590,14 @@ def verify_q_columns(ctx: FreeGroupCtx, n_max: int, radius: int) -> Verification
     return report
 
 
+def require_conjecture_grid(s_grid) -> None:
+    """The scan needs at least one s, each in [1, 2]."""
+    if not s_grid:
+        raise ValueError("the grid holds no s")
+    for s in s_grid:
+        require_conjecture_index(s)
+
+
 def conjecture_scan(ctx: FreeGroupCtx, s_grid=None, fam: SetFamily = None) -> VerificationReport:
     """Exploratory table: conjecture functional vs squared set estimate.
 
@@ -590,8 +608,7 @@ def conjecture_scan(ctx: FreeGroupCtx, s_grid=None, fam: SetFamily = None) -> Ve
     """
     if s_grid is None:
         s_grid = [1.0, 1.25, 1.5, 1.75, 2.0]
-    for s in s_grid:
-        require_conjecture_index(s)
+    require_conjecture_grid(s_grid)
     if fam is None:
         fam = SetFamily("sphere-unions", default_radius(ctx))
     fns = _spheres_and_decays(ctx)

@@ -11,10 +11,13 @@ Core claims:
       the radius the old column scan was capped at
     - usage errors, malformed literals, degenerate fits, --samples 0,
       --max-degree -1 and the removed --threads option exit 2
-    - bad --samples, --max-degree, --p, --s, --t, --f and fit windows
-      exit 2 with a message naming the option, before any verifier runs
-    - conjecture with an --s-grid value outside [1, 2] exits 2 with a
-      message naming --s-grid, before any estimate runs
+    - bad --samples, --max-degree, --p, --s, --t, --f and fit windows, and
+      a negative --k-max or --n-max, exit 2 with a message naming the
+      option, before any verifier runs
+    - norms with a malformed --s or an index out of range exits 2 with a
+      message naming the option
+    - conjecture with an empty --s-grid or a value outside [1, 2] exits 2
+      with a message naming --s-grid, before any estimate runs
     - verify all on an explicit family past r22's pair budget exits 2
       with r22's message before lemma1 runs
     - verify all leaves the chi, sphere_size and product-row caches holding
@@ -124,6 +127,23 @@ def test_norms_malformed_literal_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "malformed radial literal" in err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--p", "2", "--s", "abc"], "error: --s: could not convert string to float: 'abc'\n"),
+        (["--p", "1", "--s", "2"], "error: --p/--s: first index p must exceed 1\n"),
+        (["--p", "2", "--s=-inf"], "error: --p/--s: second index s must be >= 1 or infinity\n"),
+    ],
+    ids=["s", "p", "s-negative-inf"],
+)
+def test_norms_index_errors_name_the_option(capsys, args, message):
+    code = main(["norms", *args, "--radial", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message
 
 
 # -- search -----------------------------------------------------------------
@@ -563,6 +583,9 @@ VERIFIERS = (
         (("thm1", "thm4", "all"), ["--f", "-1"], "--f"),
         # q^-645 is below the normal floats on F_2, q^-644 is not
         (("thm5", "all"), ["--n-min", "638", "--fit-n-max", "645"], "--fit-n-max"),
+        (("lemma1", "pk", "all"), ["--k-max", "-1", "--radius", "2"], "--k-max"),
+        (("r22", "qn", "all"), ["--n-max", "-1", "--radius", "2"], "--n-max"),
+        (("r22", "all"), ["--n-max", "-1", "--family", "random-subsets", "--radius", "2"], "--n-max"),
     ],
 )
 def test_verify_usage_errors_fire_before_any_verifier(capsys, monkeypatch, targets, args, option):
@@ -692,6 +715,11 @@ def test_conjecture_s_grid_fires_before_any_estimate(capsys, monkeypatch):
         assert captured.out == ""
         assert captured.err.startswith("error: --s-grid:")
         assert "s must lie in [1, 2]" in captured.err
+    code = main(["conjecture", "--s-grid", ",", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --s-grid: the grid holds no s\n"
 
 
 def test_r22_budget_fires_before_lemma1(capsys, monkeypatch):

@@ -4,9 +4,9 @@ Core claims:
     - rearrange sorts values decreasingly and merges them into strict runs
     - lorentz_norm matches the elementwise definition expanded term by term
     - indicator norms are exactly |E|^{1/p}
-    - weak_norm is the sup of a_i i^{1/p}, attained at run ends, and is the
-      s = inf case of the prefix pass: the max of the run-end terms
-      v (c+m)^{1/p} bit for bit, with no Rearrangement built per prefix
+    - the weak norm, lorentz_norm at s = inf, is the sup of a_i i^{1/p},
+      attained at run ends: the max of the run-end terms v (c+m)^{1/p}
+      bit for bit, with no Rearrangement built per prefix
     - norms decrease in the second index s
     - blockwise power differences telescope without cancellation error
     - rearrange_radial equals rearrangement of the expanded radial function
@@ -41,7 +41,6 @@ from fgw.lorentz import (
     rearrange,
     rearrange_radial,
     rearrange_spheres,
-    weak_norm,
 )
 from fgw.radial import RadialFunction, chi, convolve_radial, sphere_product
 from fgw.words import FreeGroupCtx, sphere_size
@@ -75,7 +74,6 @@ def _random_rearrangement(rng, max_runs=5, max_mult=6):
 def test_rearrange_sorts_and_merges():
     r = rearrange({"a": 2, "b": -3, "c": 2, "d": 1})
     assert r.pairs == ((3, 1), (2, 2), (1, 1))
-    assert r.total_mass == 4
     # zeros are dropped
     assert rearrange([0, 5, 0]).pairs == ((5, 1),)
     assert rearrange([]).pairs == ()
@@ -97,7 +95,7 @@ def test_lorentz_norm_matches_definition():
         vals = _expand(r)
         for p, s in ((2.0, 1.0), (2.0, 2.0), (1.5, 1.0), (3.0, 2.0), (2.0, 1.3)):
             want = _norm_by_definition(vals, p, s)
-            got = lorentz_norm(r, (p, s))
+            got = lorentz_norm(r, LorentzIndex(p, s))
             assert math.isclose(got, want, rel_tol=1e-11), (r.pairs, p, s)
 
 
@@ -106,8 +104,9 @@ def test_indicator_norm_exact():
     for M in (1, 4, 100, 3 ** 9):
         r = Rearrangement(((1, M),))
         for p, s in ((2.0, 1.0), (2.0, 2.0), (1.25, 1.0), (4.0, 3.0)):
-            assert math.isclose(lorentz_norm(r, (p, s)), M ** (1.0 / p), rel_tol=1e-12)
-        assert math.isclose(weak_norm(r, 2.0), math.sqrt(M), rel_tol=1e-12)
+            assert math.isclose(lorentz_norm(r, LorentzIndex(p, s)), M ** (1.0 / p), rel_tol=1e-12)
+        weak = lorentz_norm(r, LorentzIndex(2.0, math.inf))
+        assert math.isclose(weak, math.sqrt(M), rel_tol=1e-12)
 
 
 def test_weak_norm_is_prefix_sup():
@@ -117,8 +116,7 @@ def test_weak_norm_is_prefix_sup():
         vals = _expand(r)
         for p in (1.5, 2.0, 3.0):
             want = max(v * (i + 1) ** (1.0 / p) for i, v in enumerate(vals))
-            assert math.isclose(weak_norm(r, p), want, rel_tol=1e-12)
-            assert math.isclose(lorentz_norm(r, (p, math.inf)), weak_norm(r, p), rel_tol=1e-15)
+            assert math.isclose(lorentz_norm(r, LorentzIndex(p, math.inf)), want, rel_tol=1e-12)
 
 
 def _run_end_terms(r, p):
@@ -135,9 +133,10 @@ def test_weak_norm_is_the_max_of_run_end_terms():
     for _ in range(200):
         r = _random_rearrangement(rng, max_runs=8, max_mult=10**6)
         for p in (1.25, 1.5, 2.0, 3.0):
-            assert weak_norm(r, p).hex() == max(_run_end_terms(r, p)).hex()
+            weak = lorentz_norm(r, LorentzIndex(p, math.inf))
+            assert weak.hex() == max(_run_end_terms(r, p)).hex()
     with pytest.raises(ValueError, match="first index p must exceed 1"):
-        weak_norm(r, 1.0)
+        lorentz_norm(r, LorentzIndex(1.0, math.inf))
 
 
 def test_weak_prefix_norms_build_no_rearrangement(monkeypatch):
@@ -146,7 +145,8 @@ def test_weak_prefix_norms_build_no_rearrangement(monkeypatch):
     for _ in range(50):
         r = _random_rearrangement(rng, max_runs=8)
         lengths = list(range(len(r.pairs) + 1))
-        want = [weak_norm(Rearrangement(r.pairs[:n]), 2.0) for n in lengths]
+        idx = LorentzIndex(2.0, math.inf)
+        want = [lorentz_norm(Rearrangement(r.pairs[:n]), idx) for n in lengths]
         cases.append((r, lengths, want))
     built = []
     post_init = Rearrangement.__post_init__
@@ -157,7 +157,7 @@ def test_weak_prefix_norms_build_no_rearrangement(monkeypatch):
 
     monkeypatch.setattr(Rearrangement, "__post_init__", spy)
     for r, lengths, want in cases:
-        got = lorentz_prefix_norms(r, (2.0, math.inf), lengths)
+        got = lorentz_prefix_norms(r, LorentzIndex(2.0, math.inf), lengths)
         assert [x.hex() for x in got] == [x.hex() for x in want]
     assert built == []
 
@@ -167,7 +167,7 @@ def test_norm_decreases_in_s():
     for _ in range(50):
         r = _random_rearrangement(rng)
         p = 2.0
-        seq = [lorentz_norm(r, (p, s)) for s in (1.0, 1.3, 2.0)] + [weak_norm(r, p)]
+        seq = [lorentz_norm(r, LorentzIndex(p, s)) for s in (1.0, 1.3, 2.0, math.inf)]
         for hi, lo in zip(seq, seq[1:]):
             assert hi >= lo * (1 - 1e-12)
 
@@ -177,10 +177,10 @@ def test_blockwise_powers_telescope():
     m = 3 ** 40
     r = Rearrangement(((2.0, m),))
     p, s = 2.0, 1.0
-    assert math.isclose(lorentz_norm(r, (p, s)), 2.0 * m ** 0.5, rel_tol=1e-12)
+    assert math.isclose(lorentz_norm(r, LorentzIndex(p, s)), 2.0 * m ** 0.5, rel_tol=1e-12)
     two = Rearrangement(((2.0, m), (1.0, m)))
     want = _norm_by_definition_two_runs(m)
-    assert math.isclose(lorentz_norm(two, (2.0, 1.0)), want, rel_tol=1e-12)
+    assert math.isclose(lorentz_norm(two, LorentzIndex(2.0, 1.0)), want, rel_tol=1e-12)
 
 
 def _norm_by_definition_two_runs(m):
@@ -197,10 +197,10 @@ def test_prefix_norms_equal_lorentz_norm_of_each_prefix(s):
     ctx = FreeGroupCtx(2)
     coeffs = tuple(3.0 ** (-0.5 * k) for k in range(121))
     lengths = [2 * n + 1 for n in range(61)]
-    got = lorentz_prefix_norms(rearrange_radial(RadialFunction(ctx, coeffs)), (2.0, s), lengths)
+    idx = LorentzIndex(2.0, s)
+    got = lorentz_prefix_norms(rearrange_radial(RadialFunction(ctx, coeffs)), idx, lengths)
     want = [
-        lorentz_norm(rearrange_radial(RadialFunction(ctx, coeffs[:n])), (2.0, s))
-        for n in lengths
+        lorentz_norm(rearrange_radial(RadialFunction(ctx, coeffs[:n])), idx) for n in lengths
     ]
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
@@ -212,8 +212,8 @@ def test_prefix_norms_past_float_counts():
     r = rearrange_radial(RadialFunction(ctx, tuple(3.0 ** (-0.5 * k) for k in range(801))))
     lengths = [0, 1, 600, 645, 646, 647, 700, 801]
     for s in (1.0, 2.0, math.inf):
-        got = lorentz_prefix_norms(r, (2.0, s), lengths)
-        want = [lorentz_norm(Rearrangement(r.pairs[:n]), (2.0, s)) for n in lengths]
+        got = lorentz_prefix_norms(r, LorentzIndex(2.0, s), lengths)
+        want = [lorentz_norm(Rearrangement(r.pairs[:n]), LorentzIndex(2.0, s)) for n in lengths]
         assert got == want
         assert all(math.isfinite(x) for x in got)
 
@@ -234,9 +234,9 @@ def test_norm_near_the_float_maximum_index_is_finite(s):
     # once made the log-scaled sum nan; the norm tends to the weak norm
     f = RadialFunction(FreeGroupCtx(2), tuple(3.0 ** (-0.5 * k) for k in range(9)))
     r = rearrange_radial(f)
-    got = lorentz_norm(r, (2.0, s))
+    got = lorentz_norm(r, LorentzIndex(2.0, s))
     assert math.isfinite(got)
-    assert math.isclose(got, weak_norm(r, 2.0), rel_tol=1e-9)
+    assert math.isclose(got, lorentz_norm(r, LorentzIndex(2.0, math.inf)), rel_tol=1e-9)
     assert abs(got - 1.41416) < 1e-5
 
 
@@ -261,23 +261,24 @@ def test_norms_of_counts_past_float_range():
     root = float(Decimal(size).sqrt(Context(prec=40)))
     r = Rearrangement(((Fraction(1), size),))
     for s in (1.0, 2.0, 3.0):
-        assert math.isclose(lorentz_norm(r, (2.0, s)), root, rel_tol=1e-13)
-    assert math.isclose(weak_norm(r, 2.0), root, rel_tol=1e-13)
+        assert math.isclose(lorentz_norm(r, LorentzIndex(2.0, s)), root, rel_tol=1e-13)
+    assert math.isclose(lorentz_norm(r, LorentzIndex(2.0, math.inf)), root, rel_tol=1e-13)
     two = Rearrangement(((Fraction(3), size), (Fraction(1, 7), size)))
     # telescoping at s = 1: 3 |S|^{1/2} + (1/7) ((2|S|)^{1/2} - |S|^{1/2})
     want = 3 * root + (math.sqrt(2) * root - root) / 7
-    assert math.isclose(lorentz_norm(two, (2.0, 1.0)), want, rel_tol=1e-12)
+    assert math.isclose(lorentz_norm(two, LorentzIndex(2.0, 1.0)), want, rel_tol=1e-12)
     # and at s = 2: (9 |S| + (1/49) |S|)^{1/2}
-    assert math.isclose(lorentz_norm(two, (2.0, 2.0)), math.sqrt(9 + 1 / 49) * root, rel_tol=1e-12)
+    want = math.sqrt(9 + 1 / 49) * root
+    assert math.isclose(lorentz_norm(two, LorentzIndex(2.0, 2.0)), want, rel_tol=1e-12)
     # the norm itself past float range is an error, not inf
     with pytest.raises(ValueError, match="out of float range"):
-        lorentz_norm(Rearrangement(((1, size * size),)), (2.0, 2.0))
+        lorentz_norm(Rearrangement(((1, size * size),)), LorentzIndex(2.0, 2.0))
     with pytest.raises(ValueError, match="^the weak Lorentz norm e.* is out of float range$"):
-        weak_norm(Rearrangement(((1, size * size),)), 2.0)
+        lorentz_norm(Rearrangement(((1, size * size),)), LorentzIndex(2.0, math.inf))
     # past float range, the weak norm is the exp of the largest run-end logarithm
     for p in (1.5, 2.0, 3.0):
         want = math.exp(max(math.log(3) + math.log(size) / p, -math.log(7) + math.log(2 * size) / p))
-        assert weak_norm(two, p).hex() == want.hex()
+        assert lorentz_norm(two, LorentzIndex(p, math.inf)).hex() == want.hex()
 
 
 def test_rearrange_radial_matches_expansion():
@@ -337,12 +338,15 @@ def test_radial_weighted_sum_formulas():
 
 
 def test_lorentz_index_validation():
-    idx = LorentzIndex(2.0, 1.0)
-    assert idx.p_prime == 2.0
+    assert LorentzIndex(2.0, math.inf).s == math.inf
     with pytest.raises(ValueError):
         LorentzIndex(1.0, 1.0)
     with pytest.raises(ValueError):
         LorentzIndex(2.0, 0.5)
+    # -inf is infinite but below 1, and nan compares with nothing
+    for s in (-math.inf, math.nan):
+        with pytest.raises(ValueError, match="second index s must be >= 1 or infinity"):
+            LorentzIndex(2.0, s)
 
 
 def test_rearrange_accepts_function_entry_maps():

@@ -39,7 +39,8 @@ Core claims:
       last place
     - explicit families build each word's sphere image once per call, from
       its parent's: the memo stores at most PAIR_BUDGET keys, prefix
-      images included, and, once full, changes no estimate; r22's
+      images included, beside S_n as the identity's image (key 1), which
+      takes no room, and, once full, changes no estimate; r22's
       explicit rows keep their (E, n) order, and r22 sweeps an explicit
       family once, with one memo for the call
     - explicit sets store sorted integer keys, which is the (length, lex)
@@ -254,7 +255,7 @@ def test_sorted_keys_are_length_lex_order(k, data):
     want = [_kernels.encode_word(tk, w.letters) for w in sorted(words, key=ReducedWord.sort_key)]
     assert sorted(_kernels.encode_word(tk, w.letters) for w in words) == want
     E = explicit_set(ctx, words)
-    assert list(E.keys()) == sorted(set(want))
+    assert list(E.word_keys) == sorted(set(want))
     assert list(E.iter_words()) == sorted(set(words), key=ReducedWord.sort_key)
 
 
@@ -1261,21 +1262,31 @@ def test_image_memo_holds_at_most_the_pair_budget(monkeypatch, call, fam):
     monkeypatch.setattr(ops, "PAIR_BUDGET", cap)
     memos = _spy_on_image_memos(monkeypatch)
     assert run() == want
+    tk = CTX.alphabet
     for memo in memos:
-        stored = sum(len(image) for per_n in memo.images.values() for image in per_n.values())
+        # key 1, the identity, holds S_n in every memo that was asked
+        # for n, and takes none of the room
+        for n, per_n in memo.images.items():
+            assert per_n[1] == _kernels.sphere_keys(tk, n)
+        stored = sum(
+            len(image) for per_n in memo.images.values() for kx, image in per_n.items() if kx != 1
+        )
         assert stored <= cap
         assert memo.room == cap - stored
-    # some image was asked for and not stored, so the cap was reached (the
-    # identity's image is S_n, which the memo keeps apart)
-    assert any(
-        kx != 1 and kx not in memo.images[n] for memo in memos for n, kx in memo.asked
-    )
+    # some image was asked for and not stored, so the cap was reached
+    assert any(kx not in memo.images[n] for memo in memos for n, kx in memo.asked)
+    # the identity's image alone leaves the room whole
+    memo = ops._SphereImages(tk)
+    memo.counts(3, [1])
+    assert memo.images[3] == {1: _kernels.sphere_keys(tk, 3)}
+    assert memo.room == cap
     # a word's image is extended from its prefixes', which are stored on
     # the way and take their keys from the same room
-    memo = ops._SphereImages(CTX.alphabet)
-    x = _kernels.encode_word(CTX.alphabet, (0, 2, 0))
+    memo = ops._SphereImages(tk)
+    x = _kernels.encode_word(tk, (0, 2, 0))
     memo.counts(2, [x])
-    assert sorted(memo.images[2]) == [x // 16, x // 4, x]
+    assert memo.images[2][1] == _kernels.sphere_keys(tk, 2)
+    assert sorted(memo.images[2]) == [1, x // 16, x // 4, x]
     assert memo.room == cap - 3 * sphere_size(CTX, 2)
 
 
@@ -1293,7 +1304,7 @@ def test_explicit_r22_sweeps_the_family_once(monkeypatch, fam):
     def sups(E):
         out = []
         for n in range(n_max + 1):
-            counts = ops._SphereImages(CTX.alphabet).counts(n, E.keys())
+            counts = ops._SphereImages(CTX.alphabet).counts(n, E.word_keys)
             out.append(ops._best_prefix(runs(Counter(counts.values()).items()), 0.5, 1)[0])
         return out
 

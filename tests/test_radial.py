@@ -11,7 +11,6 @@ Core claims:
       f), and sphere_product_norm_squared equals the product's
       l2_norm_squared in value and type
     - the chi_1 recursion chi_1 * chi_n = chi_{n+1} + q chi_{n-1} holds (n >= 2)
-    - a product with float coefficients adds no structure-constant cache entries
     - total mass is conserved: sum_l c(n,m,l) |S_l| = |S_n| |S_m|
     - the display coefficient majorizes the exact one within a factor 2
     - the algebra is commutative and associative with unit chi_0
@@ -40,7 +39,6 @@ from fgw.radial import (
     RadialFunction,
     _denominator,
     _scaled_items,
-    _structure_constant,
     a_functional,
     a_functional_parts,
     chi,
@@ -151,7 +149,6 @@ def _radial(ctx, coeff, max_size=6):
 
 def _reference_convolve(f, g):
     # the product as a plain Fraction loop over the structure constants
-    q = f.ctx.q
     out = [Fraction(0)] * (f.degree + g.degree + 1)
     for n, fn in enumerate(f.coeffs):
         if not fn:
@@ -161,7 +158,7 @@ def _reference_convolve(f, g):
                 continue
             w = fn * gm
             for l in range(abs(n - m), n + m + 1, 2):
-                out[l] = out[l] + w * _structure_constant(q, n, m, l)
+                out[l] = out[l] + w * structure_constant(f.ctx, n, m, l)
     return RadialFunction(f.ctx, tuple(out))
 
 
@@ -277,16 +274,6 @@ def test_float_products_pinned():
     ]
     u = RadialFunction(ctx, (1, 0.5))
     assert _typed(convolve_radial(u, u)) == [(float, "2.0"), (float, "1.0"), (float, "0.25")]
-
-
-def test_float_product_fills_no_structure_constant_cache():
-    # thm5's shape: chi_40 against a degree-80 float function; the
-    # product reads whole rows, so no per-(n, m, l) entry is cached
-    ctx = FreeGroupCtx(2)
-    f = RadialFunction(ctx, tuple(3.0 ** (-0.5 * k) for k in range(81)))
-    _structure_constant.cache_clear()
-    convolve_radial(chi(ctx, 40), f)
-    assert _structure_constant.cache_info().currsize == 0
 
 
 def test_linearity_and_scalar_action():

@@ -15,7 +15,7 @@ Core claims:
     - lemma1, r22, thm3, thm4, thm5, column, and majorization verifiers pass
     - on spheres, balls, sphere unions, ball subsets and random subsets,
       lemma1 and r22 rows equal their per-set Fraction oracles, under any
-      budget and index range, the empty set included
+      budget and nonnegative index maximum, the empty set included
     - lemma1 decides each row on the integer pairings, with the verdict
       of the exact Fraction comparison, and its rows keep Fraction lhs
     - theorems states inequalities only: it imports no private name of
@@ -26,6 +26,8 @@ Core claims:
     - the alpha = n column row documents the expected failure for n >= 4
     - every pk and qn verdict is the column's exact ok
     - thm5 refuses degenerate fit windows
+    - lemma1, r22, pk and qn refuse a negative index maximum, and the
+      conjecture scan an empty s grid
     - thm5's memoized runs equal fresh rearrangements of f_n * chi_n, float
       for float, and a report's bytes do not depend on which windows and
       groups were fitted before it
@@ -341,6 +343,13 @@ def _oracle_rows(fam, top):
 @given(_verifier_cases())
 def test_radial_lemma1_and_r22_match_fraction_oracles(case):
     fam, top = case
+    if top < 0:
+        # an empty index range would pass with no checks at all
+        with pytest.raises(ValueError, match="^k_max must be nonnegative$"):
+            verify_lemma1(CTX, fam, top)
+        with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+            verify_r22(CTX, fam, top)
+        return
     q = CTX.q
     rows = _oracle_rows(fam, top)
     lemma1 = verify_lemma1(CTX, fam, top)
@@ -630,6 +639,21 @@ def test_conjecture_scan_is_informational():
     assert rep.counts()["fail"] == 0
     sample = [c for c in rep.checks if "functional" in c][0]
     assert {"estimate_sq", "functional", "functional_negative_sign"} <= set(sample)
+    with pytest.raises(ValueError, match="^the grid holds no s$"):
+        conjecture_scan(CTX, s_grid=[])
+
+
+def test_negative_index_maxima_are_refused():
+    # a negative maximum would pass with no checks at all
+    fam = SetFamily("random-subsets", 2, budget=3)
+    with pytest.raises(ValueError, match="^k_max must be nonnegative$"):
+        verify_lemma1(CTX, fam, -1)
+    with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+        verify_r22(CTX, fam, -1)
+    with pytest.raises(ValueError, match="^k_max must be nonnegative$"):
+        verify_p_columns(CTX, -1, 2)
+    with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+        verify_q_columns(CTX, -1, 2)
 
 
 def test_verify_display_majorization_passes():
