@@ -18,11 +18,25 @@ digit is no letter), else y * 2k + a.  The identity's image is S_n
 itself.  Each step maps the list entry by entry, so an image keeps the
 order of w, as a pair loop `for w in S_n` makes it.
 
+Where only the number of x in E at each distance is read, distance
+profiles serve instead of sphere images.  Join u to u*a in the Cayley
+tree, so d(y, u) = |y^-1 u| and the parent of a key is key // 2k.  For
+keys u = x^-1 over x in E and z = y^-1, |z x^-1| = d(y, u), so the
+profile P_y[j] = #{u : d(y, u) = j} of y is z's count of x in E at
+distance j.  distance_profiles gives P_y and the outward degree
+b(y) = 2k - deg_C(y) for every y of the prefix closure C of the u, a
+subtree holding the identity, in one pass up and one down.  Every other
+y has a nearest node y' of C, at some t >= 1, through which it reaches
+every u, so P_y[j] = P_y'[j - t]; and the y with y' and t given fill a
+cone of b(y') q^(t-1) words (q = 2k - 1), as the first step leaves C by
+one of b(y') edges and each later step has q choices.
+
 Every function here serves a certifier path: the sphere rule, key
-encoding and inversion, and the pair kernels of the explicit families,
-prod_len_hist (pairings), and extend_image, the one-letter step of the
-sphere images, which count_images counts for every set (estimators and
-r22).  The kernels return raw counts; lorentz.runs rearranges them.
+encoding and inversion, and the kernels of the explicit families:
+distance_profiles (lemma1 and r22), prod_len_hist (pairings), and
+extend_image, the one-letter step of the sphere images, which
+count_images counts for every set of the estimators.  The kernels
+return raw counts; lorentz.runs rearranges them.
 """
 
 from __future__ import annotations
@@ -101,6 +115,49 @@ def prod_len_hist(two_k: int, akeys, bkeys) -> list[int]:
                 i += 1
             hist[la + nb - 2 * i] += 1
     return hist
+
+
+def distance_profiles(two_k: int, keys) -> dict:
+    """y -> (P_y, b(y)) for every node y of the prefix closure C of distinct keys.
+
+    P_y[j] counts the keys u with |y^-1 u| = j, a list up to its last
+    nonzero entry, and b(y) = 2k - deg_C(y) counts y's neighbours y*a
+    outside C.  Each profile is packed in one int, lane j at bit j*B with
+    B = (|keys| + 1).bit_length().  The subtree profiles D sum up in
+    descending key order, D_parent += D_y << B, and the profiles follow
+    in ascending key order, P_y = D_y + ((P_parent - (D_y << B)) << B):
+    the keys of y's subtree, plus the others, one step further than from
+    the parent.  No lane borrows, since the lanes subtracted count a
+    subset of those they are taken from.
+    """
+    width = (len(keys) + 1).bit_length()
+    # packed[y] holds D_y, then P_y
+    packed = dict.fromkeys(keys, 1)
+    for key in keys:
+        # the prefixes up to the first one held; a held key adds its own later
+        key //= two_k
+        while key and key not in packed:
+            packed[key] = 0
+            key //= two_k
+    order = sorted(packed)
+    degree = dict.fromkeys(order, 0)
+    for key in reversed(order[1:]):  # order[0] is the identity, the root
+        parent = key // two_k
+        packed[parent] += packed[key] << width
+        degree[parent] += 1
+        degree[key] += 1
+    mask = (1 << width) - 1
+    out = {}
+    for key in order:  # a parent's P comes before its children's
+        p = packed[key]
+        if key > 1:
+            p = packed[key] = p + ((packed[key // two_k] - (p << width)) << width)
+        lanes = []
+        while p:
+            lanes.append(p & mask)
+            p >>= width
+        out[key] = (lanes, two_k - degree[key])
+    return out
 
 
 def extend_image(two_k: int, image: list, a: int) -> list[int]:

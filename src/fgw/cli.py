@@ -320,7 +320,7 @@ def cmd_conjecture(args) -> int:
     try:
         s_grid = [float(tok) for tok in args.s_grid.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ValueError(f"malformed s grid {args.s_grid!r}: {exc}") from None
+        raise ValueError(f"--s-grid: malformed s grid {args.s_grid!r}: {exc}") from None
     _option_check("--s-grid", require_conjecture_grid, s_grid)
     report = conjecture_scan(ctx, s_grid=s_grid, fam=fam)
     return _finish(args, [report])

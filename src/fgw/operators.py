@@ -9,14 +9,21 @@ has one representation:
   (see _kernels), which become ReducedWords only at the API boundary.
   Every candidate's work is checked before the ball is built
   (_check_candidates), so a family is then swept once, set by set, and
-  each word's image under S_n is built once per call (_SphereImages),
-  from its parent's image by one letter (_kernels.extend_image), which
-  maps the list entry by entry and so keeps the order of w; the
+  each word's image under S_n is built once per estimator call
+  (_SphereImages), from its parent's image by one letter
+  (_kernels.extend_image), which maps the list entry by entry and so
+  keeps the order of w; the
   identity's image, S_n itself, is where every chain starts; each set
   counts f * chi_E from its words' images, as integers over D =
   lcm(denominators of f) (_convolve_value_counts); estimators
   divide once per candidate, in _best_prefix or the square sum, and
-  pairings read one length histogram of products (chi_pairing_profile);
+  pairings read one length histogram of products (chi_pairing_profile).
+  lemma1 and r22 read only how many x in E lie at each distance from z,
+  so they build no image: the distance profiles of E^-1 on its prefix
+  closure C (_kernels.distance_profiles) give that count on C, and every
+  z outside C reads its nearest node's profile shifted by the distance
+  t, b(y) q^(t-1) such z per node y and t (_explicit_prefix_sups,
+  self_pairings);
 * a radial family (unions of spheres) is never an ElementSet: its
   candidates are masks over the spheres S_0 .. S_R, where R =
   _sweep_radius is the highest sphere a mask within the budget holds,
@@ -50,6 +57,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from operator import add, mul
 
 from . import _kernels
@@ -285,7 +293,7 @@ def _check_convolution_work(sphere_work: int, set_size: int) -> None:
 
 
 class _SphereImages:
-    """Sphere images for one estimator or prefix_sups call: images[n] maps x to its image under S_n.
+    """Sphere images for one estimator call: images[n] maps x to its image under S_n.
 
     images[n] starts as {1: S_n}, the identity's image, which takes no
     room.  A missing image is extended from its parent's by
@@ -410,13 +418,54 @@ def require_prefix_sups_budget(ctx: FreeGroupCtx, fam: SetFamily, n_max: int) ->
     _check_candidates(ctx, fam, check, lambda size: sphere_work * size)
 
 
+def _inverse_profiles(ctx: FreeGroupCtx, E: ElementSet):
+    """E^-1's keys, and _kernels.distance_profiles of them.
+
+    |z x^-1| is |y^-1 u| for y = z^-1 and u = x^-1, so on the closure of
+    E^-1, P_y[j] counts the x in E with |z x^-1| = j.
+    """
+    tk = ctx.alphabet
+    inv = [_kernels.inv_key(tk, key) for key in E.word_keys]
+    return inv, _kernels.distance_profiles(tk, inv)
+
+
+def _explicit_prefix_sups(ctx: FreeGroupCtx, E: ElementSet, n_max: int) -> list:
+    """prefix_sups' row of one explicit E, from the distance profiles of E^-1.
+
+    (chi_n * chi_E)(z) is P_y[n] for y = z^-1 when y is in the closure C.
+    Otherwise z^-1 has a nearest node y in C, at some distance t >= 1, so
+    z's count is P_y[n - t], and b(y) q^(t-1) such z share y and t.  So
+    sphere n's values are the P_y[n] once each and the P_y[n - t]
+    b(y) q^(t-1) times, zeros dropped.
+    """
+    q = ctx.q
+    # at[j][v]: the y with P_y[j] = v; off[j][v]: their b(y), summed
+    at = [{} for _ in range(n_max + 1)]
+    off = [{} for _ in range(n_max + 1)]
+    for lanes, b in _inverse_profiles(ctx, E)[1].values():
+        for j, v in enumerate(lanes[: n_max + 1]):
+            if v:
+                at[j][v] = at[j].get(v, 0) + 1
+                if b:
+                    off[j][v] = off[j].get(v, 0) + b
+    sups = []
+    cone: dict = {}  # v -> #{z outside C with (chi_n * chi_E)(z) = v}
+    for n in range(n_max + 1):
+        sups.append(_best_prefix(runs(chain(at[n].items(), cone.items())), 0.5, 1)[0])
+        cone = {v: q * m for v, m in cone.items()}
+        for v, m in off[n].items():
+            cone[v] = cone.get(v, 0) + m
+    return sups
+
+
 def self_pairings(ctx: FreeGroupCtx, fam: SetFamily, k_max: int):
     """Yield (label, |E|, [<chi_k * chi_E, chi_E> for k <= k_max]) per candidate E, as integers.
 
     A radial E sums (chi_k * chi_E)_r |S_r| over its spheres r, from one
     sweep of chi_0 .. chi_k_max, whose coefficients are integers (D = 1);
-    an explicit E reads chi_pairing_profile(E, E), padded or cut to
-    k_max + 1 entries, once require_self_pairings_budget has passed.
+    an explicit E sums (chi_k * chi_E)(x) = P_{x^-1}[k] over x in E, from
+    the distance profiles of E^-1 (_inverse_profiles), once
+    require_self_pairings_budget has passed.
     """
     if fam.kind in RADIAL_KINDS:
         label = _radial_candidates(fam)[1]
@@ -428,18 +477,22 @@ def self_pairings(ctx: FreeGroupCtx, fam: SetFamily, k_max: int):
         return
     require_self_pairings_budget(ctx, fam)
     for E in candidate_sets(ctx, fam):
-        profile = chi_pairing_profile(E, E)[: k_max + 1]
-        yield E.label, E.size, profile + [0] * (k_max + 1 - len(profile))
+        inv, profiles = _inverse_profiles(ctx, E)
+        pairs = [0] * (k_max + 1)
+        for key in inv:
+            for j, v in enumerate(profiles[key][0][: k_max + 1]):
+                pairs[j] += v
+        yield E.label, E.size, pairs
 
 
 def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
     """Yield (label, |E|, [sup_F <chi_n * chi_E, chi_F> / |F|^{1/2} for n <= n_max]).
 
     Each sup is the best prefix of the runs of chi_n * chi_E, whose values
-    are integers: radial sweep coefficients, or the kernel's pair counts.
-    An explicit family passes require_prefix_sups_budget before its ball
-    is built, and is then swept once, set by set, with one memo of sphere
-    images for the whole call.
+    are integers: radial sweep coefficients, or counts read off the
+    distance profiles of E^-1 (_explicit_prefix_sups).  An explicit
+    family passes require_prefix_sups_budget before its ball is built,
+    and is then swept once, set by set.
     """
     if fam.kind in RADIAL_KINDS:
         label = _radial_candidates(fam)[1]
@@ -449,10 +502,8 @@ def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
             yield label(mask), size, [_best_prefix(runs(zip(h, mult)), 0.5, 1)[0] for h in hs]
         return
     require_prefix_sups_budget(ctx, fam, n_max)
-    images = _SphereImages(ctx.alphabet)
     for E in candidate_sets(ctx, fam):
-        counts = (Counter(images.counts(n, E.word_keys).values()) for n in range(n_max + 1))
-        yield E.label, E.size, [_best_prefix(runs(c.items()), 0.5, 1)[0] for c in counts]
+        yield E.label, E.size, _explicit_prefix_sups(ctx, E, n_max)
 
 
 def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_radial):

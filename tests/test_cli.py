@@ -720,6 +720,13 @@ def test_conjecture_s_grid_fires_before_any_estimate(capsys, monkeypatch):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: --s-grid: the grid holds no s\n"
+    code = main(["conjecture", "--s-grid", "abc", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --s-grid: malformed s grid 'abc': could not convert string to float: 'abc'\n"
+    )
 
 
 def test_r22_budget_fires_before_lemma1(capsys, monkeypatch):

@@ -16,8 +16,16 @@ Core claims:
       left_convolve), and inserts the keys in the order of the w-major
       pair loop, for every key list, whether the images come from the
       recurrence or from the oracle
+    - distance_profiles of E^-1 gives, on its closure's nodes y, the
+      count of x in E with |z x^-1| = j for z = y^-1, and every other z
+      of the ball, at distance t from its nearest node y, reads y's
+      profile t lanes on; the b(y) q^(t-1) such z are counted exactly,
+      for k in {2, 3, 4}, E in B_3, z in B_{3+n}, the identity alone and
+      closures that are a single path included, all against ReducedWord
+      products with no kernel code
 """
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -28,7 +36,15 @@ from hypothesis import strategies as st
 from fgw import _kernels
 from fgw._kernels import decode_word, encode_word
 from fgw.oracle import sphere_image
-from fgw.words import FreeGroupCtx, ReducedWord, inverse, mul, normalize, sphere_stream
+from fgw.words import (
+    FreeGroupCtx,
+    ReducedWord,
+    ball_stream,
+    inverse,
+    mul,
+    normalize,
+    sphere_stream,
+)
 
 
 def _word(ctx, key):
@@ -171,3 +187,66 @@ def test_count_images_inserts_keys_in_pair_loop_order(k, n, letter_lists):
     ):
         got = _kernels.count_images(images)
         assert list(got.items()) == list(want.items())
+
+
+@functools.lru_cache(maxsize=None)
+def _ball_words(k, radius):
+    return tuple(ball_stream(FreeGroupCtx(k), radius))
+
+
+def _fold_key(tk, letters):
+    # the kernels' key of a letter tuple, folded here so the brute force
+    # below runs no kernel code
+    key = 1
+    for c in letters:
+        key = key * tk + c
+    return key
+
+
+@st.composite
+def _profile_cases(draw):
+    k = draw(st.sampled_from((2, 3, 4)))
+    ctx = FreeGroupCtx(k)
+    # B_{3+n} holds 3,201 words at k = 4 and n = 1
+    n = draw(st.integers(0, 3 if k == 2 else 1))
+    words = draw(st.lists(st.sampled_from(_ball_words(k, 3)), min_size=1, max_size=6, unique=True))
+    return ctx, n, words
+
+
+@settings(max_examples=40, deadline=None)
+@given(_profile_cases())
+@example((FreeGroupCtx(2), 3, [ReducedWord(FreeGroupCtx(2), ())]))
+# E = {BA, ABA}, so E^-1 = {ab, aba}: the closure e, a, ab, aba is one path
+@example((FreeGroupCtx(3), 1, [ReducedWord(FreeGroupCtx(3), w) for w in ((3, 1), (1, 3, 1))]))
+# E = {DCD}: a single word of F_4, one path of depth 3
+@example((FreeGroupCtx(4), 1, [ReducedWord(FreeGroupCtx(4), (7, 5, 7))]))
+def test_distance_profiles_match_brute_force(case):
+    ctx, n, E = case
+    tk, q = ctx.alphabet, ctx.q
+    inv = [inverse(x) for x in E]
+    got = _kernels.distance_profiles(tk, [_fold_key(tk, u.letters) for u in inv])
+    depths = {_fold_key(tk, u.letters[:i]): i for u in inv for i in range(len(u) + 1)}
+    assert set(got) == set(depths)
+    outside = Counter()
+    for z in _ball_words(ctx.k, 3 + n):
+        want = [0] * (3 + n + 4)
+        for x in E:
+            want[len(mul(z, inverse(x)))] += 1
+        while want[-1] == 0:
+            want.pop()
+        # z^-1's longest prefix in the closure is z's nearest node y
+        y = inverse(z).letters
+        t = 0
+        while _fold_key(tk, y) not in depths:
+            y, t = y[:-1], t + 1
+        lanes, b = got[_fold_key(tk, y)]
+        assert [0] * t + lanes == want, (z, y)
+        if t:
+            outside[_fold_key(tk, y), t] += 1
+    for key, (_, b) in got.items():
+        for t in range(1, 3 + n - depths[key] + 1):
+            assert outside[key, t] == b * q ** (t - 1), (key, t)
+
+
+def test_distance_profiles_of_no_keys():
+    assert _kernels.distance_profiles(4, []) == {}

@@ -37,12 +37,15 @@ Core claims:
     - the explicit families' integer estimates equal the exact reference
       of left_convolve exactly, and float f keeps its estimates to the
       last place
-    - explicit families build each word's sphere image once per call, from
-      its parent's: the memo stores at most PAIR_BUDGET keys, prefix
-      images included, beside S_n as the identity's image (key 1), which
-      takes no room, and, once full, changes no estimate; r22's
-      explicit rows keep their (E, n) order, and r22 sweeps an explicit
-      family once, with one memo for the call
+    - the explicit estimators build each word's sphere image once per
+      call, from its parent's: the memo stores at most PAIR_BUDGET keys,
+      prefix images included, beside S_n as the identity's image (key 1),
+      which takes no room, and, once full, changes no estimate
+    - r22 and lemma1 read explicit sets off the distance profiles of
+      E^-1: r22's rows equal the word-by-word reference in (E, n) order,
+      lemma1's equal chi_pairing_profile's, each family is swept once,
+      and neither builds a sphere-image memo or calls
+      chi_pairing_profile
     - explicit sets store sorted integer keys, which is the (length, lex)
       order of their words, and refuse words of another group; the
       explicit families build no ReducedWord
@@ -84,7 +87,7 @@ import fgw.operators as ops
 import fgw.radial as radial
 from fgw import _kernels
 from fgw.errors import BudgetExceededError
-from fgw.lorentz import rearrange, runs
+from fgw.lorentz import rearrange
 from fgw.operators import (
     RADIAL_KINDS,
     ElementSet,
@@ -1010,7 +1013,7 @@ def _prefix_sups_set_by_set(ctx, fam, n_max):
     ids=["ball-subsets", "random-subsets"],
 )
 def test_prefix_sups_rows_in_set_then_sphere_order(fam):
-    # the explicit path goes sphere by sphere and still yields (E, n) rows
+    # the explicit rows come set by set, each E's spheres in order
     assert list(ops.prefix_sups(CTX, fam, 3)) == _prefix_sups_set_by_set(CTX, fam, 3)
 
 
@@ -1229,30 +1232,23 @@ def _spy_on_image_memos(monkeypatch):
 
 
 MEMO_F = RadialFunction(CTX, (Fraction(1), Fraction(1, 2), Fraction(1, 4)))
-MEMO_CASES = [
-    ("estimators", SetFamily("random-subsets", radius=3, budget=12, seed=3)),
-    ("estimators", SetFamily("greedy", radius=2, budget=4)),
-    ("r22", SetFamily("random-subsets", radius=3, budget=10, seed=4)),
+MEMO_FAMILIES = [
+    SetFamily("random-subsets", radius=3, budget=12, seed=3),
+    SetFamily("greedy", radius=2, budget=4),
 ]
 
 
-@pytest.mark.parametrize("call, fam", MEMO_CASES, ids=[f"{c}-{f.kind}" for c, f in MEMO_CASES])
-def test_image_memo_holds_at_most_the_pair_budget(monkeypatch, call, fam):
+@pytest.mark.parametrize("fam", MEMO_FAMILIES, ids=[f"estimators-{f.kind}" for f in MEMO_FAMILIES])
+def test_image_memo_holds_at_most_the_pair_budget(monkeypatch, fam):
     # PAIR_BUDGET set between the largest set's work and the family's
     # total: every set passes its budget check, the memo fills up and
     # rebuilds the images it cannot store, and no estimate moves.  (No
     # ball-subsets case: its family holds the whole ball, so the largest
     # set's work is the total.)
-    if call == "estimators":
-        def run():
-            return [est(MEMO_F, fam) for est in (restricted_weak_estimate, weak_estimate_21_to_2)]
+    def run():
+        return [est(MEMO_F, fam) for est in (restricted_weak_estimate, weak_estimate_21_to_2)]
 
-        sphere_work = sum(sphere_size(CTX, n) for n in range(3))
-    else:
-        def run():
-            return list(ops.prefix_sups(CTX, fam, 3))
-
-        sphere_work = sphere_size(CTX, 3)
+    sphere_work = sum(sphere_size(CTX, n) for n in range(3))
     if fam.kind == "greedy":
         largest = fam.budget
     else:
@@ -1298,17 +1294,10 @@ R22_ONE_PASS_CASES = [
 
 @pytest.mark.parametrize("fam", R22_ONE_PASS_CASES, ids=[f.kind for f in R22_ONE_PASS_CASES])
 def test_explicit_r22_sweeps_the_family_once(monkeypatch, fam):
-    # the reference counts every (E, n) on a fresh memo
+    # r22 reads the distance profiles: one replay of the family, no image
+    # memo, and the rows of the word-by-word reference
     n_max = 3
-
-    def sups(E):
-        out = []
-        for n in range(n_max + 1):
-            counts = ops._SphereImages(CTX.alphabet).counts(n, E.word_keys)
-            out.append(ops._best_prefix(runs(Counter(counts.values()).items()), 0.5, 1)[0])
-        return out
-
-    want = [(E.label, E.size, sups(E)) for E in candidate_sets(CTX, fam)]
+    want = _prefix_sups_set_by_set(CTX, fam, n_max)
     calls = []
     real = ops.candidate_sets
 
@@ -1320,8 +1309,26 @@ def test_explicit_r22_sweeps_the_family_once(monkeypatch, fam):
     memos = _spy_on_image_memos(monkeypatch)
     assert list(ops.prefix_sups(CTX, fam, n_max)) == want
     assert len(calls) == 1
-    assert len(memos) == 1
+    assert memos == []
     report = verify_r22(CTX, fam, n_max)
     assert len(calls) == 2
-    assert len(memos) == 2
+    assert memos == []
     assert len(report.checks) == len(want) * (n_max + 1)
+
+
+@pytest.mark.parametrize("fam", R22_ONE_PASS_CASES, ids=[f.kind for f in R22_ONE_PASS_CASES])
+def test_explicit_lemma1_reads_the_distance_profiles(monkeypatch, fam):
+    # the rows of the pair histogram, which the sweep itself does not call
+    k_max = 8
+    want = []
+    for E in candidate_sets(CTX, fam):
+        profile = chi_pairing_profile(E, E)[: k_max + 1]
+        want.append((E.label, E.size, profile + [0] * (k_max + 1 - len(profile))))
+
+    def refused(E, F):
+        raise AssertionError("chi_pairing_profile called")
+
+    monkeypatch.setattr(ops, "chi_pairing_profile", refused)
+    memos = _spy_on_image_memos(monkeypatch)
+    assert list(ops.self_pairings(CTX, fam, k_max)) == want
+    assert memos == []
