@@ -8,22 +8,23 @@ has one representation:
 * an ElementSet is an explicit set: the sorted integer keys of its words
   (see _kernels), which become ReducedWords only at the API boundary.
   Every candidate's work is checked before the ball is built
-  (_check_candidates), so a family is then swept once, set by set, and
-  each word's image under S_n is built once per estimator call
+  (_check_candidates), so a family is then swept once, set by set.
+  The restricted estimator, lemma1 and r22 read only how many x in E
+  lie at each distance from z, so they build no image: the distance
+  profiles of E^-1 on its prefix closure C (_kernels.distance_profiles)
+  give that count on C, and every z outside C reads its nearest node's
+  profile shifted by the distance t, b(y) q^(t-1) such z per node y and
+  t (_profile_value_counts, _explicit_prefix_sups, self_pairings).  The
+  weak estimator alone counts f * chi_E from sphere images, since its
+  float square sum follows the order in which the pair loop meets the
+  z: each word's image under S_n is built once per call
   (_SphereImages), from its parent's image by one letter
   (_kernels.extend_image), which maps the list entry by entry and so
-  keeps the order of w; the
-  identity's image, S_n itself, is where every chain starts; each set
-  counts f * chi_E from its words' images, as integers over D =
-  lcm(denominators of f) (_convolve_value_counts); estimators
-  divide once per candidate, in _best_prefix or the square sum, and
-  pairings read one length histogram of products (chi_pairing_profile).
-  lemma1 and r22 read only how many x in E lie at each distance from z,
-  so they build no image: the distance profiles of E^-1 on its prefix
-  closure C (_kernels.distance_profiles) give that count on C, and every
-  z outside C reads its nearest node's profile shifted by the distance
-  t, b(y) q^(t-1) such z per node y and t (_explicit_prefix_sups,
-  self_pairings);
+  keeps the order of w; the identity's image, S_n itself, is where
+  every chain starts (_convolve_value_counts).  Values are integers over
+  D = lcm(denominators of f); estimators divide once per candidate, in
+  _best_prefix or the square sum, and pairings read one length
+  histogram of products (chi_pairing_profile);
 * a radial family (unions of spheres) is never an ElementSet: its
   candidates are masks over the spheres S_0 .. S_R, where R =
   _sweep_radius is the highest sphere a mask within the budget holds,
@@ -293,7 +294,11 @@ def _check_convolution_work(sphere_work: int, set_size: int) -> None:
 
 
 class _SphereImages:
-    """Sphere images for one estimator call: images[n] maps x to its image under S_n.
+    """Sphere images for one weak-estimator call: images[n] maps x to its image under S_n.
+
+    Only the weak estimator reads images: its float square sum follows
+    the keys' insertion order, which the pair loop fixes; every other
+    explicit path reads distance profiles (_inverse_profiles).
 
     images[n] starts as {1: S_n}, the identity's image, which takes no
     room.  A missing image is extended from its parent's by
@@ -458,6 +463,34 @@ def _explicit_prefix_sups(ctx: FreeGroupCtx, E: ElementSet, n_max: int) -> list:
     return sups
 
 
+def _profile_value_counts(ctx: FreeGroupCtx, scaled, E: ElementSet):
+    """(D * value, multiplicity) pairs of f * chi_E for an explicit E, zeros included.
+
+    (f * chi_E)(z) = sum_n D f_n #{x in E : |z x^-1| = n}, and the
+    distance profiles of E^-1 (_inverse_profiles) give that count: P_y[n]
+    for z = y^-1 with y in the closure C, once, and P_y[n - t] for the
+    b(y) q^(t-1) z whose nearest node of C is y, at t = 1 .. deg f (the
+    cone rule of _explicit_prefix_sups).  Each value adds D f_n times its
+    count in ascending n, as _convolve_value_counts does, and a zero
+    count adds nothing, so a float f gets the image path's values bit for
+    bit.  scaled holds the (n, D f_n) pairs of _scaled_items(f).
+    """
+    q = ctx.q
+    top = scaled[-1][0] if scaled else -1  # the zero f has no value to yield
+    # terms[t]: the (n - t, D f_n) pairs that distance t reads
+    terms = [[(n - t, fn) for n, fn in scaled if n >= t] for t in range(top + 1)]
+    for lanes, b in _inverse_profiles(ctx, E)[1].values():
+        width = len(lanes)
+        mult = 1
+        for t, pairs in enumerate(terms if b else terms[:1]):
+            v = 0
+            for j, fn in pairs:
+                if j < width:
+                    v += fn * lanes[j]
+            yield v, mult
+            mult = b * q**t
+
+
 def self_pairings(ctx: FreeGroupCtx, fam: SetFamily, k_max: int):
     """Yield (label, |E|, [<chi_k * chi_E, chi_E> for k <= k_max]) per candidate E, as integers.
 
@@ -506,14 +539,17 @@ def prefix_sups(ctx: FreeGroupCtx, fam: SetFamily, n_max: int):
         yield E.label, E.size, _explicit_prefix_sups(ctx, E, n_max)
 
 
-def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_radial):
+def _estimate_over_family(f: RadialFunction, fam: SetFamily, score_set, score_radial):
     """Max over the family as a (value, label, extra...) tuple.
 
     Radial candidates are scored by score_radial (see _sweep_best):
     sphere unions by _sphere_union_search, spheres and balls by the
-    sweep.  Explicit candidates are scored by reduce_set(values, D, |E|,
-    label) on the sparse key -> D * value map of f * chi_E (see
-    _convolve_value_counts).  The first maximum wins ties.
+    sweep.  Explicit candidates are scored by score_set(E), once E's
+    budget check (sum_n |S_n| |E| pairs over f's support) has passed;
+    what the scorer reads is its own: the restricted estimator reads the
+    distance profiles of E^-1 (_profile_value_counts), the weak one
+    sphere images (_convolve_value_counts), whose insertion order its
+    float square sum follows.  The first maximum wins ties.
     """
     ctx = f.ctx
     if fam.kind in RADIAL_KINDS:
@@ -521,13 +557,11 @@ def _estimate_over_family(f: RadialFunction, fam: SetFamily, reduce_set, score_r
         best, best_mask = search(f, fam, score_radial)
         return (best[0], _radial_candidates(fam)[1](best_mask), *best[1:])
 
-    D, scaled = _scaled_items(f)
-    sphere_work = sum(sphere_size(ctx, n) for n, _ in scaled)
-    images = _SphereImages(ctx.alphabet)
+    sphere_work = sum(sphere_size(ctx, n) for n, _ in _scaled_items(f)[1])
 
     def objective(E: ElementSet):
         _check_convolution_work(sphere_work, E.size)
-        return reduce_set(_convolve_value_counts(scaled, E.word_keys, images), D, E.size, E.label)
+        return score_set(E)
 
     # work known before the ball is built is checked first: greedy's first
     # candidate is one word, and the other families' sizes replay
@@ -692,16 +726,17 @@ def restricted_weak_estimate(f: RadialFunction, fam: SetFamily) -> dict:
     optimal prefix size j.
     """
     require_nonnegative(f)
+    D, scaled = _scaled_items(f)
 
-    def reduce_set(values, D, size, label):
-        value, j = _best_prefix(runs(Counter(values.values()).items()), 0.5, D)
-        return value / math.sqrt(size), label, j
+    def score_set(E):
+        value, j = _best_prefix(runs(_profile_value_counts(f.ctx, scaled, E)), 0.5, D)
+        return value / math.sqrt(E.size), E.label, j
 
     def score_radial(coeffs, mult, D, size):
         value, j = _best_prefix(runs(zip(coeffs, mult)), 0.5, D)
         return value / math.sqrt(size), j
 
-    value, label, j = _estimate_over_family(f, fam, reduce_set, score_radial)
+    value, label, j = _estimate_over_family(f, fam, score_set, score_radial)
     return {"estimate": value, "E": label, "j": j, **fam.report_fields()}
 
 
@@ -712,17 +747,20 @@ def weak_estimate_21_to_2(f: RadialFunction, fam: SetFamily) -> dict:
     lower-bounds the weak-type (2,2) norm of lambda(f).
     """
     require_nonnegative(f)
+    D, scaled = _scaled_items(f)
+    images = _SphereImages(f.ctx.alphabet)
 
-    def reduce_set(values, D, size, label):
+    def score_set(E):
+        values = _convolve_value_counts(scaled, E.word_keys, images)
         sq = sum([v * v for v in values.values()])
-        return math.sqrt(sq / (D * D) / size), label
+        return math.sqrt(sq / (D * D) / E.size), E.label
 
     # int / int true division rounds as float(Fraction) does
     def score_radial(coeffs, mult, D, size):
         sq = sum([c * c * m for c, m in zip(coeffs, mult) if c])
         return (math.sqrt(sq / (D * D) / size),)
 
-    value, label = _estimate_over_family(f, fam, reduce_set, score_radial)
+    value, label = _estimate_over_family(f, fam, score_set, score_radial)
     return {"estimate": value, "E": label, **fam.report_fields()}
 
 

@@ -11,10 +11,9 @@ Core claims:
       reduces each w*x on its own, for 2k in {4, 6, 8}, including the
       step from the identity, which a letter must not cancel
     - counting the images (count_images) matches brute force and
-      conserves total mass (r22 reads its rearrangement off these counts;
-      test_theorems checks that against fgw.oracle's best_F_ratio of
-      left_convolve), and inserts the keys in the order of the w-major
-      pair loop, for every key list, whether the images come from the
+      conserves total mass (the weak estimator sums its squares off these
+      counts), and inserts the keys in the order of the w-major pair
+      loop, for every key list, whether the images come from the
       recurrence or from the oracle
     - distance_profiles of E^-1 gives, on its closure's nodes y, the
       count of x in E with |z x^-1| = j for z = y^-1, and every other z

@@ -37,8 +37,14 @@ Core claims:
     - the explicit families' integer estimates equal the exact reference
       of left_convolve exactly, and float f keeps its estimates to the
       last place
-    - the explicit estimators build each word's sphere image once per
-      call, from its parent's: the memo stores at most PAIR_BUDGET keys,
+    - the restricted estimator on explicit sets equals a word-level
+      oracle (left_convolve, the Counter of its values, runs and
+      _best_prefix) bit for bit in (estimate, E, j), for exact and float
+      f, k in {2, 3}, on random-subsets, greedy and ball-subsets; it
+      reads the distance profiles of E^-1 and builds no sphere image,
+      while the weak estimator does
+    - the weak estimator builds each word's sphere image once per call,
+      from its parent's: the memo stores at most PAIR_BUDGET keys,
       prefix images included, beside S_n as the identity's image (key 1),
       which takes no room, and, once full, changes no estimate
     - r22 and lemma1 read explicit sets off the distance profiles of
@@ -901,19 +907,23 @@ def test_greedy_family_improves_on_singletons():
 
 
 def _reference_explicit_estimate(f, fam, restricted):
-    # per set: best_F_ratio of left_convolve on the indicator, or its
-    # square sum; the values are exact Fractions, so neither depends on
-    # the order in which they are summed
+    # per set: best_F_ratio of left_convolve on the indicator (runs and
+    # _best_prefix of the Counter of its values), or its square sum; an
+    # exact f's values are Fractions, so neither depends on the order in
+    # which they are summed, and left_convolve sums a float f's terms in
+    # ascending n, so best_F_ratio is the restricted estimate bit for bit
+    ctx = f.ctx
+
     def objective(E):
-        h = left_convolve(f, FunctionOnGroup(CTX, dict.fromkeys(E.iter_words(), Fraction(1))))
+        h = left_convolve(f, FunctionOnGroup(ctx, dict.fromkeys(E.iter_words(), Fraction(1))))
         if restricted:
             value, j = best_F_ratio(h, 2.0)
             return value / math.sqrt(E.size), E.label, j
         return math.sqrt(float(h.l2_norm_squared()) / E.size), E.label
 
     if fam.kind == "greedy":
-        return ops._greedy_search(objective, CTX, fam)
-    rows = [objective(E) for E in candidate_sets(CTX, fam) if E.size]
+        return ops._greedy_search(objective, ctx, fam)
+    rows = [objective(E) for E in candidate_sets(ctx, fam) if E.size]
     # max keeps the first of equal maxima, as the estimators do
     return max(rows, key=lambda row: row[0])
 
@@ -954,6 +964,70 @@ def test_explicit_estimates_match_fraction_reference(case):
     assert (got["estimate"], got["E"], got["j"]) == _reference_explicit_estimate(f, fam, True)
     got = weak_estimate_21_to_2(f, fam)
     assert (got["estimate"], got["E"]) == _reference_explicit_estimate(f, fam, False)
+
+
+@st.composite
+def _restricted_oracle_cases(draw):
+    k = draw(st.sampled_from([2, 3]))
+    ctx = FreeGroupCtx(k)
+    if draw(st.booleans()):
+        coeff = st.fractions(min_value=0, max_value=20, max_denominator=1000)
+    else:
+        coeff = st.one_of(
+            st.sampled_from([0.0, 0.1, 1 / 3, 0.7]),
+            st.floats(min_value=0, max_value=20, allow_nan=False, allow_infinity=False),
+        )
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=4 if k == 2 else 3).filter(any))
+    kind = draw(st.sampled_from(["random-subsets", "greedy", "ball-subsets"]))
+    if kind == "random-subsets":
+        radius = draw(st.integers(0, 3 if k == 2 else 2))
+        fam = SetFamily(kind, radius, draw(st.integers(1, 6)), draw(st.integers(0, 99)))
+    elif kind == "greedy":
+        fam = SetFamily(kind, draw(st.integers(0, 2)), draw(st.integers(1, 4)))
+    else:
+        # every subset of B_1: 2^|B_1| candidates, mask 0 included
+        fam = SetFamily(kind, 1, 2 ** (2 * k + 1))
+    return RadialFunction(ctx, tuple(coeffs)), fam
+
+
+@settings(max_examples=60, deadline=None)
+@given(_restricted_oracle_cases())
+@example((RadialFunction(FreeGroupCtx(3), (1.0, 0.5, 0.3)), SetFamily("ball-subsets", 1, 128)))
+@example((RadialFunction(CTX, (0, 0, 1, Fraction(1, 3))), SetFamily("random-subsets", 3, 6, 3)))
+# the zero f: every set scores 0, and the first candidate wins
+@example((RadialFunction(CTX, (0,)), SetFamily("greedy", 1, 2)))
+@example((RadialFunction(FreeGroupCtx(3), (0.0,)), SetFamily("random-subsets", 1, 3, 1)))
+# summed in descending n, these values would drift in the last place
+@example((RadialFunction(CTX, (0.7, 0.49, 0.343)), SetFamily("random-subsets", 2, 6, 3)))
+def test_explicit_restricted_estimate_matches_word_oracle(case):
+    # the distance-profile path against the words themselves, float f included
+    f, fam = case
+    got = restricted_weak_estimate(f, fam)
+    assert (got["estimate"], got["E"], got["j"]) == _reference_explicit_estimate(f, fam, True)
+
+
+ONE_PATH_FAMILIES = [
+    SetFamily("random-subsets", radius=3, budget=6, seed=3),
+    SetFamily("greedy", radius=2, budget=3),
+    SetFamily("ball-subsets", radius=1),
+]
+
+
+@pytest.mark.parametrize("fam", ONE_PATH_FAMILIES, ids=[f.kind for f in ONE_PATH_FAMILIES])
+def test_explicit_restricted_builds_no_sphere_image(monkeypatch, fam):
+    # restricted reads the distance profiles; the weak estimator alone
+    # builds sphere images, since its float square sum follows their order
+    f = RadialFunction(CTX, (0, 0, 1, Fraction(1, 3)))
+    want = restricted_weak_estimate(f, fam)
+
+    def refused(*args):
+        raise AssertionError("sphere image built")
+
+    monkeypatch.setattr(_kernels, "extend_image", refused)
+    monkeypatch.setattr(_kernels, "count_images", refused)
+    assert restricted_weak_estimate(f, fam) == want
+    with pytest.raises(AssertionError, match="sphere image built"):
+        weak_estimate_21_to_2(f, fam)
 
 
 # repr of the estimates of f_n = b^n, n <= 3, in float arithmetic; the
@@ -1241,10 +1315,10 @@ MEMO_FAMILIES = [
 @pytest.mark.parametrize("fam", MEMO_FAMILIES, ids=[f"estimators-{f.kind}" for f in MEMO_FAMILIES])
 def test_image_memo_holds_at_most_the_pair_budget(monkeypatch, fam):
     # PAIR_BUDGET set between the largest set's work and the family's
-    # total: every set passes its budget check, the memo fills up and
-    # rebuilds the images it cannot store, and no estimate moves.  (No
-    # ball-subsets case: its family holds the whole ball, so the largest
-    # set's work is the total.)
+    # total: every set passes its budget check, the weak estimator's memo
+    # fills up and rebuilds the images it cannot store, and no estimate
+    # moves.  (No ball-subsets case: its family holds the whole ball, so
+    # the largest set's work is the total.)
     def run():
         return [est(MEMO_F, fam) for est in (restricted_weak_estimate, weak_estimate_21_to_2)]
 
