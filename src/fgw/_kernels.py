@@ -33,12 +33,12 @@ one of b(y') edges and each later step has q choices.
 
 Every function here serves a certifier path: the sphere rule, key
 encoding and inversion, and the kernels of the explicit families:
-distance_profiles (the restricted estimator, lemma1 and r22),
-prod_len_hist (pairings), and extend_image, the one-letter step of the
-sphere images, which count_images counts for the weak estimator only:
-its float square sum follows the order in which the pair loop inserts
-the z, which no profile records.  The kernels return raw counts;
-lorentz.runs rearranges them.
+distance_profiles (the restricted estimator, lemma1, r22 and the weak
+estimator of an exact f), prod_len_hist (pairings), and extend_image,
+the one-letter step of the sphere images, which count_images counts for
+the weak estimator of a float f only: its float square sum follows the
+order in which the pair loop inserts the z, which no profile records.
+The kernels return raw counts; lorentz.runs rearranges them.
 """
 
 from __future__ import annotations

@@ -9,15 +9,16 @@ has one representation:
   (see _kernels), which become ReducedWords only at the API boundary.
   Every candidate's work is checked before the ball is built
   (_check_candidates), so a family is then swept once, set by set.
-  The restricted estimator, lemma1 and r22 read only how many x in E
-  lie at each distance from z, so they build no image: the distance
-  profiles of E^-1 on its prefix closure C (_kernels.distance_profiles)
-  give that count on C, and every z outside C reads its nearest node's
-  profile shifted by the distance t, b(y) q^(t-1) such z per node y and
-  t (_profile_value_counts, _explicit_prefix_sups, self_pairings).  The
-  weak estimator alone counts f * chi_E from sphere images, since its
-  float square sum follows the order in which the pair loop meets the
-  z: each word's image under S_n is built once per call
+  The restricted estimator, lemma1, r22 and the weak estimator of an
+  exact f read only how many x in E lie at each distance from z, so
+  they build no image: the distance profiles of E^-1 on its prefix
+  closure C (_kernels.distance_profiles) give that count on C, and
+  every z outside C reads its nearest node's profile shifted by the
+  distance t, b(y) q^(t-1) such z per node y and t
+  (_profile_value_counts, _explicit_prefix_sups, self_pairings).  The
+  weak estimator of a float f counts f * chi_E from sphere images, since
+  its float square sum follows the order in which the pair loop meets
+  the z: each word's image under S_n is built once per call
   (_SphereImages), from its parent's image by one letter
   (_kernels.extend_image), which maps the list entry by entry and so
   keeps the order of w; the identity's image, S_n itself, is where
@@ -296,9 +297,10 @@ def _check_convolution_work(sphere_work: int, set_size: int) -> None:
 class _SphereImages:
     """Sphere images for one weak-estimator call: images[n] maps x to its image under S_n.
 
-    Only the weak estimator reads images: its float square sum follows
-    the keys' insertion order, which the pair loop fixes; every other
-    explicit path reads distance profiles (_inverse_profiles).
+    Only the weak estimator of a float f reads images: its float square
+    sum follows the keys' insertion order, which the pair loop fixes;
+    every other explicit path, the weak estimator of an exact f
+    included, reads distance profiles (_inverse_profiles).
 
     images[n] starts as {1: S_n}, the identity's image, which takes no
     room.  A missing image is extended from its parent's by
@@ -546,10 +548,11 @@ def _estimate_over_family(f: RadialFunction, fam: SetFamily, score_set, score_ra
     sphere unions by _sphere_union_search, spheres and balls by the
     sweep.  Explicit candidates are scored by score_set(E), once E's
     budget check (sum_n |S_n| |E| pairs over f's support) has passed;
-    what the scorer reads is its own: the restricted estimator reads the
-    distance profiles of E^-1 (_profile_value_counts), the weak one
-    sphere images (_convolve_value_counts), whose insertion order its
-    float square sum follows.  The first maximum wins ties.
+    what the scorer reads is its own: the restricted estimator, and the
+    weak one for an exact f, read the distance profiles of E^-1
+    (_profile_value_counts), the weak one for a float f sphere images
+    (_convolve_value_counts), whose insertion order its float square sum
+    follows.  The first maximum wins ties.
     """
     ctx = f.ctx
     if fam.kind in RADIAL_KINDS:
@@ -691,6 +694,30 @@ def _best_prefix(runs, e: float, D):
     return best, best_j
 
 
+def _root_of_quotient(sq, D: int, size: int) -> float:
+    """sqrt(sq / D^2 / size), the weak estimators' value, as a float.
+
+    Where the float expression does not overflow, it gives the value:
+    int / int true division rounds as float(Fraction) does.  An integer
+    sq, or a size, past float range raises OverflowError in that
+    expression although the root may be in range; then the root is taken
+    on integers, isqrt of the exact quotient scaled by 4^s so that it
+    holds 64 bits at least, within 1 ulp.  A root past float range is a
+    ValueError.
+    """
+    try:
+        return math.sqrt(sq / (D * D) / size)
+    except OverflowError:
+        pass
+    try:
+        num, den = sq.as_integer_ratio()
+        den *= D * D * size
+        s = max(0, 66 - (num.bit_length() - den.bit_length()) // 2)
+        return math.ldexp(float(math.isqrt((num << 2 * s) // den)), -s)
+    except OverflowError:
+        raise ValueError("the weak estimate is out of float range") from None
+
+
 def _greedy_search(objective, ctx: FreeGroupCtx, fam: SetFamily):
     """Grow one set a word at a time, keeping the best set seen."""
     pool = _ball_keys(ctx, fam.radius)
@@ -723,7 +750,8 @@ def restricted_weak_estimate(f: RadialFunction, fam: SetFamily) -> dict:
 
     For each candidate E the inner sup over F is solved exactly on the
     rearrangement of f * chi_E; the report records the best E and the
-    optimal prefix size j.
+    optimal prefix size j.  A float overflow on the way, a prefix sum of
+    f * chi_E over D or |E| past float range, is a ValueError.
     """
     require_nonnegative(f)
     D, scaled = _scaled_items(f)
@@ -736,7 +764,10 @@ def restricted_weak_estimate(f: RadialFunction, fam: SetFamily) -> dict:
         value, j = _best_prefix(runs(zip(coeffs, mult)), 0.5, D)
         return value / math.sqrt(size), j
 
-    value, label, j = _estimate_over_family(f, fam, score_set, score_radial)
+    try:
+        value, label, j = _estimate_over_family(f, fam, score_set, score_radial)
+    except OverflowError as exc:
+        raise ValueError(f"float overflow in the restricted estimate: {exc}") from None
     return {"estimate": value, "E": label, "j": j, **fam.report_fields()}
 
 
@@ -744,21 +775,34 @@ def weak_estimate_21_to_2(f: RadialFunction, fam: SetFamily) -> dict:
     """Certified lower bound on ||lambda(f)|| from L^{2,1} to l^2.
 
     max over E of ||f * chi_E||_2 / |E|^{1/2}; by duality this also
-    lower-bounds the weak-type (2,2) norm of lambda(f).
+    lower-bounds the weak-type (2,2) norm of lambda(f).  On explicit
+    sets an exact f sums the integer squares of the distance-profile
+    values (_profile_value_counts), the same integer in any order, and
+    a float f sums the squares of its sphere images' values in the pair
+    loop's order (_convolve_value_counts).  The root is
+    _root_of_quotient's, so an estimate past float range is a
+    ValueError.
     """
     require_nonnegative(f)
     D, scaled = _scaled_items(f)
-    images = _SphereImages(f.ctx.alphabet)
 
-    def score_set(E):
-        values = _convolve_value_counts(scaled, E.word_keys, images)
-        sq = sum([v * v for v in values.values()])
-        return math.sqrt(sq / (D * D) / E.size), E.label
+    if f.is_exact():
+        # integer squares: the sum is the same in any order
+        def score_set(E):
+            sq = sum([v * v * m for v, m in _profile_value_counts(f.ctx, scaled, E)])
+            return _root_of_quotient(sq, D, E.size), E.label
 
-    # int / int true division rounds as float(Fraction) does
+    else:
+        images = _SphereImages(f.ctx.alphabet)
+
+        def score_set(E):
+            values = _convolve_value_counts(scaled, E.word_keys, images)
+            sq = sum([v * v for v in values.values()])
+            return _root_of_quotient(sq, D, E.size), E.label
+
     def score_radial(coeffs, mult, D, size):
         sq = sum([c * c * m for c, m in zip(coeffs, mult) if c])
-        return (math.sqrt(sq / (D * D) / size),)
+        return (_root_of_quotient(sq, D, size),)
 
     value, label = _estimate_over_family(f, fam, score_set, score_radial)
     return {"estimate": value, "E": label, **fam.report_fields()}

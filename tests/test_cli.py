@@ -40,6 +40,9 @@ Core claims:
     - thm5 and norms run past float-range sphere counts (exit 0); a norm
       itself past float range exits 2, and so does a thm5 window whose f_n
       has coefficients below the normal floats, before any verifier runs
+    - a weak search whose square sum is past float range, though its
+      estimate is not (--f 1e153, 1e200), exits 0 with that estimate; a
+      search estimate itself past float range (--f 1e400) exits 2
     - CSV params render numbers canonically, at most 12 significant digits
     - JSON strings escape '"', backslash, \n, \t, \r and other control
       characters, and pass non-ASCII through
@@ -539,6 +542,34 @@ def test_norms_past_float_counts(capsys):
     assert code == 2
     assert captured.out == ""
     assert "out of float range" in captured.err
+
+
+RANDOM_SUBSETS = ["--family", "random-subsets", "--radius", "3", "--budget", "12"]
+
+
+@pytest.mark.parametrize(
+    "f, family",
+    [("1e153", []), ("1e200", []), ("1e153", RANDOM_SUBSETS), ("1e200", RANDOM_SUBSETS)],
+)
+def test_weak_search_past_float_squares(capsys, f, family):
+    # sq / D^2 overflowed before the root was taken; f = c chi_0 gives
+    # f * chi_E = c chi_E, whose estimate is c on every E
+    code = main(["search", "--estimator", "weak", "--f", f, *family])
+    out = capsys.readouterr().out
+    assert code == 0
+    (record,) = json.loads(out)
+    assert record["estimate"] == float(f)
+
+
+@pytest.mark.parametrize("estimator", ["weak", "restricted"])
+@pytest.mark.parametrize("family", [[], RANDOM_SUBSETS])
+def test_search_estimate_past_float_range_exits_2(capsys, estimator, family):
+    code = main(["search", "--estimator", estimator, "--f", "1e400", *family])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "float" in captured.err
 
 
 def test_verify_zero_samples_is_a_usage_error(capsys, monkeypatch):

@@ -35,18 +35,24 @@ Core claims:
     - estimates grow with the candidate budget under a fixed seed
     - the ball-subsets family enumerates every subset and stays within budget
     - the explicit families' integer estimates equal the exact reference
-      of left_convolve exactly, and float f keeps its estimates to the
+      of left_convolve exactly, for k in {2, 3}, on random-subsets,
+      greedy and ball-subsets, and float f keeps its estimates to the
       last place
     - the restricted estimator on explicit sets equals a word-level
       oracle (left_convolve, the Counter of its values, runs and
       _best_prefix) bit for bit in (estimate, E, j), for exact and float
       f, k in {2, 3}, on random-subsets, greedy and ball-subsets; it
       reads the distance profiles of E^-1 and builds no sphere image,
-      while the weak estimator does
-    - the weak estimator builds each word's sphere image once per call,
-      from its parent's: the memo stores at most PAIR_BUDGET keys,
-      prefix images included, beside S_n as the identity's image (key 1),
-      which takes no room, and, once full, changes no estimate
+      nor does the weak estimator of an exact f, while that of a float f
+      does
+    - the weak estimator of a float f builds each word's sphere image
+      once per call, from its parent's: the memo stores at most
+      PAIR_BUDGET keys, prefix images included, beside S_n as the
+      identity's image (key 1), which takes no room, and, once full,
+      changes no estimate
+    - the weak estimators' root keeps the float expression wherever it
+      does not overflow, is within 1 ulp of an integer isqrt reference
+      where it does, and a root past float range is a ValueError
     - r22 and lemma1 read explicit sets off the distance profiles of
       E^-1: r22's rows equal the word-by-word reference in (E, n) order,
       lemma1's equal chi_pairing_profile's, each family is swept once,
@@ -935,15 +941,20 @@ def _explicit_cases(draw):
         st.builds(Fraction, st.integers(0, 9), st.sampled_from([1, 2, 3, 4, 5, 7, 9, 11, 16])),
         st.fractions(min_value=0, max_value=20, max_denominator=10**6),
     )
-    coeffs = draw(st.lists(coeff, min_size=1, max_size=4).filter(any))
-    if draw(st.booleans()):
+    k = draw(st.sampled_from([2, 3]))
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=4 if k == 2 else 3).filter(any))
+    kind = draw(st.sampled_from(["random-subsets", "greedy", "ball-subsets"]))
+    if kind == "random-subsets":
         fam = SetFamily(
-            "random-subsets", draw(st.integers(1, 2)), draw(st.integers(1, 8)),
-            draw(st.integers(0, 99)),
+            kind, draw(st.integers(1, 2)), draw(st.integers(1, 8)), draw(st.integers(0, 99))
         )
+    elif kind == "greedy":
+        fam = SetFamily(kind, draw(st.integers(1, 2)), draw(st.integers(1, 4)))
     else:
-        fam = SetFamily("greedy", draw(st.integers(1, 2)), draw(st.integers(1, 4)))
-    return RadialFunction(CTX, tuple(coeffs)), fam
+        # every subset of B_0 or B_1: 2^|B| candidates, mask 0 included
+        radius = draw(st.integers(0, 1))
+        fam = SetFamily(kind, radius, 2 ** (1 + 2 * k * radius))
+    return RadialFunction(FreeGroupCtx(k), tuple(coeffs)), fam
 
 
 @settings(max_examples=40, deadline=None)
@@ -1013,21 +1024,61 @@ ONE_PATH_FAMILIES = [
 ]
 
 
+def _isqrt_reference(sq, D, size):
+    # the root of the exact quotient, 1200 bits past the point (below the
+    # smallest subnormal), rounded once; inf past float range
+    root = Fraction(math.isqrt(sq * 4**1200 // (D * D * size)), 2**1200)
+    try:
+        return float(root)
+    except OverflowError:
+        return math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 10**700),
+    st.integers(1, 10**40),
+    st.one_of(st.integers(1, 10**7), st.integers(1, 10**800)),
+)
+@example(10**306 * 12, 1, 12)  # search --f 1e153 on one sphere: sq / D^2 overflows
+@example(3**1400, 1, 3**1400)  # f = chi_0 on a sphere past float range: both overflow
+def test_weak_root_of_quotient(sq, D, size):
+    try:
+        want = math.sqrt(sq / (D * D) / size)
+    except OverflowError:
+        ref = _isqrt_reference(sq, D, size)
+        if math.isinf(ref):
+            with pytest.raises(ValueError, match="out of float range"):
+                ops._root_of_quotient(sq, D, size)
+        else:
+            assert abs(ops._root_of_quotient(sq, D, size) - ref) <= math.ulp(ref)
+    else:
+        # the float expression's bits wherever it fits
+        assert ops._root_of_quotient(sq, D, size) == want
+
+
 @pytest.mark.parametrize("fam", ONE_PATH_FAMILIES, ids=[f.kind for f in ONE_PATH_FAMILIES])
 def test_explicit_restricted_builds_no_sphere_image(monkeypatch, fam):
-    # restricted reads the distance profiles; the weak estimator alone
-    # builds sphere images, since its float square sum follows their order
+    # restricted, and the weak estimator of an exact f, read the distance
+    # profiles; the weak estimator of a float f alone builds sphere
+    # images, since its float square sum follows their order
     f = RadialFunction(CTX, (0, 0, 1, Fraction(1, 3)))
+    f_float = RadialFunction(CTX, (0.0, 0.0, 1.0, 1 / 3))
     want = restricted_weak_estimate(f, fam)
+    want_weak = weak_estimate_21_to_2(f, fam)
 
     def refused(*args):
         raise AssertionError("sphere image built")
 
     monkeypatch.setattr(_kernels, "extend_image", refused)
     monkeypatch.setattr(_kernels, "count_images", refused)
+    memos = _spy_on_image_memos(monkeypatch)
     assert restricted_weak_estimate(f, fam) == want
+    assert weak_estimate_21_to_2(f, fam) == want_weak
+    assert memos == []
     with pytest.raises(AssertionError, match="sphere image built"):
-        weak_estimate_21_to_2(f, fam)
+        weak_estimate_21_to_2(f_float, fam)
+    assert len(memos) == 1
 
 
 # repr of the estimates of f_n = b^n, n <= 3, in float arithmetic; the
@@ -1305,7 +1356,8 @@ def _spy_on_image_memos(monkeypatch):
     return memos
 
 
-MEMO_F = RadialFunction(CTX, (Fraction(1), Fraction(1, 2), Fraction(1, 4)))
+# a float f: the weak estimator builds sphere images for a float f only
+MEMO_F = RadialFunction(CTX, (1.0, 0.5, 0.25))
 MEMO_FAMILIES = [
     SetFamily("random-subsets", radius=3, budget=12, seed=3),
     SetFamily("greedy", radius=2, budget=4),
